@@ -19,6 +19,7 @@ from .braided import DegreeBudgetExceeded, check_braid_equation, make_braiding, 
 from .catalog import RACK_NAMES, builtin_cocycle, builtin_rack
 from .cocycle import Cocycle2, constant_cocycle
 from .freealg import (
+    ResourceBudgetExceeded,
     audit_obstructions,
     groebner,
     hilbert_series,
@@ -124,7 +125,7 @@ def _load_cocycle(args, rack, rack_name):
     except (KeyError, ZeroDivisionError) as exc:
         raise CliError(str(exc), EXIT_INVALID)
     except ValueError as exc:
-        raise CliError("invalid cocycle: %s" % exc, EXIT_ASSERTION)
+        raise CliError("invalid cocycle: %s" % exc, EXIT_INVALID)
 
 
 def _flavor(args):
@@ -273,47 +274,24 @@ def _cmd_gb_run(args):
     return payload, bool(confluent)
 
 
-_FAMILY_FLAG = {
-    "Eminus": deform.EMINUS,
-    "Echi": deform.ECHI,
-    "Etilde": deform.ETILDE,
-    "GenericLambda": deform.GENERIC,
-}
-
-
 def _default_params(args):
     if args.file:
         doc = _load_json_file(args.file)
         try:
             return deform.DeformParams.from_json(doc)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise CliError("invalid parameter document: %s" % exc, EXIT_INVALID)
-    family = args.family
-    if family not in _FAMILY_FLAG:
+    if args.family not in deform.FAMILIES:
         raise CliError(
-            "--family must be one of %s" % ", ".join(sorted(_FAMILY_FLAG)),
+            "--family must be one of %s" % ", ".join(deform.FAMILIES),
             EXIT_INVALID,
         )
-    family = _FAMILY_FLAG[family]
-    n = args.n if args.n else 4
-    one = Fraction(1)
-    if family == deform.EMINUS:
-        return deform.DeformParams.eminus(n, one, one, one)
-    if family == deform.ECHI:
-        return deform.DeformParams.echi(n, one, one)
-    if family == deform.ETILDE:
-        return deform.DeformParams.etilde(one, one, one)
-    if not args.rack or not args.cocycle:
-        raise CliError(
-            "GenericLambda needs --rack and --cocycle", EXIT_INVALID
+    try:
+        return deform.DeformParams.unit(
+            args.family, args.n if args.n else 4, args.rack, args.cocycle
         )
-    rack, name = _load_rack(args)
-    q = _load_cocycle(args, rack, name)
-    space = pointed_lambda_space(rack, q)
-    roots = {c.base_pair: one for c in space.free_classes()}
-    return deform.DeformParams.generic(
-        args.rack, args.cocycle, space.value_map(roots)
-    )
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise CliError("invalid parameters: %s" % exc, EXIT_INVALID)
 
 
 def _cmd_deform_verify(args):
@@ -336,7 +314,7 @@ def _cmd_deform_audit(args):
     if args.file:
         params = _default_params(args)
     else:
-        params = deform.DeformParams.eminus(4, Fraction(1), Fraction(1), Fraction(1))
+        params = deform.DeformParams.unit(deform.EMINUS)
     try:
         report = deform.appendix_membership_audit(params)
     except ValueError as exc:
@@ -407,9 +385,7 @@ def _cmd_lift_pointed(args):
 
 
 _COPOINTED_FAMILY = {
-    ("o24", "const:-1"): "TranspMinus",
-    ("o24", "chi"): "TranspChi",
-    ("o44", "const:-1"): "FourCycles",
+    key: family for family, key in deform.CopointedLambda.FAMILIES.items()
 }
 
 
@@ -576,7 +552,7 @@ def main(argv=None):
     except CliError as exc:
         payload, ok = {"error": str(exc)}, False
         code = exc.code
-    except DegreeBudgetExceeded as exc:
+    except (DegreeBudgetExceeded, ResourceBudgetExceeded) as exc:
         payload, ok = {"error": str(exc)}, False
         code = EXIT_BUDGET
     doc["ok"] = ok

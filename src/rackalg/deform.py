@@ -1,15 +1,22 @@
 """Deformed quadratic ideals, their parameter spaces, and lifting data.
 
-Three named families of deformations over the transposition racks of S3/S4
-and the 4-cycle rack, plus a generic family b_C - lambda_C driven by a
-rack+cocycle.  Verification is by exact rational specialization: seeded
-samples feed the Groebner engine, which certifies nontriviality and (on
-the admissible parameter sets) flatness of the dimension.
+One deformation model: over a builtin rack and cocycle, the point lambda
+assigns a scalar lambda_C to every class C of R', and the deformed ideal is
+spanned by the relations b_C - lambda_C.  A point is admissible when it
+lies in the pointed or the copointed parameter space.  The named families
+Eminus, Echi (transpositions of S3/S4) and Etilde (4-cycles of S4) are
+presets onto lambda; GenericLambda takes lambda as given.  Verification is
+by exact rational specialization: seeded samples feed the Groebner engine,
+which certifies nontriviality and (on the admissible points) flatness of
+the dimension.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 from . import catalog, perm, quadrel
+from .braided import DegreeBudgetExceeded
 from .freealg import (
     FreePoly,
     groebner,
@@ -39,6 +46,19 @@ EMINUS = "Eminus"
 ECHI = "Echi"
 ETILDE = "Etilde"
 GENERIC = "GenericLambda"
+FAMILIES = (ECHI, EMINUS, ETILDE, GENERIC)
+
+# The presets as coordinates on lambda: their racks by n (the degree of the
+# symmetric group), their cocycle, the name of the per-label scalar, and
+# each mu as (name, size of its pointed root class, sign of lambda there).
+# The per-label scalar of x sits on the copointed-free class holding a pair
+# (x, .); the 4-cycle classes hold inverse pairs, so beta agrees on them.
+PRESETS = {
+    EMINUS: ({3: "o23", 4: "o24"}, "const:-1", "alpha",
+             (("mu1", 2, 1), ("mu2", 3, 1))),
+    ECHI: ({3: "o23", 4: "o24"}, "chi", "alpha", (("mu", 3, -1),)),
+    ETILDE: ({4: "o44"}, "const:-1", "beta", (("mu1", 1, 1), ("mu2", 3, 1))),
+}
 
 
 def transposition_pairs(n):
@@ -83,444 +103,247 @@ def _normalize_scalars(raw, labels, what):
     return (Fraction(raw),) * m
 
 
+@lru_cache(maxsize=None)
+def _model(rack_name, cocycle_spec):
+    """(rack, ((base pair, b_C) for C in R'), pointed space, copointed
+    space) of a builtin rack and cocycle."""
+    rack, _ = catalog.builtin_rack(rack_name)
+    q = catalog.builtin_cocycle(rack_name, cocycle_spec)
+    pointed = quadrel.pointed_lambda_space(rack, q)
+    relations = tuple(
+        (c.base_pair, quadrel.relation_poly(c, "V", rack.n))
+        for c in pointed.classes
+    )
+    return rack, relations, pointed, quadrel.copointed_lambda_space(rack, q)
+
+
+def _label_classes(space, n):
+    """Per label x, the base pair of the free class holding a pair (x, .)."""
+    holder = {a: c.base_pair for c in space.free_classes() for a, _ in c.pairs()}
+    return tuple(holder[x] for x in range(n))
+
+
+@lru_cache(maxsize=None)
+def _chart(family, rack_name, cocycle_spec):
+    """(per-label classes, mus) of a family on lambda.
+
+    Each mu is (name, base pair of its root class or None when the rack
+    has no class of that size, sign).  GenericLambda has no per-label
+    scalars; its coordinates are the free roots of the pointed space.
+    """
+    rack, _, pointed, copointed = _model(rack_name, cocycle_spec)
+    if family not in PRESETS:
+        return (), tuple((None, c.base_pair, 1) for c in pointed.free_classes())
+    by_size = {c.size: c.base_pair for c in pointed.free_classes()}
+    return _label_classes(copointed, rack.n), tuple(
+        (name, by_size.get(size), sign) for name, size, sign in PRESETS[family][3]
+    )
+
+
+def _preset_rack(family, n):
+    racks = PRESETS[family][0]
+    if n not in racks:
+        raise IndexMismatch(f"{family} needs n in {sorted(racks)}, got {n!r}")
+    return racks[n]
+
+
 class DeformParams:
-    """One parameter point of a deformation family."""
+    """One point lambda of the deformation model, with the family name
+    that shapes its document."""
 
-    __slots__ = ("family", "n", "rack_name", "cocycle_spec", "data")
+    __slots__ = ("family", "rack_name", "cocycle_spec", "lam")
 
-    def __init__(self, family, n=None, rack_name=None, cocycle_spec=None,
-                 data=None):
+    def __init__(self, family, rack_name, cocycle_spec, lam):
         self.family = family
-        self.n = n
         self.rack_name = rack_name
         self.cocycle_spec = cocycle_spec
-        self.data = data or {}
+        self.lam = lam
+
+    @classmethod
+    def _from_chart(cls, family, rack_name, cocycle_spec, scalars, mus):
+        """The point with these per-label scalars and mu values."""
+        _, _, pointed, _ = _model(rack_name, cocycle_spec)
+        labels, chart_mus = _chart(family, rack_name, cocycle_spec)
+        roots = {c.base_pair: 0 for c in pointed.free_classes()}
+        for (_, root, sign), v in zip(chart_mus, mus):
+            if root is not None:
+                roots[root] = sign * Fraction(v)
+        lam = pointed.value_map(roots)
+        fixed = {}
+        for pair, v in zip(labels, scalars):
+            if fixed.setdefault(pair, Fraction(v)) != v:
+                raise IndexMismatch(
+                    f"{PRESETS[family][2]} must agree on labels sharing "
+                    "a relation class"
+                )
+        lam.update(fixed)
+        return cls(family, rack_name, cocycle_spec, lam)
+
+    @classmethod
+    def _preset(cls, family, n, scalars, *mus):
+        _, spec, key, _ = PRESETS[family]
+        rack_name = _preset_rack(family, n)
+        labels = _model(rack_name, spec)[0].labels
+        return cls._from_chart(
+            family, rack_name, spec, _normalize_scalars(scalars, labels, key),
+            mus,
+        )
 
     @classmethod
     def eminus(cls, n, alpha, mu1=0, mu2=0):
-        rack, _ = catalog.transposition_rack(n)
-        return cls(
-            EMINUS,
-            n=n,
-            data={
-                "alpha": _normalize_scalars(alpha, rack.labels, "alpha"),
-                "mu1": Fraction(mu1),
-                "mu2": Fraction(mu2),
-            },
-        )
+        """On o23 no pair of transpositions commutes, so mu1 has no class
+        there and is dropped."""
+        return cls._preset(EMINUS, n, alpha, mu1, mu2)
 
     @classmethod
     def echi(cls, n, alpha, mu=0):
-        rack, _ = catalog.transposition_rack(n)
-        return cls(
-            ECHI,
-            n=n,
-            data={
-                "alpha": _normalize_scalars(alpha, rack.labels, "alpha"),
-                "mu": Fraction(mu),
-            },
-        )
+        return cls._preset(ECHI, n, alpha, mu)
 
     @classmethod
     def etilde(cls, beta, mu1=0, mu2=0):
-        rack, _ = catalog.builtin_rack("o44")
-        return cls(
-            ETILDE,
-            data={
-                "beta": _normalize_scalars(beta, rack.labels, "beta"),
-                "mu1": Fraction(mu1),
-                "mu2": Fraction(mu2),
-            },
-        )
+        return cls._preset(ETILDE, 4, beta, mu1, mu2)
 
     @classmethod
     def generic(cls, rack_name, cocycle_spec, lam):
-        rack, _ = catalog.builtin_rack(rack_name)
-        q = catalog.builtin_cocycle(rack_name, cocycle_spec)
-        rprime = quadrel.select_Rprime(quadrel.enumerate_classes(rack), q)
-        pairs = [c.base_pair for c in rprime]
+        _, relations, _, _ = _model(rack_name, cocycle_spec)
         lam = {tuple(k): Fraction(v) for k, v in lam.items()}
-        if set(lam) != set(pairs):
+        if set(lam) != {pair for pair, _ in relations}:
             raise IndexMismatch(
                 "lambda must be keyed by the base pairs of R'"
             )
-        return cls(
-            GENERIC,
-            rack_name=rack_name,
-            cocycle_spec=cocycle_spec,
-            data={"lam": lam},
+        return cls(GENERIC, rack_name, cocycle_spec, lam)
+
+    @classmethod
+    def unit(cls, family, n=4, rack_name=None, cocycle_spec=None):
+        """The family's point with every coordinate 1.  A preset picks its
+        rack by n; GenericLambda needs the rack and cocycle by name."""
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in PRESETS:
+            rack_name = _preset_rack(family, n)
+            cocycle_spec = PRESETS[family][1]
+        elif not (rack_name and cocycle_spec):
+            raise IndexMismatch(f"{family} needs a rack and a cocycle")
+        labels, mus = _chart(family, rack_name, cocycle_spec)
+        return cls._from_chart(
+            family, rack_name, cocycle_spec, [1] * len(labels), [1] * len(mus)
         )
 
     def rack(self):
-        if self.family in (EMINUS, ECHI):
-            return catalog.transposition_rack(self.n)[0]
-        if self.family == ETILDE:
-            return catalog.builtin_rack("o44")[0]
         return catalog.builtin_rack(self.rack_name)[0]
+
+    def coordinates(self):
+        """A preset point's (per-label scalars, {mu name: value}); a mu
+        without a class on the rack is left out."""
+        labels, mus = _chart(self.family, self.rack_name, self.cocycle_spec)
+        return tuple(self.lam[p] for p in labels), {
+            name: sign * self.lam[root]
+            for name, root, sign in mus
+            if root is not None
+        }
 
     def to_json(self):
         d = {"family": self.family}
-        rack = self.rack()
-        if self.family in (EMINUS, ECHI):
-            d["n"] = self.n
-            d["params"] = {
-                "alpha": {
-                    rack.labels[i]: str(v)
-                    for i, v in enumerate(self.data["alpha"])
-                },
-            }
-            if self.family == EMINUS:
-                d["params"]["mu1"] = str(self.data["mu1"])
-                d["params"]["mu2"] = str(self.data["mu2"])
-            else:
-                d["params"]["mu"] = str(self.data["mu"])
-        elif self.family == ETILDE:
-            d["params"] = {
-                "beta": {
-                    rack.labels[i]: str(v)
-                    for i, v in enumerate(self.data["beta"])
-                },
-                "mu1": str(self.data["mu1"]),
-                "mu2": str(self.data["mu2"]),
-            }
-        else:
+        if self.family not in PRESETS:
             d["rack"] = self.rack_name
             d["cocycle"] = self.cocycle_spec
             d["params"] = {
                 "lambda": {
-                    f"{a},{b}": str(v)
-                    for (a, b), v in sorted(self.data["lam"].items())
+                    f"{a},{b}": str(v) for (a, b), v in sorted(self.lam.items())
                 }
             }
+            return d
+        racks, _, key, _ = PRESETS[self.family]
+        if len(racks) > 1:
+            d["n"] = next(n for n, r in racks.items() if r == self.rack_name)
+        scalars, mus = self.coordinates()
+        labels = self.rack().labels
+        d["params"] = {key: {labels[i]: str(v) for i, v in enumerate(scalars)}}
+        d["params"].update((name, str(v)) for name, v in mus.items())
         return d
 
     @classmethod
     def from_json(cls, doc):
         family = doc["family"]
         p = doc.get("params", {})
-        if family == EMINUS:
-            return cls.eminus(
-                int(doc["n"]),
-                {k: Fraction(v) for k, v in p["alpha"].items()},
-                Fraction(p.get("mu1", 0)),
-                Fraction(p.get("mu2", 0)),
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in PRESETS:
+            racks, _, key, mus = PRESETS[family]
+            return cls._preset(
+                family,
+                int(doc["n"]) if len(racks) > 1 else 4,
+                {k: Fraction(v) for k, v in p[key].items()},
+                *(Fraction(p.get(name, 0)) for name, _, _ in mus),
             )
-        if family == ECHI:
-            return cls.echi(
-                int(doc["n"]),
-                {k: Fraction(v) for k, v in p["alpha"].items()},
-                Fraction(p.get("mu", 0)),
-            )
-        if family == ETILDE:
-            return cls.etilde(
-                {k: Fraction(v) for k, v in p["beta"].items()},
-                Fraction(p.get("mu1", 0)),
-                Fraction(p.get("mu2", 0)),
-            )
-        if family == GENERIC:
-            lam = {}
-            for key, v in p["lambda"].items():
-                a, b = key.split(",")
-                lam[(int(a), int(b))] = Fraction(v)
-            return cls.generic(doc["rack"], doc["cocycle"], lam)
-        raise ValueError(f"unknown family {family!r}")
-
-
-def _pair_index(n):
-    pairs = transposition_pairs(n)
-    return pairs, {p: i for i, p in enumerate(pairs)}
+        lam = {}
+        for key, v in p["lambda"].items():
+            a, b = key.split(",")
+            lam[(int(a), int(b))] = Fraction(v)
+        return cls.generic(doc["rack"], doc["cocycle"], lam)
 
 
 def build_deformed_ideal(params):
-    """Generators of the deformation ideal at a rational parameter point."""
-    fam = params.family
-    if fam == EMINUS:
-        return _eminus_ideal(params)
-    if fam == ECHI:
-        return _echi_ideal(params)
-    if fam == ETILDE:
-        return _etilde_ideal(params)
-    if fam == GENERIC:
-        return _generic_ideal(params)
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def _eminus_ideal(params):
-    n = params.n
-    alpha = params.data["alpha"]
-    mu1, mu2 = params.data["mu1"], params.data["mu2"]
-    pairs, idx = _pair_index(n)
-    m = len(pairs)
-    rels = []
-    for t in range(m):
-        rels.append(FreePoly.word(m, [t, t]) - alpha[t])
-    for t in range(m):
-        for u in range(t + 1, m):
-            if not set(pairs[t]) & set(pairs[u]):
-                rels.append(
-                    FreePoly.word(m, [t, u]) + FreePoly.word(m, [u, t]) - mu1
-                )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                a, b, c = idx[(i, j)], idx[(i, k)], idx[(j, k)]
-                rels.append(
-                    FreePoly.word(m, [a, b])
-                    + FreePoly.word(m, [b, c])
-                    + FreePoly.word(m, [c, a])
-                    - mu2
-                )
-                rels.append(
-                    FreePoly.word(m, [b, a])
-                    + FreePoly.word(m, [a, c])
-                    + FreePoly.word(m, [c, b])
-                    - mu2
-                )
-    return rels
-
-
-def _echi_ideal(params):
-    # The orientation of the two 3-term relations matters: this is the one
-    # whose homogeneous parts span the degree-2 symmetrizer kernel, so the
-    # family stays flat.  Other orientations collapse the quotient.
-    n = params.n
-    alpha = params.data["alpha"]
-    mu = params.data["mu"]
-    pairs, idx = _pair_index(n)
-    m = len(pairs)
-    rels = []
-    for t in range(m):
-        rels.append(FreePoly.word(m, [t, t]) - alpha[t])
-    for t in range(m):
-        for u in range(t + 1, m):
-            if not set(pairs[t]) & set(pairs[u]):
-                rels.append(
-                    FreePoly.word(m, [t, u]) - FreePoly.word(m, [u, t])
-                )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                a, b, c = idx[(i, j)], idx[(i, k)], idx[(j, k)]
-                rels.append(
-                    FreePoly.word(m, [a, c])
-                    - FreePoly.word(m, [b, a])
-                    - FreePoly.word(m, [c, b])
-                    - mu
-                )
-                rels.append(
-                    FreePoly.word(m, [c, a])
-                    - FreePoly.word(m, [a, b])
-                    - FreePoly.word(m, [b, c])
-                    - mu
-                )
-    return rels
-
-
-def _etilde_ideal(params):
-    """4-cycle family; triple relations are deduplicated (each cyclic sum
-    arises from three (sigma, tau) choices)."""
-    beta = params.data["beta"]
-    mu1, mu2 = params.data["mu1"], params.data["mu2"]
-    rack, _ = catalog.builtin_rack("o44")
-    inv = fourcycle_inverses()
-    m = rack.n
-    rels = []
-    for s in range(m):
-        rels.append(FreePoly.word(m, [s, s]) - mu1)
-    for s in range(m):
-        rels.append(
-            FreePoly.word(m, [s, inv[s]])
-            + FreePoly.word(m, [inv[s], s])
-            - beta[s]
-        )
-    seen = set()
-    for s in range(m):
-        for t in range(m):
-            if t == s or t == inv[s]:
-                continue
-            v = rack.act(s, t)
-            poly = (
-                FreePoly.word(m, [s, t])
-                + FreePoly.word(m, [v, s])
-                + FreePoly.word(m, [t, v])
-                - mu2
-            )
-            key = frozenset(poly.terms.items())
-            if key not in seen:
-                seen.add(key)
-                rels.append(poly)
-    return rels
-
-
-def _generic_ideal(params):
-    rack, _ = catalog.builtin_rack(params.rack_name)
-    q = catalog.builtin_cocycle(params.rack_name, params.cocycle_spec)
-    lam = params.data["lam"]
-    rprime = quadrel.select_Rprime(quadrel.enumerate_classes(rack), q)
-    rels = []
-    for c in rprime:
-        rels.append(
-            quadrel.relation_poly(c, "V", rack.n) - lam[c.base_pair]
-        )
-    return rels
+    """Generators b_C - lambda_C of the deformation ideal, one per class
+    of R'."""
+    _, relations, _, _ = _model(params.rack_name, params.cocycle_spec)
+    return [b - params.lam[pair] for pair, b in relations]
 
 
 def is_admissible(params):
-    """Whether the point sits in the union of the two lifting images.
-
-    Constant first-order scalars with free mu's come from the pointed
-    side; arbitrary first-order scalars with vanishing mu's from the
-    copointed side.  For the 4-cycle family the scalars must in addition
-    be constant on inverse pairs (otherwise the ideal even contains a
-    constant).
-    """
-    fam = params.family
-    if fam == EMINUS:
-        alpha = params.data["alpha"]
-        return len(set(alpha)) == 1 or (
-            params.data["mu1"] == 0 and params.data["mu2"] == 0
-        )
-    if fam == ECHI:
-        alpha = params.data["alpha"]
-        return len(set(alpha)) == 1 or params.data["mu"] == 0
-    if fam == ETILDE:
-        beta = params.data["beta"]
-        inv = fourcycle_inverses()
-        if any(beta[i] != beta[inv[i]] for i in range(len(beta))):
-            return False
-        return len(set(beta)) == 1 or (
-            params.data["mu1"] == 0 and params.data["mu2"] == 0
-        )
-    if fam == GENERIC:
-        rack, _ = catalog.builtin_rack(params.rack_name)
-        q = catalog.builtin_cocycle(params.rack_name, params.cocycle_spec)
-        space = quadrel.pointed_lambda_space(rack, q)
-        lam = params.data["lam"]
-        for i, c in enumerate(space.classes):
-            root, ratio = space.uf.find(i)
-            if root in space.uf.zero_roots:
-                if lam[c.base_pair] != 0:
-                    return False
-            else:
-                root_pair = space.classes[root].base_pair
-                if lam[c.base_pair] != ratio * lam[root_pair]:
-                    return False
-        return True
-    raise ValueError(f"unknown family {fam!r}")
-
-
-_ZERO_DIM_CACHE = {}
+    """Whether the point sits in the union of the two lifting images: the
+    pointed and the copointed parameter space."""
+    _, _, pointed, copointed = _model(params.rack_name, params.cocycle_spec)
+    return pointed.contains(params.lam) or copointed.contains(params.lam)
 
 
 def zero_parameter_dim(params, max_deg=16, max_basis=20000):
-    """Quotient dimension of the family at the all-zero parameter point."""
-    fam = params.family
-    key = (fam, params.n, params.rack_name, params.cocycle_spec)
-    if key in _ZERO_DIM_CACHE:
-        return _ZERO_DIM_CACHE[key]
-    if fam == EMINUS:
-        zero = DeformParams.eminus(params.n, 0, 0, 0)
-    elif fam == ECHI:
-        zero = DeformParams.echi(params.n, 0, 0)
-    elif fam == ETILDE:
-        zero = DeformParams.etilde(0, 0, 0)
-    else:
-        lam = {p: 0 for p in params.data["lam"]}
-        zero = DeformParams.generic(
-            params.rack_name, params.cocycle_spec, lam
-        )
-    gb = groebner(build_deformed_ideal(zero), max_deg, max_basis)
-    dim = quotient_dim(gb)
-    _ZERO_DIM_CACHE[key] = dim
-    return dim
+    """Quotient dimension at lambda = 0, the quadratic algebra (flavour V)
+    of the point's rack and cocycle."""
+    return _zero_fibre_dim(
+        params.rack_name, params.cocycle_spec, max_deg, max_basis
+    )
 
 
-def _rand_frac(rng, allow_zero=True):
-    num = rng.randint(-6, 6)
-    if not allow_zero:
-        while num == 0:
-            num = rng.randint(-6, 6)
-    return Fraction(num, rng.randint(1, 3))
+@lru_cache(maxsize=None)
+def _zero_fibre_dim(rack_name, cocycle_spec, max_deg, max_basis):
+    _, relations, _, _ = _model(rack_name, cocycle_spec)
+    return quotient_dim(groebner([b for _, b in relations], max_deg, max_basis))
+
+
+def _rand_frac(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
 
 def sample_params(template, count, seed):
     """Seeded parameter points of the template's family.
 
-    Samples rotate through three branches: pointed-shaped (constant
-    first-order scalars, free mu's), copointed-shaped (arbitrary scalars,
-    zero mu's), and fully generic.  The 4-cycle family always samples
-    beta constant on inverse pairs; the generic-lambda family samples
-    inside its admissible space.
+    Preset samples rotate through three shapes: pointed (one value on
+    every per-label class, random mu's), copointed (random per-label
+    scalars, zero mu's) and fully generic.  A mu without a class on the
+    rack is drawn all the same, so the draws do not depend on the rack.
+    GenericLambda samples draw every pointed free root, so they stay in
+    the pointed space.
     """
-    import random
-
     rng = random.Random(seed)
-    fam = template.family
+    fam, rack_name, spec = (
+        template.family, template.rack_name, template.cocycle_spec
+    )
+    labels, mus = _chart(fam, rack_name, spec)
+    classes = list(dict.fromkeys(labels))
     out = []
     for s in range(count):
-        branch = s % 3
-        if fam == EMINUS:
-            rack, _ = catalog.transposition_rack(template.n)
-            m = rack.n
-            if branch == 0:
-                alpha = [_rand_frac(rng)] * m
-                mu1, mu2 = _rand_frac(rng), _rand_frac(rng)
-            elif branch == 1:
-                alpha = [_rand_frac(rng) for _ in range(m)]
-                mu1 = mu2 = Fraction(0)
-            else:
-                alpha = [_rand_frac(rng) for _ in range(m)]
-                mu1, mu2 = _rand_frac(rng), _rand_frac(rng)
-            out.append(DeformParams.eminus(template.n, alpha, mu1, mu2))
-        elif fam == ECHI:
-            rack, _ = catalog.transposition_rack(template.n)
-            m = rack.n
-            if branch == 0:
-                alpha = [_rand_frac(rng)] * m
-                mu = _rand_frac(rng)
-            elif branch == 1:
-                alpha = [_rand_frac(rng) for _ in range(m)]
-                mu = Fraction(0)
-            else:
-                alpha = [_rand_frac(rng) for _ in range(m)]
-                mu = _rand_frac(rng)
-            out.append(DeformParams.echi(template.n, alpha, mu))
-        elif fam == ETILDE:
-            inv = fourcycle_inverses()
-            m = len(inv)
-            if branch == 0:
-                beta = [_rand_frac(rng)] * m
-                mu1, mu2 = _rand_frac(rng), _rand_frac(rng)
-            else:
-                beta = [None] * m
-                for i in range(m):
-                    if beta[i] is None:
-                        v = _rand_frac(rng)
-                        beta[i] = v
-                        beta[inv[i]] = v
-                if branch == 1:
-                    mu1 = mu2 = Fraction(0)
-                else:
-                    mu1, mu2 = _rand_frac(rng), _rand_frac(rng)
-            out.append(DeformParams.etilde(beta, mu1, mu2))
-        elif fam == GENERIC:
-            rack, _ = catalog.builtin_rack(template.rack_name)
-            q = catalog.builtin_cocycle(
-                template.rack_name, template.cocycle_spec
-            )
-            space = quadrel.pointed_lambda_space(rack, q)
-            roots = {
-                c.base_pair: _rand_frac(rng) for c in space.free_classes()
-            }
-            out.append(
-                DeformParams.generic(
-                    template.rack_name,
-                    template.cocycle_spec,
-                    space.value_map(roots),
-                )
-            )
+        shape = s % 3 if labels else 0
+        if shape == 0:
+            values = dict.fromkeys(classes, _rand_frac(rng)) if labels else {}
         else:
-            raise ValueError(f"unknown family {fam!r}")
+            values = {c: _rand_frac(rng) for c in classes}
+        mu_values = [0 if shape == 1 else _rand_frac(rng) for _ in mus]
+        out.append(
+            DeformParams._from_chart(
+                fam, rack_name, spec, [values[p] for p in labels], mu_values
+            )
+        )
     return out
 
 
@@ -529,10 +352,16 @@ def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
 
     Runs the given point plus `samples` seeded ones.  A trivial quotient,
     or an admissible point whose dimension moves, raises
-    NonzeroCheckFailed; anything else is reported.
+    NonzeroCheckFailed; a completion cut by the degree budget on the zero
+    fibre or at an admissible point raises DegreeBudgetExceeded, since
+    flatness cannot be read off it; anything else is reported.
     """
     runs = [params] + sample_params(params, samples, seed)
     expected = zero_parameter_dim(params, max_deg, max_basis)
+    if expected == "unknown":
+        raise DegreeBudgetExceeded(
+            f"zero-fibre completion truncated at degree {max_deg}"
+        )
     report = {
         "family": params.family,
         "seed": seed,
@@ -540,8 +369,9 @@ def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
         "expected_dim": expected,
         "runs": [],
     }
-    if params.family in (EMINUS, ECHI):
-        report["n"] = params.n
+    doc = params.to_json()
+    if "n" in doc:
+        report["n"] = doc["n"]
     for p in runs:
         gb = groebner(build_deformed_ideal(p), max_deg, max_basis)
         trivial = is_trivial_quotient(gb)
@@ -551,6 +381,11 @@ def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
             )
         dim = quotient_dim(gb)
         adm = is_admissible(p)
+        if adm and not gb.complete:
+            raise DegreeBudgetExceeded(
+                f"completion {gb.status} at admissible point "
+                f"{p.to_json()['params']}"
+            )
         if adm and dim != expected:
             raise NonzeroCheckFailed(
                 f"dimension {dim} != {expected} at admissible point "
@@ -582,7 +417,7 @@ def appendix_printed_elements(alpha, mu1, mu2):
     rack, _ = catalog.transposition_rack(4)
     a = _normalize_scalars(alpha, rack.labels, "alpha")
     m1, m2 = Fraction(mu1), Fraction(mu2)
-    pairs, idx = _pair_index(4)
+    idx = {p: i for i, p in enumerate(transposition_pairs(4))}
     i12, i13, i14 = idx[(1, 2)], idx[(1, 3)], idx[(1, 4)]
     i23, i24, i34 = idx[(2, 3)], idx[(2, 4)], idx[(3, 4)]
     a12, a13, a14 = a[i12], a[i13], a[i14]
@@ -718,13 +553,12 @@ def appendix_printed_elements(alpha, mu1, mu2):
 
 def appendix_membership_audit(params, gb=None, max_deg=16, max_basis=20000):
     """normal_form == 0 for every printed extra basis element."""
-    if params.family != EMINUS or params.n != 4:
+    if params.family != EMINUS or params.rack_name != "o24":
         raise ValueError("the printed basis belongs to the n=4 minus family")
     if gb is None:
         gb = groebner(build_deformed_ideal(params), max_deg, max_basis)
-    els = appendix_printed_elements(
-        params.data["alpha"], params.data["mu1"], params.data["mu2"]
-    )
+    alpha, mus = params.coordinates()
+    els = appendix_printed_elements(alpha, mus["mu1"], mus["mu2"])
     out = []
     for i, e in enumerate(els):
         nf = normal_form(e, gb)
@@ -783,7 +617,12 @@ def pointed_lifting_generators(realization, lam_free):
 class CopointedLambda:
     """Scalars for a copointed lifting family, with their normalizations."""
 
-    FAMILIES = ("TranspMinus", "TranspChi", "FourCycles")
+    # family -> the builtin rack and cocycle it deforms
+    FAMILIES = {
+        "TranspMinus": ("o24", "const:-1"),
+        "TranspChi": ("o24", "chi"),
+        "FourCycles": ("o44", "const:-1"),
+    }
 
     __slots__ = ("family", "lam")
 
@@ -791,31 +630,26 @@ class CopointedLambda:
         if family not in self.FAMILIES:
             raise ValueError(f"unknown copointed family {family!r}")
         self.family = family
-        rack = self.rack()
+        rack, _, _, copointed = _model(*self.FAMILIES[family])
         lam = _normalize_scalars(lam, rack.labels, "lambda")
         if sum(lam) != 0:
             raise NormalizationViolated("lambda values must sum to zero")
-        if family == "FourCycles":
-            inv = fourcycle_inverses()
-            for i in range(len(lam)):
-                if lam[i] != lam[inv[i]]:
-                    raise NormalizationViolated(
-                        "lambda must agree on inverse pairs"
-                    )
+        shared = {}
+        for x, pair in enumerate(_label_classes(copointed, rack.n)):
+            if shared.setdefault(pair, lam[x]) != lam[x]:
+                raise NormalizationViolated(
+                    "lambda must agree on labels sharing a relation class "
+                    "(the inverse pairs of the 4-cycles)"
+                )
         self.lam = lam
 
     def rack(self):
-        if self.family == "FourCycles":
-            return catalog.builtin_rack("o44")[0]
-        return catalog.builtin_rack("o24")[0]
+        return catalog.builtin_rack(self.FAMILIES[self.family][0])[0]
 
 
 def function_part(cl):
     """The deforming functions f_x: group element -> scalar, per x."""
-    if cl.family == "FourCycles":
-        _, perms = catalog.builtin_rack("o44")
-    else:
-        _, perms = catalog.builtin_rack("o24")
+    _, perms = catalog.builtin_rack(cl.FAMILIES[cl.family][0])
     index = {p: i for i, p in enumerate(perms)}
     group = perm.symmetric_group(4)
     out = []
@@ -833,50 +667,23 @@ def function_part(cl):
 def copointed_lifting_generators(cl):
     """Structured generator set: fixed quadratics plus deformed relations.
 
-    The deformed entries pair the quadratic part (a square for the
-    transposition families, an inverse-pair anticommutator for the
-    4-cycle family) with its function-algebra right-hand side f_x.
+    The quadratics are the relations b_C of the classes the copointed
+    space forces to zero.  Each label x gets the relation of the free
+    class holding a pair (x, .) (a square for the transposition families,
+    an inverse-pair anticommutator for the 4-cycle family) with its
+    function-algebra right-hand side f_x.
     """
-    rack = cl.rack()
-    m = rack.n
+    rack, relations, _, copointed = _model(*cl.FAMILIES[cl.family])
+    b = dict(relations)
     fs = function_part(cl)
-    if cl.family in ("TranspMinus", "TranspChi"):
-        base = (
-            DeformParams.eminus(4, 0, 0, 0)
-            if cl.family == "TranspMinus"
-            else DeformParams.echi(4, 0, 0)
-        )
-        quadratic = [
-            p for p in build_deformed_ideal(base)
-            if p.lead()[0] not in {bytes([t, t]) for t in range(m)}
-        ]
-        deformed = [
-            {"x": x, "poly": FreePoly.word(m, [x, x]), "f": fs[x]}
-            for x in range(m)
-        ]
-    else:
-        base = DeformParams.etilde(0, 0, 0)
-        inv = fourcycle_inverses()
-        anticomm = {
-            frozenset((s, inv[s])) for s in range(m)
-        }
-        quadratic = []
-        for p in build_deformed_ideal(base):
-            lead = p.lead()[0]
-            if len(lead) == 2 and frozenset(lead) in anticomm and \
-                    len(p.terms) == 2:
-                continue
-            quadratic.append(p)
-        deformed = [
-            {
-                "x": s,
-                "poly": FreePoly.word(m, [s, inv[s]])
-                + FreePoly.word(m, [inv[s], s]),
-                "f": fs[s],
-            }
-            for s in range(m)
-        ]
-    return {"rack": rack, "quadratic": quadratic, "deformed": deformed}
+    return {
+        "rack": rack,
+        "quadratic": [b[c.base_pair] for c in copointed.zero_classes()],
+        "deformed": [
+            {"x": x, "poly": b[pair], "f": fs[x]}
+            for x, pair in enumerate(_label_classes(copointed, rack.n))
+        ],
+    }
 
 
 def automorphism_conjugators():
@@ -921,10 +728,7 @@ def iso_class_equal(lam_a, lam_b, family):
         return True, {"mu": str(ratio)}
     if family not in CopointedLambda.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if family == "FourCycles":
-        rack, perms = catalog.builtin_rack("o44")
-    else:
-        rack, perms = catalog.builtin_rack("o24")
+    rack, perms = catalog.builtin_rack(CopointedLambda.FAMILIES[family][0])
     index = {p: i for i, p in enumerate(perms)}
     a = [Fraction(v) for v in lam_a]
     b = [Fraction(v) for v in lam_b]

@@ -226,6 +226,18 @@ class ParamSpace:
     def zero_classes(self):
         return [c for i, c in enumerate(self.classes) if self.uf.is_zero(i)]
 
+    def contains(self, lam):
+        """Whether class scalars (base pair -> value) meet every zero and tie."""
+        for i, c in enumerate(self.classes):
+            root, ratio = self.uf.find(i)
+            if root in self.uf.zero_roots:
+                want = 0
+            else:
+                want = ratio * lam[self.classes[root].base_pair]
+            if lam[c.base_pair] != want:
+                return False
+        return True
+
     def value_map(self, root_values):
         """Spell out every class scalar from values chosen at free roots.
 

@@ -225,3 +225,49 @@ def test_options_echoed_in_envelope(capsys):
     assert doc["options"]["rack"] == "o23"
     assert doc["options"]["flavor"] == "W"
     assert doc["options"]["seed"] == 9
+
+
+@pytest.mark.parametrize("n", ["1", "5"])
+def test_deform_n_outside_range_is_invalid_usage(capsys, n):
+    code, out, _ = run(capsys, "deform", "verify", "--family", "Eminus",
+                       "--n", n)
+    assert code == 2
+    doc = payload(out)
+    assert not doc["ok"]
+    assert "n in [3, 4]" in doc["report"]["error"]
+
+
+@pytest.mark.parametrize("spec", ["const:abc", "const:0"])
+def test_bad_cocycle_spec_is_invalid_usage(capsys, spec):
+    code, out, _ = run(capsys, "cocycle", "check", "--rack", "o24",
+                       "--cocycle", spec)
+    assert code == 2
+    assert not payload(out)["ok"]
+
+
+def test_basis_size_budget_exit(capsys, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise cli.ResourceBudgetExceeded("basis exceeded 1")
+
+    monkeypatch.setattr(cli, "groebner", over_budget)
+    code, out, _ = run(capsys, "nichols", "dim", "--rack", "o23",
+                       "--cocycle", "const:-1")
+    assert code == 3
+    assert not payload(out)["ok"]
+
+
+def test_deform_verify_truncated_fibre_is_budget_exit(capsys):
+    code, out, _ = run(capsys, "deform", "verify", "--family", "Echi",
+                       "--n", "3", "--max-deg", "2")
+    assert code == 3
+    assert not payload(out)["ok"]
+
+
+def test_malformed_parameter_document_is_invalid_usage(capsys, tmp_path):
+    doc = tmp_path / "params.json"
+    doc.write_text(json.dumps(
+        {"family": "Eminus", "n": 4, "params": {"alpha": ["1", "2"]}}
+    ))
+    code, out, _ = run(capsys, "deform", "verify", "--file", str(doc))
+    assert code == 2
+    assert not payload(out)["ok"]

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -23,15 +25,26 @@ from rackalg.deform import (
     iso_class_equal,
     pointed_lifting_generators,
     sample_params,
+    transposition_pairs,
     verify_nonzero,
     zero_parameter_dim,
 )
-from rackalg.freealg import groebner, normal_form, quotient_dim
+from rackalg import deform
+from rackalg.braided import DegreeBudgetExceeded
+from rackalg.freealg import (
+    FreePoly,
+    GroebnerBasis,
+    groebner,
+    is_trivial_quotient,
+    normal_form,
+    quotient_dim,
+)
 from rackalg.grouprealize import builtin_realization
 from rackalg.linalg import row_space_equal
-from rackalg.quadrel import pointed_lambda_space
+from rackalg.quadrel import copointed_lambda_space, pointed_lambda_space
 
 F = Fraction
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def full_scalars(labels, default=0, **overrides):
@@ -55,6 +68,106 @@ def ideal_rows(polys, m):
             v[pos[w]] = c
         rows.append(v)
     return rows
+
+
+# The hand-written relations of the three named families, kept as the
+# reference the presets onto lambda are checked against.  alpha and beta
+# are per-label sequences on the rack order.
+
+
+def minus_relations(n, alpha, mu1, mu2):
+    pairs = transposition_pairs(n)
+    idx = {p: i for i, p in enumerate(pairs)}
+    m = len(pairs)
+    rels = [FreePoly.word(m, [t, t]) - alpha[t] for t in range(m)]
+    for t in range(m):
+        for u in range(t + 1, m):
+            if not set(pairs[t]) & set(pairs[u]):
+                rels.append(
+                    FreePoly.word(m, [t, u]) + FreePoly.word(m, [u, t]) - mu1
+                )
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        a, b, c = idx[(i, j)], idx[(i, k)], idx[(j, k)]
+        rels.append(
+            FreePoly.word(m, [a, b]) + FreePoly.word(m, [b, c])
+            + FreePoly.word(m, [c, a]) - mu2
+        )
+        rels.append(
+            FreePoly.word(m, [b, a]) + FreePoly.word(m, [a, c])
+            + FreePoly.word(m, [c, b]) - mu2
+        )
+    return rels
+
+
+def chi_relations(n, alpha, mu):
+    pairs = transposition_pairs(n)
+    idx = {p: i for i, p in enumerate(pairs)}
+    m = len(pairs)
+    rels = [FreePoly.word(m, [t, t]) - alpha[t] for t in range(m)]
+    for t in range(m):
+        for u in range(t + 1, m):
+            if not set(pairs[t]) & set(pairs[u]):
+                rels.append(
+                    FreePoly.word(m, [t, u]) - FreePoly.word(m, [u, t])
+                )
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        a, b, c = idx[(i, j)], idx[(i, k)], idx[(j, k)]
+        rels.append(
+            FreePoly.word(m, [a, c]) - FreePoly.word(m, [b, a])
+            - FreePoly.word(m, [c, b]) - mu
+        )
+        rels.append(
+            FreePoly.word(m, [c, a]) - FreePoly.word(m, [a, b])
+            - FreePoly.word(m, [b, c]) - mu
+        )
+    return rels
+
+
+def fourcycle_relations(beta, mu1, mu2):
+    rack, _ = builtin_rack("o44")
+    inv = fourcycle_inverses()
+    m = rack.n
+    rels = [FreePoly.word(m, [s, s]) - mu1 for s in range(m)]
+    for s in range(m):
+        rels.append(
+            FreePoly.word(m, [s, inv[s]]) + FreePoly.word(m, [inv[s], s])
+            - beta[s]
+        )
+    for s in range(m):
+        for t in range(m):
+            if t not in (s, inv[s]):
+                v = rack.act(s, t)
+                rels.append(
+                    FreePoly.word(m, [s, t]) + FreePoly.word(m, [v, s])
+                    + FreePoly.word(m, [t, v]) - mu2
+                )
+    return rels
+
+
+def inverse_symmetric(values):
+    inv = fourcycle_inverses()
+    return [F(values[min(s, inv[s])]) for s in range(len(values))]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("constant", [True, False])
+def test_presets_match_handwritten_relations(n, constant):
+    m = len(transposition_pairs(n))
+    alpha = [F(2)] * m if constant else [F(k + 1, 2) for k in range(m)]
+    cases = [
+        (DeformParams.eminus(n, alpha, 3, 5), minus_relations(n, alpha, 3, 5)),
+        (DeformParams.echi(n, alpha, 7), chi_relations(n, alpha, 7)),
+    ]
+    if n == 4:
+        beta = [F(2)] * 6 if constant else inverse_symmetric([1, -2, 3, 0, 0, 0])
+        cases.append(
+            (DeformParams.etilde(beta, 3, 5), fourcycle_relations(beta, 3, 5))
+        )
+    for params, reference in cases:
+        assert row_space_equal(
+            ideal_rows(build_deformed_ideal(params), m),
+            ideal_rows(reference, m),
+        ), params.family
 
 
 def test_zero_parameter_dimensions():
@@ -140,9 +253,10 @@ def test_admissibility_branches():
     )
     assert is_admissible(DeformParams.etilde(beta, 0, 0))
     assert not is_admissible(DeformParams.etilde(beta, 1, 0))
-    # breaking the inverse-pair symmetry is never admissible
+    # breaking the inverse-pair symmetry leaves the model
     broken = full_scalars(rack.labels, **{rack.labels[0]: 1})
-    assert not is_admissible(DeformParams.etilde(broken, 0, 0))
+    with pytest.raises(IndexMismatch):
+        DeformParams.etilde(broken, 0, 0)
 
 
 def test_generic_admissibility_follows_ties():
@@ -178,9 +292,13 @@ def test_asymmetric_fourcycle_scalars_collapse():
     rack, _ = builtin_rack("o44")
     # value differs from the one at the inverse label
     beta = full_scalars(rack.labels, **{rack.labels[0]: 1})
-    params = DeformParams.etilde(beta, 0, 0)
-    with pytest.raises(NonzeroCheckFailed):
-        verify_nonzero(params)
+    with pytest.raises(IndexMismatch):
+        DeformParams.etilde(beta, 0, 0)
+    # the two anticommutators of an inverse pair are one word sum, so
+    # asking for 1 and 0 at once puts 1 in the ideal
+    s, t = 0, fourcycle_inverses()[0]
+    anti = FreePoly.word(6, [s, t]) + FreePoly.word(6, [t, s])
+    assert is_trivial_quotient(groebner([anti - 1, anti]))
 
 
 def test_sampling_is_deterministic():
@@ -427,3 +545,73 @@ def test_copointed_deformed_squares_are_consistent():
     gens = copointed_lifting_generators(cl)
     for rec in gens["deformed"]:
         assert rec["f"] == {}
+
+
+def test_generic_copointed_point_is_admissible_and_flat():
+    rack, _ = builtin_rack("o24")
+    space = copointed_lambda_space(rack, builtin_cocycle("o24", "chi"))
+    free = [c.base_pair for c in space.free_classes()]
+    assert all(a == b for a, b in free)  # the six squares
+    lam = {c.base_pair: F(0) for c in space.classes}
+    lam.update({pair: F(k - 2, 3) for k, pair in enumerate(free)})
+    params = DeformParams.generic("o24", "chi", lam)
+    assert is_admissible(params)
+    report = verify_nonzero(params)
+    assert report["runs"][0]["admissible"]
+    assert report["runs"][0]["dim"] == 576
+
+
+def test_preset_n_outside_range_is_rejected():
+    for n in (1, 2, 5):
+        with pytest.raises(IndexMismatch):
+            DeformParams.eminus(n, 1)
+        with pytest.raises(IndexMismatch):
+            DeformParams.echi(n, 1)
+
+
+def test_sample_params_pinned():
+    """Documents recorded before the families became presets onto lambda.
+
+    o23 has no pair of commuting transpositions, so Eminus on n = 3 has no
+    class for mu1 and its documents no longer carry it.
+    """
+    recorded = json.loads((DATA / "sample_params_seed11.json").read_text())
+    templates = {
+        "Eminus-3": DeformParams.eminus(3, 1, 1, 1),
+        "Eminus-4": DeformParams.eminus(4, 1, 1, 1),
+        "Echi-3": DeformParams.echi(3, 1, 1),
+        "Echi-4": DeformParams.echi(4, 1, 1),
+        "Etilde": DeformParams.etilde(1, 1, 1),
+    }
+    assert set(recorded) == set(templates)
+    for label, template in templates.items():
+        docs = recorded[label]
+        if label == "Eminus-3":
+            for doc in docs:
+                del doc["params"]["mu1"]
+        assert [p.to_json() for p in sample_params(template, 6, 11)] == docs
+
+
+def test_zero_fibre_cache_keys_on_budget():
+    p = DeformParams.eminus(4, 1, 1, 1)
+    assert zero_parameter_dim(p, max_deg=3) == "unknown"
+    assert zero_parameter_dim(p) == 576
+
+
+def test_verify_nonzero_refuses_truncated_zero_fibre():
+    with pytest.raises(DegreeBudgetExceeded):
+        verify_nonzero(DeformParams.echi(3, 1, 1), max_deg=2)
+
+
+def test_verify_nonzero_refuses_truncated_admissible_point(monkeypatch):
+    params = DeformParams.echi(3, 1, 1)
+    assert zero_parameter_dim(params) == 12  # cached before the patch
+    real = deform.groebner
+
+    def truncated(gens, max_deg=16, max_basis=20000):
+        gb = real(gens, max_deg, max_basis)
+        return GroebnerBasis(gb.ngens, gb.elements, truncated_at=max_deg)
+
+    monkeypatch.setattr(deform, "groebner", truncated)
+    with pytest.raises(DegreeBudgetExceeded):
+        verify_nonzero(params)
