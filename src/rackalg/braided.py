@@ -14,7 +14,7 @@ materialized as matrices at the end.
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import RatMatrix, kernel_data as _kernel_data, rank_bareiss
+from .linalg import RatMatrix, rank_bareiss
 
 
 class DegreeBudgetExceeded(Exception):
@@ -186,11 +186,6 @@ def quantum_symmetrizer(space, m):
             else:
                 entries[key] = acc
     return RatMatrix(size, size, entries)
-
-
-def kernel_data(matrix):
-    """Exact rank and canonical kernel basis (thin wrapper over linalg)."""
-    return _kernel_data(matrix)
 
 
 def nichols_dim_oracle(space, max_deg):

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, deform, grouprealize, perm
-from .braided import DegreeBudgetExceeded, check_braid_equation, make_braiding, quantum_symmetrizer
+from .braided import DegreeBudgetExceeded, check_braid_equation, make_braiding
 from .catalog import RACK_NAMES, builtin_cocycle, builtin_rack
 from .cocycle import Cocycle2, constant_cocycle
 from .freealg import (
@@ -27,15 +27,13 @@ from .freealg import (
     ideal_to_json,
     quotient_dim,
 )
-from .linalg import nullspace_basis
 from .quadrel import (
     copointed_lambda_space,
-    enumerate_classes,
+    degree_two_kernel,
     hom_vanishing_check,
     pointed_lambda_space,
     quadratic_ideal,
-    select_Rprime,
-    verify_J2,
+    spans_kernel,
 )
 from .rack import Rack
 
@@ -134,9 +132,8 @@ def _flavor(args):
     return args.flavor
 
 
-def _complete_gb(polys, args, default_deg=16):
-    max_deg = args.max_deg if args.max_deg else default_deg
-    gb = groebner(polys, max_deg=max_deg)
+def _complete_gb(polys, args, ngens):
+    gb = groebner(polys, max_deg=args.max_deg or 16, ngens=ngens)
     if not gb.complete:
         raise CliError(
             "basis completion hit the degree budget (%s)" % gb.status,
@@ -154,10 +151,6 @@ def _cmd_rack_check(args):
     payload = {"rack": name or "file", "n": rack.n, "labels": list(rack.labels)}
     payload.update(rack.properties())
     return payload, True
-
-
-def _cmd_rack_props(args):
-    return _cmd_rack_check(args)
 
 
 def _cmd_cocycle_check(args):
@@ -202,7 +195,7 @@ def _cmd_braid_check(args):
 def _cmd_nichols_dim(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    gb = _complete_gb(quadratic_ideal(rack, q, _flavor(args)), args)
+    gb = _complete_gb(quadratic_ideal(rack, q, _flavor(args)), args, rack.n)
     dim = quotient_dim(gb)
     payload = {
         "rack": name or "file",
@@ -218,11 +211,9 @@ def _cmd_nichols_j2(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
     flavor = _flavor(args)
-    space = make_braiding(rack, q, flavor)
-    s2 = quantum_symmetrizer(space, 2)
-    kernel = nullspace_basis(s2.dense(), ncols=s2.cols)
-    relations = select_Rprime(enumerate_classes(rack), q)
-    match = verify_J2(rack, q, flavor)
+    kernel = degree_two_kernel(rack, q, flavor)
+    relations = quadratic_ideal(rack, q, flavor)
+    match = spans_kernel(relations, kernel, rack.n)
     payload = {
         "rack": name or "file",
         "flavor": flavor,
@@ -236,7 +227,7 @@ def _cmd_nichols_j2(args):
 def _cmd_nichols_hilbert(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    gb = _complete_gb(quadratic_ideal(rack, q, _flavor(args)), args)
+    gb = _complete_gb(quadratic_ideal(rack, q, _flavor(args)), args, rack.n)
     up_to = args.max_deg if args.max_deg else 8
     payload = {
         "rack": name or "file",
@@ -255,13 +246,7 @@ def _cmd_gb_run(args):
         names, polys = ideal_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError("invalid ideal document: %s" % exc, EXIT_INVALID)
-    max_deg = args.max_deg if args.max_deg else 16
-    gb = groebner(polys, max_deg=max_deg)
-    if not gb.complete:
-        raise CliError(
-            "basis completion hit the degree budget (%s)" % gb.status,
-            EXIT_BUDGET,
-        )
+    gb = _complete_gb(polys, args, len(names))
     confluent = audit_obstructions(gb)
     payload = {
         "alphabet": names,
@@ -470,7 +455,7 @@ def _cmd_realize_theta(args):
 
 _HANDLERS = {
     ("rack", "check"): _cmd_rack_check,
-    ("rack", "props"): _cmd_rack_props,
+    ("rack", "props"): _cmd_rack_check,
     ("cocycle", "check"): _cmd_cocycle_check,
     ("braid", "check"): _cmd_braid_check,
     ("nichols", "dim"): _cmd_nichols_dim,

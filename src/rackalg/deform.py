@@ -307,8 +307,10 @@ def zero_parameter_dim(params, max_deg=16, max_basis=20000):
 
 @lru_cache(maxsize=None)
 def _zero_fibre_dim(rack_name, cocycle_spec, max_deg, max_basis):
-    _, relations, _, _ = _model(rack_name, cocycle_spec)
-    return quotient_dim(groebner([b for _, b in relations], max_deg, max_basis))
+    rack, relations, _, _ = _model(rack_name, cocycle_spec)
+    return quotient_dim(
+        groebner([b for _, b in relations], max_deg, max_basis, ngens=rack.n)
+    )
 
 
 def _rand_frac(rng):
@@ -372,8 +374,9 @@ def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
     doc = params.to_json()
     if "n" in doc:
         report["n"] = doc["n"]
+    ngens = _model(params.rack_name, params.cocycle_spec)[0].n
     for p in runs:
-        gb = groebner(build_deformed_ideal(p), max_deg, max_basis)
+        gb = groebner(build_deformed_ideal(p), max_deg, max_basis, ngens=ngens)
         trivial = is_trivial_quotient(gb)
         if trivial:
             raise NonzeroCheckFailed(

@@ -274,20 +274,48 @@ def _proper_overlaps(u, v):
     return out
 
 
-def groebner(generators, max_deg=16, max_basis=20000):
+def _s_element(u, fu, v, fv, k):
+    """fu * v[k:] - u[:-k] * fv for leads u, v overlapping in k letters."""
+    right = v[k:]
+    left = u[:-k]
+    s = {}
+    for word, c in fu.items():
+        nw = word + right
+        acc = s.get(nw, Fraction(0)) + c
+        if acc == 0:
+            s.pop(nw, None)
+        else:
+            s[nw] = acc
+    for word, c in fv.items():
+        nw = left + word
+        acc = s.get(nw, Fraction(0)) - c
+        if acc == 0:
+            s.pop(nw, None)
+        else:
+            s[nw] = acc
+    return s
+
+
+def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     """Two-sided Groebner basis of the ideal the generators span.
 
     Completion runs lowest-obstruction-first; the basis stays monic and
     interreduced throughout.  Obstructions above max_deg truncate the run
     (status records the cutoff); a basis larger than max_basis raises.
+    ``ngens`` is the alphabet size; it defaults to the generators' own
+    and must be given when the list is empty, since the quotient of the
+    free algebra on ngens letters by the zero ideal depends on it.
     """
+    if ngens is None:
+        if not generators:
+            raise ValueError("an empty generator list needs the alphabet size")
+        ngens = generators[0].ngens
     gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return GroebnerBasis(0 if not generators else generators[0].ngens, [])
-    ngens = gens[0].ngens
     for g in gens:
         if g.ngens != ngens:
             raise ValueError("mixed alphabets")
+    if not gens:
+        return GroebnerBasis(ngens, [])
 
     basis = {}  # idx -> (lead, terms dict), monic
     next_idx = 0
@@ -356,24 +384,7 @@ def groebner(generators, max_deg=16, max_basis=20000):
         v, fv = basis[j]
         if u[-k:] != v[:k] or u + v[k:] != w:
             continue  # stale: an element was replaced under the same index
-        right = v[k:]
-        left = u[:-k] if k else u
-        s = {}
-        for word, c in fu.items():
-            nw = word + right
-            acc = s.get(nw, Fraction(0)) + c
-            if acc == 0:
-                s.pop(nw, None)
-            else:
-                s[nw] = acc
-        for word, c in fv.items():
-            nw = left + word
-            acc = s.get(nw, Fraction(0)) - c
-            if acc == 0:
-                s.pop(nw, None)
-            else:
-                s[nw] = acc
-        red = _reduce_terms(s, items())
+        red = _reduce_terms(_s_element(u, fu, v, fv, k), items())
         if red:
             insert(red)
 
@@ -391,24 +402,7 @@ def audit_obstructions(gb):
         for b in range(n):
             v, fv = items[b]
             for k in _proper_overlaps(u, v):
-                right = v[k:]
-                left = u[:-k] if k else u
-                s = {}
-                for word, c in fu.items():
-                    nw = word + right
-                    acc = s.get(nw, Fraction(0)) + c
-                    if acc == 0:
-                        s.pop(nw, None)
-                    else:
-                        s[nw] = acc
-                for word, c in fv.items():
-                    nw = left + word
-                    acc = s.get(nw, Fraction(0)) - c
-                    if acc == 0:
-                        s.pop(nw, None)
-                    else:
-                        s[nw] = acc
-                if _reduce_terms(s, items):
+                if _reduce_terms(_s_element(u, fu, v, fv, k), items):
                     return False
     return True
 

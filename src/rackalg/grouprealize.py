@@ -41,10 +41,11 @@ class FiniteGroup:
     """A finite permutation group with a fixed element order.
 
     Elements are image tuples, sorted lexicographically, so indexing,
-    iteration and serialization are deterministic.  Closure, identity
-    and inverses are checked on construction; full associativity is
-    rechecked for orders up to 24 (composition of maps is associative,
-    the recheck guards against corrupted element lists).
+    iteration and serialization are deterministic.  Construction checks
+    that every element is a permutation of the given degree and that the
+    set holds the identity, every inverse, every product and the
+    generators.  Associativity is not checked: composition of maps is
+    associative.
     """
 
     __slots__ = ("degree", "elements", "index", "generators")
@@ -79,15 +80,6 @@ class FiniteGroup:
         for g in self.generators:
             if g not in self.index:
                 raise RealizationError("generator outside the group")
-        if len(self.elements) <= 24:
-            for p in self.elements:
-                for q in self.elements:
-                    pq = perm.compose(p, q)
-                    for r in self.elements:
-                        if perm.compose(pq, r) != perm.compose(
-                            p, perm.compose(q, r)
-                        ):
-                            raise RealizationError("associativity broke")
 
     @classmethod
     def symmetric(cls, n):
@@ -96,8 +88,6 @@ class FiniteGroup:
             gens.append(perm.from_cycles(n, [(1, 2)]))
         if n >= 3:
             gens.append(perm.from_cycles(n, [tuple(range(1, n + 1))]))
-        elif n == 2:
-            pass
         return cls(n, perm.symmetric_group(n), gens)
 
     @property
@@ -316,11 +306,39 @@ def builtin_realization(rack_name, cocycle_spec):
     return principal_realization(rack, class_perms, chi)
 
 
-def _wit(report, key, item, cap=5):
-    entry = report[key]
-    entry["ok"] = False
-    if len(entry["witnesses"]) < cap:
-        entry["witnesses"].append(item)
+class _Audit:
+    """One audit report: per law a check count, at most five witnesses
+    and a verdict.  ``report()`` adds the overall ``ok``; a single-law
+    audit returns its law's entry from ``laws``."""
+
+    def __init__(self, *laws):
+        self.laws = {
+            law: {"ok": True, "checked": 0, "witnesses": []} for law in laws
+        }
+
+    def count(self, law, checks=1):
+        self.laws[law]["checked"] += checks
+
+    def fail(self, law, witness):
+        entry = self.laws[law]
+        entry["ok"] = False
+        if len(entry["witnesses"]) < 5:
+            entry["witnesses"].append(witness)
+
+    def check(self, law, holds, witness):
+        self.count(law)
+        if not holds:
+            self.fail(law, witness)
+
+    def report(self):
+        report = dict(self.laws)
+        report["ok"] = all(entry["ok"] for entry in self.laws.values())
+        return report
+
+
+def _names(group):
+    """Cycle notation of every group element, for witnesses."""
+    return {t: perm.cycle_notation(t) for t in group.elements}
 
 
 def validate_principal(realization, cocycle=None):
@@ -336,91 +354,58 @@ def validate_principal(realization, cocycle=None):
     r = realization
     group, rack = r.group, r.rack
     n = rack.n
-    names = (
-        "left_action",
-        "equivariance",
-        "rack_match",
-        "cocycle_rule",
-        "values_nonzero",
-    )
-    report = {k: {"ok": True, "checked": 0, "witnesses": []} for k in names}
+    name = _names(group)
+    laws = ["left_action", "equivariance", "rack_match", "cocycle_rule",
+            "values_nonzero"]
     if cocycle is not None:
-        report["q_match"] = {"ok": True, "checked": 0, "witnesses": []}
+        laws.append("q_match")
+    audit = _Audit(*laws)
 
-    ident = group.identity
     for x in range(n):
-        report["left_action"]["checked"] += 1
-        if r.act(ident, x) != x:
-            _wit(report, "left_action", ("e", rack.labels[x]))
+        audit.check("left_action", r.act(group.identity, x) == x,
+                    ("e", rack.labels[x]))
     for s in group.elements:
         for t in group.elements:
             st = group.mul(s, t)
             for x in range(n):
-                report["left_action"]["checked"] += 1
-                if r.act(st, x) != r.act(s, r.act(t, x)):
-                    _wit(
-                        report,
-                        "left_action",
-                        (
-                            perm.cycle_notation(s),
-                            perm.cycle_notation(t),
-                            rack.labels[x],
-                        ),
-                    )
+                audit.check("left_action", r.act(st, x) == r.act(s, r.act(t, x)),
+                            (name[s], name[t], rack.labels[x]))
 
     for h in group.elements:
         for x in range(n):
-            report["equivariance"]["checked"] += 1
-            lhs = r.gmap[r.act(h, x)]
-            rhs = perm.conjugate(h, r.gmap[x])
-            if lhs != rhs:
-                _wit(
-                    report,
-                    "equivariance",
-                    (perm.cycle_notation(h), rack.labels[x]),
-                )
+            audit.check(
+                "equivariance",
+                r.gmap[r.act(h, x)] == perm.conjugate(h, r.gmap[x]),
+                (name[h], rack.labels[x]),
+            )
 
     for x in range(n):
         for y in range(n):
-            report["rack_match"]["checked"] += 1
-            if r.act(r.gmap[x], y) != rack.act(x, y):
-                _wit(report, "rack_match", (rack.labels[x], rack.labels[y]))
+            audit.check("rack_match", r.act(r.gmap[x], y) == rack.act(x, y),
+                        (rack.labels[x], rack.labels[y]))
 
     for h in group.elements:
         for t in group.elements:
             ht = group.mul(h, t)
             for x in range(n):
-                report["cocycle_rule"]["checked"] += 1
-                if r.chi(x, ht) != r.chi(x, t) * r.chi(r.act(t, x), h):
-                    _wit(
-                        report,
-                        "cocycle_rule",
-                        (
-                            perm.cycle_notation(h),
-                            perm.cycle_notation(t),
-                            rack.labels[x],
-                        ),
-                    )
+                audit.check(
+                    "cocycle_rule",
+                    r.chi(x, ht) == r.chi(x, t) * r.chi(r.act(t, x), h),
+                    (name[h], name[t], rack.labels[x]),
+                )
 
     for x in range(n):
         for t in group.elements:
-            report["values_nonzero"]["checked"] += 1
-            if r.chi(x, t) == 0:
-                _wit(
-                    report,
-                    "values_nonzero",
-                    (rack.labels[x], perm.cycle_notation(t)),
-                )
+            audit.check("values_nonzero", r.chi(x, t) != 0,
+                        (rack.labels[x], name[t]))
 
     if cocycle is not None:
         for x in range(n):
             for y in range(n):
-                report["q_match"]["checked"] += 1
-                if r.chi(y, r.gmap[x]) != cocycle(x, y):
-                    _wit(report, "q_match", (rack.labels[x], rack.labels[y]))
+                audit.check("q_match", r.chi(y, r.gmap[x]) == cocycle(x, y),
+                            (rack.labels[x], rack.labels[y]))
 
-    report["ok"] = all(report[k]["ok"] for k in report if k != "ok")
-    return report
+    return audit.report()
 
 
 def dual_braiding_check(realization):
@@ -437,19 +422,15 @@ def dual_braiding_check(realization):
     group, rack = r.group, r.rack
     n = rack.n
     q = r.induced_cocycle()
-    report = {
-        "V": {"ok": True, "checked": 0, "witnesses": []},
-        "W": {"ok": True, "checked": 0, "witnesses": []},
-    }
+    audit = _Audit("V", "W")
 
     v_space = make_braiding(rack, q, "V")
     for x in range(n):
         for y in range(n):
             gx = r.gmap[x]
             derived = ((r.act(gx, y), x), r.chi(y, gx))
-            report["V"]["checked"] += 1
-            if derived != v_space.apply_pair(x, y):
-                _wit(report, "V", (rack.labels[x], rack.labels[y]))
+            audit.check("V", derived == v_space.apply_pair(x, y),
+                        (rack.labels[x], rack.labels[y]))
 
     w_space = make_braiding(rack, q, "W")
     for x in range(n):
@@ -461,14 +442,11 @@ def dual_braiding_check(realization):
                 coeff = r.chi(x, group.inv(t))
                 target = (y, r.act(group.inv(t), x))
                 acc[target] = acc.get(target, _ZERO) + coeff
-            acc = {k: v for k, v in acc.items() if v != 0}
-            report["W"]["checked"] += 1
             expected_target, expected_coeff = w_space.apply_pair(x, y)
-            if acc != {expected_target: expected_coeff}:
-                _wit(report, "W", (rack.labels[x], rack.labels[y]))
+            audit.check("W", _strip(acc) == {expected_target: expected_coeff},
+                        (rack.labels[x], rack.labels[y]))
 
-    report["ok"] = report["V"]["ok"] and report["W"]["ok"]
-    return report
+    return audit.report()
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +526,8 @@ def comatrix_action_audit(realization, side, cocycle=None):
     exchange law between coefficients, the compatibility between action
     and coaction over the whole group basis, the comatrix coproduct and
     counit, and the antipode (powers 0 and 1; the square is the
-    identity on both sides, which is asserted too).  A deliberately
+    identity on both sides, and the copointed side asserts it on every
+    coefficient).  A deliberately
     wrong ``cocycle`` makes the evaluation checks fail with witnesses,
     which is the intended negative control.
     """
@@ -564,11 +543,14 @@ def comatrix_action_audit(realization, side, cocycle=None):
     raise ValueError("side must be 'pointed' or 'copointed'")
 
 
+_COMATRIX_LAWS = ("action_eval", "exchange", "yd_compat", "coproduct",
+                  "counit", "antipode")
+
+
 def _pointed_audit(r, group, rack, n, q):
     e = pointed_comatrix(r)
-    names = ("action_eval", "exchange", "yd_compat", "coproduct", "counit",
-             "antipode")
-    report = {k: {"ok": True, "checked": 0, "witnesses": []} for k in names}
+    name = _names(group)
+    audit = _Audit(*_COMATRIX_LAWS)
 
     def mu(x, y, elt):
         # coefficient of v_y in elt . v_x, for elt in kG
@@ -582,32 +564,28 @@ def _pointed_audit(r, group, rack, n, q):
         for y in range(n):
             for z in range(n):
                 for t in range(n):
-                    report["action_eval"]["checked"] += 1
                     expected = _ZERO
                     if z == t and y == rack.act(z, x):
                         expected = q(z, x)
-                    if mu(x, y, e[(z, t)]) != expected:
-                        _wit(report, "action_eval", (x, y, z, t))
+                    audit.check("action_eval", mu(x, y, e[(z, t)]) == expected,
+                                (x, y, z, t))
 
     for s in range(n):
         for t in range(n):
             for x in range(n):
                 for y in range(n):
-                    report["exchange"]["checked"] += 1
                     lhs = _scale(_conv_mul(e[(s, t)], e[(x, y)]), q(t, y))
                     rhs = _scale(
                         _conv_mul(e[(rack.act(s, x), rack.act(t, y))], e[(s, t)]),
                         q(s, x),
                     )
-                    if lhs != rhs:
-                        _wit(report, "exchange", (s, t, x, y))
+                    audit.check("exchange", lhs == rhs, (s, t, x, y))
 
     # action and coaction must interlock over every group element h:
     # sum_y mu(x,y,h) e[y,z] h  ==  sum_y mu(y,z,h) h e[x,y]
     for x in range(n):
         for z in range(n):
             for h in group.elements:
-                report["yd_compat"]["checked"] += 1
                 lhs = {}
                 rhs = {}
                 hd = {h: _ONE}
@@ -618,16 +596,11 @@ def _pointed_audit(r, group, rack, n, q):
                     c = mu(y, z, hd)
                     if c != 0:
                         _add_into(rhs, _conv_mul(hd, e[(x, y)]), c)
-                if _strip(lhs) != _strip(rhs):
-                    _wit(
-                        report,
-                        "yd_compat",
-                        (rack.labels[x], rack.labels[z], perm.cycle_notation(h)),
-                    )
+                audit.check("yd_compat", _strip(lhs) == _strip(rhs),
+                            (rack.labels[x], rack.labels[z], name[h]))
 
     for x in range(n):
         for y in range(n):
-            report["coproduct"]["checked"] += 1
             lhs = {}
             for t, c in e[(x, y)].items():
                 lhs[(t, t)] = lhs.get((t, t), _ZERO) + c
@@ -636,18 +609,14 @@ def _pointed_audit(r, group, rack, n, q):
                 for s, cs in e[(x, u)].items():
                     for t, ct in e[(u, y)].items():
                         rhs[(s, t)] = rhs.get((s, t), _ZERO) + cs * ct
-            if _strip(lhs) != _strip(rhs):
-                _wit(report, "coproduct", (x, y))
-            report["counit"]["checked"] += 1
+            audit.check("coproduct", _strip(lhs) == _strip(rhs), (x, y))
             total = sum(e[(x, y)].values(), _ZERO)
-            if total != (_ONE if x == y else _ZERO):
-                _wit(report, "counit", (x, y))
+            audit.check("counit", total == (_ONE if x == y else _ZERO), (x, y))
 
     # antipode axiom on the comatrix, powers 0 and 1; S(g) = g^{-1} and
     # S^2 = id, so these two powers decide every power
     for x in range(n):
         for y in range(n):
-            report["antipode"]["checked"] += 1
             left = {}
             right = {}
             for u in range(n):
@@ -656,21 +625,17 @@ def _pointed_audit(r, group, rack, n, q):
                 s_last = {group.inv(t): c for t, c in e[(u, y)].items()}
                 _add_into(right, _conv_mul(e[(x, u)], s_last))
             expected = {group.identity: _ONE} if x == y else {}
-            if _strip(left) != expected or _strip(right) != expected:
-                _wit(report, "antipode", (x, y))
-            for t in e[(x, y)]:
-                if perm.inverse(perm.inverse(t)) != t:
-                    _wit(report, "antipode", ("square", x, y))
+            audit.check("antipode",
+                        _strip(left) == expected and _strip(right) == expected,
+                        (x, y))
 
-    report["ok"] = all(report[k]["ok"] for k in report if k != "ok")
-    return report
+    return audit.report()
 
 
 def _copointed_audit(r, group, rack, n, q):
     e = copointed_comatrix(r)
-    names = ("action_eval", "exchange", "yd_compat", "coproduct", "counit",
-             "antipode")
-    report = {k: {"ok": True, "checked": 0, "witnesses": []} for k in names}
+    name = _names(group)
+    audit = _Audit(*_COMATRIX_LAWS)
 
     def mu(z, t, f):
         # coefficient of w_z in f . w_z for f a function, zero unless z == t
@@ -682,12 +647,11 @@ def _copointed_audit(r, group, rack, n, q):
         for t in range(n):
             for x in range(n):
                 for y in range(n):
-                    report["action_eval"]["checked"] += 1
                     expected = _ZERO
                     if z == t and rack.act(z, x) == y:
                         expected = q(z, x)
-                    if mu(z, t, e[(x, y)]) != expected:
-                        _wit(report, "action_eval", (z, t, x, y))
+                    audit.check("action_eval", mu(z, t, e[(x, y)]) == expected,
+                                (z, t, x, y))
 
     # the exchange coefficients pair the second factor's first index
     # with the first factor's indices: q(y,t) against q(x,s); any other
@@ -697,7 +661,6 @@ def _copointed_audit(r, group, rack, n, q):
         for t in range(n):
             for x in range(n):
                 for y in range(n):
-                    report["exchange"]["checked"] += 1
                     lhs = _scale(_pointwise_mul(e[(s, t)], e[(x, y)]), q(y, t))
                     rhs = _scale(
                         _pointwise_mul(
@@ -705,8 +668,7 @@ def _copointed_audit(r, group, rack, n, q):
                         ),
                         q(x, s),
                     )
-                    if lhs != rhs:
-                        _wit(report, "exchange", (s, t, x, y))
+                    audit.check("exchange", lhs == rhs, (s, t, x, y))
 
     # the delta-basis form of the action/coaction compatibility: for
     # every x, z and every group element g the two functions
@@ -717,37 +679,27 @@ def _copointed_audit(r, group, rack, n, q):
             gx = r.gmap[x]
             gz = r.gmap[z]
             for g in group.elements:
-                report["yd_compat"]["checked"] += 1
                 lk = group.mul(gx, g)
                 rk = group.mul(g, gz)
                 lhs = _strip({lk: exz.get(lk, _ZERO)})
                 rhs = _strip({rk: exz.get(rk, _ZERO)})
-                if lhs != rhs:
-                    _wit(
-                        report,
-                        "yd_compat",
-                        (rack.labels[x], rack.labels[z], perm.cycle_notation(g)),
-                    )
+                audit.check("yd_compat", lhs == rhs,
+                            (rack.labels[x], rack.labels[z], name[g]))
 
     for x in range(n):
         for y in range(n):
             exy = e[(x, y)]
             for a in group.elements:
                 for b in group.elements:
-                    report["coproduct"]["checked"] += 1
                     lhs = exy.get(perm.compose(a, b), _ZERO)
                     rhs = _ZERO
                     for u in range(n):
                         rhs += e[(x, u)].get(a, _ZERO) * e[(u, y)].get(b, _ZERO)
-                    if lhs != rhs:
-                        _wit(
-                            report,
-                            "coproduct",
-                            (x, y, perm.cycle_notation(a), perm.cycle_notation(b)),
-                        )
-            report["counit"]["checked"] += 1
-            if exy.get(group.identity, _ZERO) != (_ONE if x == y else _ZERO):
-                _wit(report, "counit", (x, y))
+                    audit.check("coproduct", lhs == rhs,
+                                (x, y, name[a], name[b]))
+            audit.check("counit",
+                        exy.get(group.identity, _ZERO) == (_ONE if x == y else _ZERO),
+                        (x, y))
 
     def antipode(f):
         return _strip({perm.inverse(t): c for t, c in f.items()})
@@ -756,18 +708,16 @@ def _copointed_audit(r, group, rack, n, q):
         for y in range(n):
             exy = e[(x, y)]
             for z in range(n):
-                report["antipode"]["checked"] += 1
                 # power 0: acts by evaluation at g_z^{-1}
                 got0 = exy.get(group.inv(r.gmap[z]), _ZERO)
                 want0 = q(z, x) if rack.act(z, x) == y else _ZERO
                 # power 1: S(f) evaluates f at g_z
                 got1 = antipode(exy).get(group.inv(r.gmap[z]), _ZERO)
                 want1 = 1 / q(z, y) if rack.act(z, y) == x else _ZERO
-                if got0 != want0 or got1 != want1:
-                    _wit(report, "antipode", (x, y, z))
-            report["antipode"]["checked"] += 1
-            if antipode(antipode(exy)) != exy:
-                _wit(report, "antipode", ("square", x, y))
+                audit.check("antipode", got0 == want0 and got1 == want1,
+                            (x, y, z))
+            audit.check("antipode", antipode(antipode(exy)) == exy,
+                        ("square", x, y))
             left = {}
             right = {}
             for u in range(n):
@@ -776,12 +726,11 @@ def _copointed_audit(r, group, rack, n, q):
             expected = (
                 {t: _ONE for t in group.elements} if x == y else {}
             )
-            report["antipode"]["checked"] += 1
-            if _strip(left) != expected or _strip(right) != expected:
-                _wit(report, "antipode", ("axiom", x, y))
+            audit.check("antipode",
+                        _strip(left) == expected and _strip(right) == expected,
+                        ("axiom", x, y))
 
-    report["ok"] = all(report[k]["ok"] for k in report if k != "ok")
-    return report
+    return audit.report()
 
 
 def theta_characters(realization):
@@ -789,12 +738,14 @@ def theta_characters(realization):
 
     theta_z sends e[x,y] to q(z,x) when z acts on x to give y, else to
     zero.  The audit identifies each theta_z with evaluation at
-    gmap[z]^{-1}, checks multiplicativity on products of coefficients,
-    verifies the exchange relation theta_z theta_t = theta_t theta_{t.z}
-    twice (once by convolving evaluations over the whole group basis,
-    once through the comatrix coproduct), and records whether the
-    characters are pairwise distinct.  On a rack with repeated columns
-    they are not, and the report says so rather than failing.
+    p_z = gmap[z]^{-1}, checks multiplicativity on products of
+    coefficients, verifies the exchange relation
+    theta_z theta_t = theta_t theta_{t.z} twice (once on the evaluation
+    points, where convolving delta_a with delta_b gives delta_{ab}, so it
+    reads p_z p_t = p_t p_{t.z}; once through the comatrix coproduct), and
+    records whether the characters are pairwise distinct.  On a rack with
+    repeated columns they are not, and the report says so rather than
+    failing.
     """
     r = realization
     group, rack = r.group, r.rack
@@ -809,90 +760,58 @@ def theta_characters(realization):
         ]
         for z in range(n)
     ]
+    audit = _Audit("identified", "algebra_map", "exchange_convolution",
+                   "exchange_comatrix")
 
-    report = {
-        "identified": {"ok": True, "checked": 0, "witnesses": []},
-        "algebra_map": {"ok": True, "checked": 0, "witnesses": []},
-        "exchange_convolution": {"ok": True, "checked": 0, "witnesses": []},
-        "exchange_comatrix": {"ok": True, "checked": 0, "witnesses": []},
-    }
-
-    evaluation_points = []
+    points = [group.inv(r.gmap[z]) for z in range(n)]
     for z in range(n):
-        point = group.inv(r.gmap[z])
-        evaluation_points.append(point)
-        matches = []
-        for a in group.elements:
-            if all(
-                e[(x, y)].get(a, _ZERO) == vals[z][x][y]
+        audit.check(
+            "identified",
+            all(
+                e[(x, y)].get(points[z], _ZERO) == vals[z][x][y]
                 for x in range(n)
                 for y in range(n)
-            ):
-                matches.append(a)
-        report["identified"]["checked"] += 1
-        if point not in matches:
-            _wit(report, "identified", rack.labels[z])
+            ),
+            rack.labels[z],
+        )
 
     for z in range(n):
-        a = evaluation_points[z]
+        a = points[z]
         for x in range(n):
             for y in range(n):
                 for s in range(n):
                     for t in range(n):
-                        report["algebra_map"]["checked"] += 1
                         prod = _pointwise_mul(e[(x, y)], e[(s, t)])
-                        if prod.get(a, _ZERO) != vals[z][x][y] * vals[z][s][t]:
-                            _wit(report, "algebra_map", (z, x, y, s, t))
+                        audit.check(
+                            "algebra_map",
+                            prod.get(a, _ZERO) == vals[z][x][y] * vals[z][s][t],
+                            (z, x, y, s, t),
+                        )
 
     for z in range(n):
         for t in range(n):
             tz = rack.act(t, z)
-            report["exchange_convolution"]["checked"] += 1
-            lhs = {}
-            rhs = {}
-            for g in group.elements:
-                left = _ZERO
-                right = _ZERO
-                for a in group.elements:
-                    b = group.mul(group.inv(a), g)
-                    left += (_ONE if a == evaluation_points[z] else _ZERO) * (
-                        _ONE if b == evaluation_points[t] else _ZERO
+            witness = (rack.labels[z], rack.labels[t])
+            pz, pt = points[z], points[t]
+            audit.check(
+                "exchange_convolution",
+                group.mul(pz, pt) == group.mul(pt, points[tz]),
+                witness,
+            )
+            audit.check(
+                "exchange_comatrix",
+                all(
+                    sum((vals[z][x][u] * vals[t][u][y] for u in range(n)), _ZERO)
+                    == sum(
+                        (vals[t][x][u] * vals[tz][u][y] for u in range(n)), _ZERO
                     )
-                    right += (_ONE if a == evaluation_points[t] else _ZERO) * (
-                        _ONE if b == evaluation_points[tz] else _ZERO
-                    )
-                if left:
-                    lhs[g] = left
-                if right:
-                    rhs[g] = right
-            if lhs != rhs:
-                _wit(
-                    report,
-                    "exchange_convolution",
-                    (rack.labels[z], rack.labels[t]),
-                )
+                    for x in range(n)
+                    for y in range(n)
+                ),
+                witness,
+            )
 
-            report["exchange_comatrix"]["checked"] += 1
-            ok = True
-            for x in range(n):
-                for y in range(n):
-                    left = sum(
-                        (vals[z][x][u] * vals[t][u][y] for u in range(n)),
-                        _ZERO,
-                    )
-                    right = sum(
-                        (vals[t][x][u] * vals[tz][u][y] for u in range(n)),
-                        _ZERO,
-                    )
-                    if left != right:
-                        ok = False
-            if not ok:
-                _wit(
-                    report,
-                    "exchange_comatrix",
-                    (rack.labels[z], rack.labels[t]),
-                )
-
+    report = audit.report()
     collisions = []
     for z in range(n):
         for t in range(z + 1, n):
@@ -901,15 +820,6 @@ def theta_characters(realization):
     report["distinct"] = not collisions
     report["collisions"] = collisions
     report["gmap_injective"] = len(set(r.gmap)) == n
-    report["ok"] = all(
-        report[k]["ok"]
-        for k in (
-            "identified",
-            "algebra_map",
-            "exchange_convolution",
-            "exchange_comatrix",
-        )
-    )
     return report
 
 
@@ -947,19 +857,14 @@ class FiniteDimAlgebra:
         return self.labels[i] if self.labels else str(i)
 
     def unit_audit(self):
-        report = {"ok": True, "checked": 0, "witnesses": []}
+        audit = _Audit("unit")
         for i in range(self.dim):
             basis = {i: _ONE}
-            report["checked"] += 2
-            if self.multiply(self.unit, basis) != basis:
-                report["ok"] = False
-                if len(report["witnesses"]) < 5:
-                    report["witnesses"].append(("left", self.label(i)))
-            if self.multiply(basis, self.unit) != basis:
-                report["ok"] = False
-                if len(report["witnesses"]) < 5:
-                    report["witnesses"].append(("right", self.label(i)))
-        return report
+            audit.check("unit", self.multiply(self.unit, basis) == basis,
+                        ("left", self.label(i)))
+            audit.check("unit", self.multiply(basis, self.unit) == basis,
+                        ("right", self.label(i)))
+        return audit.laws["unit"]
 
     def associativity_audit(self):
         """Check (ab)c == a(bc) on every basis triple.
@@ -969,7 +874,8 @@ class FiniteDimAlgebra:
         """
         d = self.dim
         T = self.table
-        report = {"ok": True, "checked": 0, "witnesses": []}
+        audit = _Audit("associativity")
+        audit.count("associativity", d * d * d)
         for i in range(d):
             Ti = T[i]
             for j in range(d):
@@ -977,7 +883,6 @@ class FiniteDimAlgebra:
                 Tj = T[j]
                 for k in range(d):
                     Q = Tj[k]
-                    report["checked"] += 1
                     if not P and not Q:
                         continue
                     lhs = {}
@@ -987,12 +892,11 @@ class FiniteDimAlgebra:
                     for m, c in Q.items():
                         _add_into(rhs, Ti[m], c)
                     if _strip(lhs) != _strip(rhs):
-                        report["ok"] = False
-                        if len(report["witnesses"]) < 5:
-                            report["witnesses"].append(
-                                (self.label(i), self.label(j), self.label(k))
-                            )
-        return report
+                        audit.fail(
+                            "associativity",
+                            (self.label(i), self.label(j), self.label(k)),
+                        )
+        return audit.laws["associativity"]
 
 
 def scalar_algebra():
@@ -1045,7 +949,8 @@ def quotient_group_action(realization, quotient):
 
 def module_algebra_audit_group(algebra, group, action):
     """Does the group action respect unit and products, exhaustively."""
-    report = {"ok": True, "checked": 0, "witnesses": []}
+    name = _names(group)
+    audit = _Audit("module_algebra")
 
     def apply(g, elt):
         out = {}
@@ -1055,28 +960,42 @@ def module_algebra_audit_group(algebra, group, action):
         return _strip(out)
 
     for g in group.elements:
-        report["checked"] += 1
-        if apply(g, algebra.unit) != algebra.unit:
-            report["ok"] = False
-            if len(report["witnesses"]) < 5:
-                report["witnesses"].append(("unit", perm.cycle_notation(g)))
+        audit.check("module_algebra", apply(g, algebra.unit) == algebra.unit,
+                    ("unit", name[g]))
         for i in range(algebra.dim):
             gi = _strip(dict(action[g][i]))
             for j in range(algebra.dim):
-                report["checked"] += 1
                 lhs = apply(g, algebra.table[i][j])
                 rhs = algebra.multiply(gi, _strip(dict(action[g][j])))
-                if lhs != rhs:
-                    report["ok"] = False
-                    if len(report["witnesses"]) < 5:
-                        report["witnesses"].append(
-                            (
-                                perm.cycle_notation(g),
-                                algebra.label(i),
-                                algebra.label(j),
-                            )
-                        )
-    return report
+                audit.check("module_algebra", lhs == rhs,
+                            (name[g], algebra.label(i), algebra.label(j)))
+    return audit.laws["module_algebra"]
+
+
+def _smash(algebra, group, audit, product, unit, label):
+    """The algebra on the basis a_i (x) g, indexed i * |G| + index(g).
+
+    Raises NotModuleAlgebra with the first witness of the failing
+    ``audit``.  ``product(i, g, j, h)`` is the product of a_i (x) g and
+    a_j (x) h and ``unit`` the unit, both as sparse dicts keyed by
+    (i, group element); ``label`` formats a basis label from the
+    algebra's label and the element's cycle notation.
+    """
+    if not audit["ok"]:
+        raise NotModuleAlgebra(audit["witnesses"][0])
+    order = len(group)
+    basis = [(i, g) for i in range(algebra.dim) for g in group.elements]
+
+    def encode(elt):
+        return {i * order + group.index[g]: c for (i, g), c in elt.items()}
+
+    table = [[encode(product(i, g, j, h)) for j, h in basis] for i, g in basis]
+    labels = None
+    if algebra.labels:
+        labels = tuple(
+            label % (algebra.labels[i], perm.cycle_notation(g)) for i, g in basis
+        )
+    return FiniteDimAlgebra(len(basis), table, encode(unit), labels=labels)
 
 
 def smash_with_group(algebra, group, action):
@@ -1086,42 +1005,17 @@ def smash_with_group(algebra, group, action):
     Raises NotModuleAlgebra with the first witness when the action does
     not respect the multiplication.
     """
-    check = module_algebra_audit_group(algebra, group, action)
-    if not check["ok"]:
-        raise NotModuleAlgebra(check["witnesses"][0])
-    order = len(group)
-    dim = algebra.dim * order
-    elems = group.elements
 
-    def bindex(i, gi):
-        return i * order + gi
+    def product(i, g, j, h):
+        out = {}
+        for m, cm in action[g][j].items():
+            _add_into(out, algebra.table[i][m], cm)
+        gh = group.mul(g, h)
+        return {(m, gh): c for m, c in _strip(out).items()}
 
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(algebra.dim):
-        for gi, g in enumerate(elems):
-            row_src = bindex(i, gi)
-            for j in range(algebra.dim):
-                moved = action[g][j]
-                for hi, h in enumerate(elems):
-                    gh = group.index[group.mul(g, h)]
-                    out = {}
-                    for m, cm in moved.items():
-                        _add_into(out, algebra.table[i][m], cm)
-                    table[row_src][bindex(j, hi)] = {
-                        bindex(m, gh): c for m, c in _strip(out).items()
-                    }
-    unit = {}
-    egi = group.index[group.identity]
-    for i, c in algebra.unit.items():
-        unit[bindex(i, egi)] = c
-    labels = None
-    if algebra.labels:
-        labels = tuple(
-            "%s#%s" % (algebra.labels[i], perm.cycle_notation(elems[gi]))
-            for i in range(algebra.dim)
-            for gi in range(order)
-        )
-    return FiniteDimAlgebra(dim, table, unit, labels=labels)
+    audit = module_algebra_audit_group(algebra, group, action)
+    unit = {(i, group.identity): c for i, c in algebra.unit.items()}
+    return _smash(algebra, group, audit, product, unit, "%s#%s")
 
 
 def quotient_grading(realization, quotient):
@@ -1147,26 +1041,22 @@ def module_algebra_audit_grading(algebra, group, degrees):
     homogeneous, of the product degree, and the unit must sit in the
     identity component.
     """
-    report = {"ok": True, "checked": 0, "witnesses": []}
-    ident = group.identity
+    audit = _Audit("grading")
     for i in algebra.unit:
-        report["checked"] += 1
-        if degrees[i] != ident:
-            report["ok"] = False
-            report["witnesses"].append(("unit", algebra.label(i)))
+        audit.check("grading", degrees[i] == group.identity,
+                    ("unit", algebra.label(i)))
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            report["checked"] += 1
+            audit.count("grading")
             want = group.mul(degrees[i], degrees[j])
             for m in algebra.table[i][j]:
                 if degrees[m] != want:
-                    report["ok"] = False
-                    if len(report["witnesses"]) < 5:
-                        report["witnesses"].append(
-                            (algebra.label(i), algebra.label(j), algebra.label(m))
-                        )
+                    audit.fail(
+                        "grading",
+                        (algebra.label(i), algebra.label(j), algebra.label(m)),
+                    )
                     break
-    return report
+    return audit.laws["grading"]
 
 
 def smash_with_dual(algebra, group, degrees):
@@ -1176,38 +1066,17 @@ def smash_with_dual(algebra, group, degrees):
     (a (x) delta_g)(b (x) delta_h) = [g == deg(b) h] (ab (x) delta_h).
     Raises NotModuleAlgebra when the grading is not multiplicative.
     """
-    check = module_algebra_audit_grading(algebra, group, degrees)
-    if not check["ok"]:
-        raise NotModuleAlgebra(check["witnesses"][0])
-    order = len(group)
-    dim = algebra.dim * order
-    elems = group.elements
 
-    def bindex(i, gi):
-        return i * order + gi
+    shift = {(d, h): group.mul(d, h) for d in set(degrees) for h in group}
 
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for j in range(algebra.dim):
-        dj = degrees[j]
-        for hi, h in enumerate(elems):
-            gi = group.index[group.mul(dj, h)]
-            col = bindex(j, hi)
-            for i in range(algebra.dim):
-                table[bindex(i, gi)][col] = {
-                    bindex(m, hi): c for m, c in algebra.table[i][j].items()
-                }
-    unit = {}
-    for i, c in algebra.unit.items():
-        for gi in range(order):
-            unit[bindex(i, gi)] = c
-    labels = None
-    if algebra.labels:
-        labels = tuple(
-            "%s#d(%s)" % (algebra.labels[i], perm.cycle_notation(elems[gi]))
-            for i in range(algebra.dim)
-            for gi in range(order)
-        )
-    return FiniteDimAlgebra(dim, table, unit, labels=labels)
+    def product(i, g, j, h):
+        if g != shift[degrees[j], h]:
+            return {}
+        return {(m, h): c for m, c in algebra.table[i][j].items()}
+
+    audit = module_algebra_audit_grading(algebra, group, degrees)
+    unit = {(i, g): c for i, c in algebra.unit.items() for g in group.elements}
+    return _smash(algebra, group, audit, product, unit, "%s#d(%s)")
 
 
 def rational_characters(group):

@@ -184,14 +184,14 @@ def row_space_equal(rows_a, rows_b):
 
 
 def kernel_data(matrix):
-    """rank + canonical kernel basis of a RatMatrix (or dense rows)."""
+    """rank + canonical kernel basis of a RatMatrix (or dense rows).
+
+    Both come from one RREF: the rank is its pivot count, that is the
+    column count less one kernel vector per free column.
+    """
     if isinstance(matrix, RatMatrix):
-        dense = matrix.dense()
-        ncols = matrix.cols
+        dense, ncols = matrix.dense(), matrix.cols
     else:
-        dense = [[Fraction(v) for v in row] for row in matrix]
-        ncols = len(dense[0]) if dense else 0
-    rank = rank_bareiss(dense) if dense else 0
+        dense, ncols = matrix, len(matrix[0]) if matrix else 0
     kernel = nullspace_basis(dense, ncols=ncols)
-    assert len(kernel) == ncols - rank
-    return {"rank": rank, "kernel": kernel}
+    return {"rank": ncols - len(kernel), "kernel": kernel}

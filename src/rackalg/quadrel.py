@@ -147,16 +147,27 @@ def _poly_to_vector(poly, n):
     return vec
 
 
-def verify_J2(rack, cocycle, flavor):
-    """span of the class relations == kernel of the degree-2 symmetrizer."""
+def degree_two_kernel(rack, cocycle, flavor):
+    """Canonical kernel basis of the degree-2 quantum symmetrizer."""
     space = braided.make_braiding(rack, cocycle, flavor)
     s2 = braided.quantum_symmetrizer(space, 2)
-    kernel = linalg.nullspace_basis(s2.dense(), ncols=s2.cols)
-    rel_vecs = [
-        _poly_to_vector(p, rack.n)
-        for p in quadratic_ideal(rack, cocycle, flavor)
-    ]
-    return linalg.row_space_equal(kernel, rel_vecs)
+    return linalg.nullspace_basis(s2.dense(), ncols=s2.cols)
+
+
+def spans_kernel(relations, kernel, n):
+    """Whether the quadratic relations span exactly the given kernel."""
+    return linalg.row_space_equal(
+        kernel, [_poly_to_vector(p, n) for p in relations]
+    )
+
+
+def verify_J2(rack, cocycle, flavor):
+    """span of the class relations == kernel of the degree-2 symmetrizer."""
+    return spans_kernel(
+        quadratic_ideal(rack, cocycle, flavor),
+        degree_two_kernel(rack, cocycle, flavor),
+        rack.n,
+    )
 
 
 class RatioUnionFind:

@@ -271,3 +271,20 @@ def test_malformed_parameter_document_is_invalid_usage(capsys, tmp_path):
     code, out, _ = run(capsys, "deform", "verify", "--file", str(doc))
     assert code == 2
     assert not payload(out)["ok"]
+
+
+def test_empty_relation_set_is_the_free_algebra(capsys, tmp_path):
+    # a constant cocycle 2 on the 4-cycles selects no relations at all
+    code, out, _ = run(capsys, "nichols", "dim", "--rack", "o44",
+                       "--cocycle", "const:2")
+    assert code == 0
+    assert payload(out)["report"]["dim"] == "infinite"
+    code, out, _ = run(capsys, "deform", "verify", "--family",
+                       "GenericLambda", "--rack", "o44", "--cocycle", "const:2")
+    assert code == 0
+    assert payload(out)["report"]["expected_dim"] == "infinite"
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps({"alphabet": list("abcdef"), "polys": []}))
+    code, out, _ = run(capsys, "gb", "run", "--file", str(src))
+    assert code == 0
+    assert payload(out)["report"]["quotient_dim"] == "infinite"

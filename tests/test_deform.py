@@ -608,8 +608,8 @@ def test_verify_nonzero_refuses_truncated_admissible_point(monkeypatch):
     assert zero_parameter_dim(params) == 12  # cached before the patch
     real = deform.groebner
 
-    def truncated(gens, max_deg=16, max_basis=20000):
-        gb = real(gens, max_deg, max_basis)
+    def truncated(gens, max_deg=16, max_basis=20000, ngens=None):
+        gb = real(gens, max_deg, max_basis, ngens=ngens)
         return GroebnerBasis(gb.ngens, gb.elements, truncated_at=max_deg)
 
     monkeypatch.setattr(deform, "groebner", truncated)

@@ -86,6 +86,17 @@ def test_trivial_quotient_detection():
     assert quotient_dim(gb) == 0
 
 
+def test_empty_generator_list_needs_the_alphabet():
+    with pytest.raises(ValueError):
+        groebner([])
+    gb = groebner([], ngens=6)
+    assert gb.ngens == 6
+    assert quotient_dim(gb) == "infinite"
+    assert hilbert_series(gb, 2) == [1, 6, 36]
+    # zero polynomials carry their alphabet
+    assert quotient_dim(groebner([FreePoly(2, {})])) == "infinite"
+
+
 def test_fk3_dimension_and_hilbert():
     gb = groebner(fk3_ideal())
     assert gb.complete

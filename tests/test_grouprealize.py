@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -318,3 +320,173 @@ def test_character_span_no_obstruction_for_trivial_rack():
     g = FiniteGroup.symmetric(3)
     report = character_span_obstruction(g, trivial_rack(1))
     assert not report["obstructed"]
+
+
+# ---------------------------------------------------------------------------
+# pinned audit reports
+
+AUDIT_FIXTURE = pathlib.Path(__file__).parent / "data" / "grouprealize_audits.json"
+
+
+def _swapped_gmap_realization():
+    """o24 with sgn, but gmap[0] and gmap[1] swapped under the conjugation
+    action of the untouched gmap: gmap is no longer equivariant."""
+    real = builtin_realization("o24", "const:-1")
+    gmap = list(real.gmap)
+    gmap[0], gmap[1] = gmap[1], gmap[0]
+    return PrincipalRealization(
+        real.group,
+        real.rack,
+        gmap,
+        [dict(real._chi[x]) for x in range(real.rack.n)],
+        {t: real._act[t] for t in real.group.elements},
+        chi_name="sgn",
+    )
+
+
+def _perturbed(rack_name, spec, entry, value):
+    """The builtin cocycle with q[entry] replaced by value(q[entry])."""
+    q = builtin_cocycle(rack_name, spec)
+    rows = [list(r) for r in q.q]
+    x, y = entry
+    rows[x][y] = value(rows[x][y])
+    return Cocycle2(builtin_rack(rack_name)[0], rows)
+
+
+def _smash_reports(real):
+    out = {}
+    quo_v = fk3_quotient("V")
+    quo_w = fk3_quotient("W")
+    alg_v = algebra_from_quotient(quo_v)
+    alg_w = algebra_from_quotient(quo_w)
+    action = quotient_group_action(real, quo_v)
+    degrees = quotient_grading(real, quo_w)
+    out["algebra_V.unit_audit"] = alg_v.unit_audit()
+    out["algebra_V.associativity_audit"] = alg_v.associativity_audit()
+    out["module_algebra_audit_group"] = module_algebra_audit_group(
+        alg_v, real.group, action
+    )
+    out["module_algebra_audit_grading"] = module_algebra_audit_grading(
+        alg_w, real.group, degrees
+    )
+    smash = smash_with_group(alg_v, real.group, action)
+    out["smash_with_group.unit_audit"] = smash.unit_audit()
+    out["smash_with_group.associativity_audit"] = smash.associativity_audit()
+    smash = smash_with_dual(alg_w, real.group, degrees)
+    out["smash_with_dual.unit_audit"] = smash.unit_audit()
+    out["smash_with_dual.associativity_audit"] = smash.associativity_audit()
+    t = perm.from_cycles(3, [(1, 2)])
+    broken = dict(action)
+    broken[t] = [dict(img) for img in broken[t]]
+    broken[t][1] = {1: F(2)}
+    out["module_algebra_audit_group.broken"] = module_algebra_audit_group(
+        alg_v, real.group, broken
+    )
+    broken = list(degrees)
+    broken[1] = real.group.identity
+    out["module_algebra_audit_grading.broken"] = module_algebra_audit_grading(
+        alg_w, real.group, broken
+    )
+    return out
+
+
+def audit_reports():
+    """Every grouprealize audit on the builtin realizations, negative
+    controls included, as one JSON-able tree."""
+    out = {}
+    for rack_name, spec in sorted(SPECS):
+        real = builtin_realization(rack_name, spec)
+        entry = {
+            "validate_principal": validate_principal(
+                real, cocycle=builtin_cocycle(rack_name, spec)
+            ),
+            "dual_braiding_check": dual_braiding_check(real),
+            "comatrix_action_audit.pointed": comatrix_action_audit(
+                real, "pointed"
+            ),
+            "comatrix_action_audit.copointed": comatrix_action_audit(
+                real, "copointed"
+            ),
+            "theta_characters": theta_characters(real),
+        }
+        if (rack_name, spec) == ("o23", "const:-1"):
+            entry.update(_smash_reports(real))
+        out["%s/%s" % (rack_name, spec)] = entry
+
+    real = builtin_realization("o24", "chi")
+    bad = _perturbed("o24", "chi", (0, 1), lambda v: -v)
+    out["o24/chi perturbed cocycle"] = {
+        "validate_principal": validate_principal(real, cocycle=bad),
+    }
+    real = builtin_realization("o24", "const:-1")
+    bad = _perturbed("o24", "const:-1", (2, 3), lambda v: F(2))
+    out["o24/const:-1 wrong cocycle"] = {
+        "comatrix_action_audit.pointed": comatrix_action_audit(
+            real, "pointed", cocycle=bad
+        ),
+        "comatrix_action_audit.copointed": comatrix_action_audit(
+            real, "copointed", cocycle=bad
+        ),
+    }
+    real = _swapped_gmap_realization()
+    out["o24/const:-1 swapped gmap"] = {
+        "validate_principal": validate_principal(real),
+        "dual_braiding_check": dual_braiding_check(real),
+        "comatrix_action_audit.pointed": comatrix_action_audit(real, "pointed"),
+        "comatrix_action_audit.copointed": comatrix_action_audit(
+            real, "copointed"
+        ),
+        "theta_characters": theta_characters(real),
+    }
+    perms = (
+        perm.from_cycles(4, [(1, 2), (3, 4)]),
+        perm.from_cycles(4, [(1, 3), (2, 4)]),
+        perm.from_cycles(4, [(1, 4), (2, 3)]),
+    )
+    real = principal_realization(trivial_rack(3), perms, chi="sgn")
+    out["double transpositions"] = {"theta_characters": theta_characters(real)}
+    no_unit = FiniteDimAlgebra(1, [[{0: F(0)}]], {0: F(1)})
+    skew = FiniteDimAlgebra(
+        2, [[{0: F(1)}, {1: F(1)}], [{0: F(1)}, {0: F(1)}]], {0: F(1)}
+    )
+    out["broken algebras"] = {
+        "unit_audit": no_unit.unit_audit(),
+        "associativity_audit": skew.associativity_audit(),
+    }
+    return json.loads(json.dumps(out))
+
+
+def test_audit_reports_match_pinned_fixture():
+    want = json.loads(AUDIT_FIXTURE.read_text(encoding="utf-8"))
+    got = audit_reports()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_non_equivariant_gmap_fails_theta_with_witnesses():
+    report = theta_characters(_swapped_gmap_realization())
+    assert not report["ok"]
+    for law in ("exchange_convolution", "identified"):
+        assert not report[law]["ok"], law
+        assert report[law]["witnesses"], law
+
+
+def test_grading_audit_caps_unit_witnesses():
+    # six orthogonal idempotents summing to the unit, all put in the
+    # degree of a transposition: six unit failures, at most five kept
+    g = FiniteGroup.symmetric(3)
+    t = perm.from_cycles(3, [(1, 2)])
+    table = [[{i: F(1)} if i == j else {} for j in range(6)] for i in range(6)]
+    alg = FiniteDimAlgebra(6, table, {i: F(1) for i in range(6)})
+    report = module_algebra_audit_grading(alg, g, [t] * 6)
+    assert not report["ok"]
+    assert report["checked"] == 6 + 36
+    assert len(report["witnesses"]) == 5
+
+
+if __name__ == "__main__":
+    AUDIT_FIXTURE.write_text(
+        json.dumps(audit_reports(), sort_keys=True, indent=1) + "\n",
+        encoding="utf-8",
+    )
