@@ -473,8 +473,22 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors go into the JSON report; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_INVALID)
+
+
+def _count(text):
+    """A non-negative integer option; 0 keeps the command's default."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("%r is not a non-negative integer" % text)
+    return int(text)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rackalg",
         description="exact computations with racks, braidings and their algebras",
     )
@@ -484,8 +498,8 @@ def _build_parser():
     common.add_argument("--flavor", default="V", help="braiding flavor, V or W")
     common.add_argument("--file", help="JSON input file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=0)
-    common.add_argument("--max-deg", dest="max_deg", type=int, default=0)
+    common.add_argument("--samples", type=_count, default=0)
+    common.add_argument("--max-deg", dest="max_deg", type=_count, default=0)
     common.add_argument("--json-out", dest="json_out", help="also write the report here")
     common.add_argument("--family", help="deformation family name")
     common.add_argument("--n", type=int, default=0, help="transposition rack size")
@@ -521,16 +535,18 @@ def _emit(doc, json_out):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    doc = {"schema": SCHEMA, "version": __version__}
+    try:
+        args = _build_parser().parse_args(argv)
+    except CliError as exc:
+        doc.update(command=None, options={}, ok=False, report={"error": str(exc)})
+        _emit(doc, None)
+        return exc.code
     command = (args.group, args.action)
     handler = _HANDLERS[command]
     started = time.perf_counter()
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "%s %s" % command,
-        "options": _options_doc(args),
-    }
+    doc["command"] = "%s %s" % command
+    doc["options"] = _options_doc(args)
     try:
         payload, ok = handler(args)
         code = EXIT_OK if ok else EXIT_ASSERTION

@@ -9,7 +9,6 @@ the non-constant cocycle chi with chi(g, (ij)) = +1 if g(i) < g(j) and -1
 otherwise (i < j); its diagonal is identically -1.
 """
 
-import json
 from fractions import Fraction
 
 
@@ -56,9 +55,6 @@ class Cocycle2:
             rack = Rack.from_json(obj["rack"])
         values = [[Fraction(v) for v in row] for row in obj["q"]]
         return validate_cocycle(rack, values)
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def validate_cocycle(rack, values):

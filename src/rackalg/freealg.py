@@ -63,10 +63,6 @@ class FreePoly:
                     self.terms[bytes(w)] = c
 
     @classmethod
-    def zero(cls, ngens):
-        return cls(ngens)
-
-    @classmethod
     def one(cls, ngens, coeff=1):
         return cls(ngens, {b"": Fraction(coeff)})
 
@@ -229,12 +225,14 @@ def _reduce_terms(terms, basis_items):
 class GroebnerBasis:
     """Monic interreduced basis plus completion status."""
 
-    __slots__ = ("ngens", "elements", "truncated_at")
+    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_leads")
 
     def __init__(self, ngens, elements, truncated_at=None):
         self.ngens = ngens
         self.elements = elements  # list of FreePoly, sorted by lead
         self.truncated_at = truncated_at
+        self._items = [(p.lead()[0], p.terms) for p in elements]
+        self._leads = [lead for lead, _ in self._items]
 
     @property
     def complete(self):
@@ -247,21 +245,14 @@ class GroebnerBasis:
         return f"truncated-at-degree-{self.truncated_at}"
 
     def leads(self):
-        return [p.lead()[0] for p in self.elements]
-
-    def _items(self):
-        return [(p.lead()[0], p.terms) for p in self.elements]
+        return self._leads
 
 
 def normal_form(poly, gb):
     """Remainder of poly modulo the basis: no leading word divides any term."""
-    if isinstance(gb, GroebnerBasis):
-        if poly.ngens != gb.ngens:
-            raise ValueError("mixed alphabets")
-        items = gb._items()
-    else:
-        items = [(p.lead()[0], p.terms) for p in gb]
-    return FreePoly(poly.ngens, _reduce_terms(poly.terms, items))
+    if poly.ngens != gb.ngens:
+        raise ValueError("mixed alphabets")
+    return FreePoly(poly.ngens, _reduce_terms(poly.terms, gb._items))
 
 
 def _proper_overlaps(u, v):
@@ -317,85 +308,73 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     if not gens:
         return GroebnerBasis(ngens, [])
 
-    basis = {}  # idx -> (lead, terms dict), monic
-    next_idx = 0
-    pair_heap = []  # (common len, common word, i, j, k)
+    # lead -> monic terms.  Leads of an interreduced basis never divide one
+    # another, and a retired lead stays reducible, so it never comes back:
+    # a queued pair is live exactly when both of its leads are still keys.
+    basis = {}
+    pair_heap = []  # (common len, common word, u, v, k)
     pending = [dict(g.terms) for g in gens]
     truncated_at = None
 
-    def items():
-        return [(lead, terms) for (lead, terms) in basis.values()]
-
-    def add_pairs(i):
-        u = basis[i][0]
-        for j, (v, _) in list(basis.items()):
+    def add_pairs(u):
+        for v in list(basis):
             for k in _proper_overlaps(u, v):
                 w = u + v[k:]
-                heapq.heappush(pair_heap, (len(w), w, i, j, k))
-            if j != i:
+                heapq.heappush(pair_heap, (len(w), w, u, v, k))
+            if v != u:
                 for k in _proper_overlaps(v, u):
                     w = v + u[k:]
-                    heapq.heappush(pair_heap, (len(w), w, j, i, k))
+                    heapq.heappush(pair_heap, (len(w), w, v, u, k))
 
     def insert(terms):
-        nonlocal next_idx
         lead = _lead_word(terms)
         c = terms[lead]
         if c != 1:
             terms = {w: v / c for w, v in terms.items()}
         # retire basis elements whose lead contains the new lead
-        for i, (ld, tm) in list(basis.items()):
-            if ld.find(lead) >= 0:
-                del basis[i]
-                pending.append(tm)
-        idx = next_idx
-        next_idx += 1
-        basis[idx] = (lead, terms)
+        for ld in [ld for ld in basis if lead in ld]:
+            pending.append(basis.pop(ld))
+        basis[lead] = terms
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
         # tail-reduce every other element against the refreshed basis
-        current = items()
-        for i, (ld, tm) in list(basis.items()):
-            if i == idx:
+        current = list(basis.items())
+        for ld, tm in list(basis.items()):
+            if ld == lead:
                 continue
             tail = {w: v for w, v in tm.items() if w != ld}
-            if not any(w.find(lead) >= 0 for w in tail):
+            if not any(lead in w for w in tail):
                 continue
             red = _reduce_terms(tail, current)
             red[ld] = Fraction(1)
-            basis[i] = (ld, red)
-            current = items()
-        add_pairs(idx)
+            basis[ld] = red
+            current = list(basis.items())
+        add_pairs(lead)
 
     while pending or pair_heap:
         if pending:
-            terms = pending.pop()
-            red = _reduce_terms(terms, items())
+            red = _reduce_terms(pending.pop(), list(basis.items()))
             if red:
                 insert(red)
             continue
-        deg, w, i, j, k = heapq.heappop(pair_heap)
-        if i not in basis or j not in basis:
+        deg, _, u, v, k = heapq.heappop(pair_heap)
+        if u not in basis or v not in basis:
             continue
         if deg > max_deg:
             truncated_at = max_deg
             break
-        u, fu = basis[i]
-        v, fv = basis[j]
-        if u[-k:] != v[:k] or u + v[k:] != w:
-            continue  # stale: an element was replaced under the same index
-        red = _reduce_terms(_s_element(u, fu, v, fv, k), items())
+        s = _s_element(u, basis[u], v, basis[v], k)
+        red = _reduce_terms(s, list(basis.items()))
         if red:
             insert(red)
 
-    elems = [FreePoly(ngens, terms) for _, terms in basis.values()]
-    elems.sort(key=lambda p: deglex_key(p.lead()[0]))
+    elems = [FreePoly(ngens, basis[ld]) for ld in sorted(basis, key=deglex_key)]
     return GroebnerBasis(ngens, elems, truncated_at)
 
 
 def audit_obstructions(gb):
     """Post-hoc confluence audit: every overlap S-element reduces to zero."""
-    items = gb._items()
+    items = gb._items
     n = len(items)
     for a in range(n):
         u, fu = items[a]
@@ -409,7 +388,7 @@ def audit_obstructions(gb):
 
 def is_trivial_quotient(gb):
     """True iff the ideal contains a nonzero constant (quotient is 0)."""
-    return any(p.lead()[0] == b"" for p in gb.elements)
+    return b"" in gb.leads()
 
 
 def _lead_automaton(leads, ngens):
@@ -441,29 +420,26 @@ def _lead_automaton(leads, ngens):
     return trans
 
 
-def _reachable_has_cycle(trans):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(trans)
-    stack = [(0, 0)]
-    color[0] = GRAY
-    while stack:
-        node, ptr = stack.pop()
-        advanced = False
-        for a in range(ptr, len(trans[node])):
-            nxt = trans[node][a]
-            if nxt < 0:
-                continue
-            if color[nxt] == GRAY:
-                return True
-            if color[nxt] == WHITE:
-                stack.append((node, a + 1))
-                color[nxt] = GRAY
-                stack.append((nxt, 0))
-                advanced = True
-                break
-        if not advanced:
-            color[node] = BLACK
-    return False
+def _word_counts(trans, up_to):
+    """Number of words the automaton accepts in each degree 0..up_to.
+
+    Pushes the per-state word counts one letter further per degree and
+    stops at the first degree with no words, since all later ones are
+    empty too.
+    """
+    counts = [1]
+    vec = [0] * len(trans)
+    vec[0] = 1
+    while len(counts) <= up_to and counts[-1]:
+        nxt = [0] * len(trans)
+        for s, alive in enumerate(vec):
+            if alive:
+                for t in trans[s]:
+                    if t >= 0:
+                        nxt[t] += alive
+        vec = nxt
+        counts.append(sum(vec))
+    return counts + [0] * (up_to + 1 - len(counts))
 
 
 def quotient_dim(gb):
@@ -473,56 +449,17 @@ def quotient_dim(gb):
     if not gb.complete:
         return "unknown"
     trans = _lead_automaton(gb.leads(), gb.ngens)
-    if gb.ngens and _reachable_has_cycle(trans):
-        return "infinite"
-    # post-order path count; on a DAG every visited child is finished
-    # before its parent, so counts fill bottom-up
-    order = []
-    seen = [False] * len(trans)
-    stack = [(0, 0)]
-    seen[0] = True
-    while stack:
-        node, ptr = stack.pop()
-        advanced = False
-        for a in range(ptr, len(trans[node])):
-            nxt = trans[node][a]
-            if nxt >= 0 and not seen[nxt]:
-                stack.append((node, a + 1))
-                seen[nxt] = True
-                stack.append((nxt, 0))
-                advanced = True
-                break
-        if not advanced:
-            order.append(node)
-    counts = [0] * len(trans)
-    for node in order:
-        total = 1
-        for nxt in trans[node]:
-            if nxt >= 0:
-                total += counts[nxt]
-        counts[node] = total
-    return counts[0]
+    # a normal word with as many letters as there are states revisits a
+    # state: the walk can loop there, so the normal words never run out
+    counts = _word_counts(trans, len(trans))
+    return "infinite" if counts[-1] else sum(counts)
 
 
 def hilbert_series(gb, up_to):
     """Number of normal words in each degree 0..up_to."""
     if is_trivial_quotient(gb):
         return [0] * (up_to + 1)
-    trans = _lead_automaton(gb.leads(), gb.ngens)
-    vec = [0] * len(trans)
-    vec[0] = 1
-    counts = [1]
-    for _ in range(up_to):
-        nxt = [0] * len(trans)
-        for s, alive in enumerate(vec):
-            if not alive:
-                continue
-            for t in trans[s]:
-                if t >= 0:
-                    nxt[t] += alive
-        vec = nxt
-        counts.append(sum(vec))
-    return counts
+    return _word_counts(_lead_automaton(gb.leads(), gb.ngens), up_to)
 
 
 class QuotientAlgebra:
@@ -536,26 +473,30 @@ class QuotientAlgebra:
         if not isinstance(d, int):
             raise ValueError("quotient is not finite dimensional")
         self.gb = gb
-        self.words = self._normal_words()
+        # the empty lead of a trivial quotient leaves no normal word
+        self.words = self._normal_words() if d else []
         assert len(self.words) == d
         self.index = {w: i for i, w in enumerate(self.words)}
 
     def _normal_words(self):
+        """Normal words in deglex order, one degree at a time: extending a
+        lex-sorted degree letter by letter keeps the next one sorted."""
         trans = _lead_automaton(self.gb.leads(), self.gb.ngens)
-        words = []
-        stack = [(0, b"")]
-        while stack:
-            s, w = stack.pop()
-            words.append(w)
-            for a in range(self.gb.ngens - 1, -1, -1):
-                t = trans[s][a]
-                if t >= 0:
-                    stack.append((t, w + bytes([a])))
-        words.sort(key=deglex_key)
+        letters = [bytes([a]) for a in range(self.gb.ngens)]
+        level = [(0, b"")]
+        words = [b""]
+        while level:
+            level = [
+                (t, w + letters[a])
+                for s, w in level
+                for a, t in enumerate(trans[s])
+                if t >= 0
+            ]
+            words.extend(w for _, w in level)
         return words
 
     def nf_terms(self, terms):
-        return _reduce_terms(terms, self.gb._items())
+        return _reduce_terms(terms, self.gb._items)
 
     def mul_words(self, u, v):
         """Product of two normal words, as a dict word -> coefficient."""

@@ -686,15 +686,17 @@ def _copointed_audit(r, group, rack, n, q):
                 audit.check("yd_compat", lhs == rhs,
                             (rack.labels[x], rack.labels[z], name[g]))
 
+    # e[x,u] is supported where a^{-1} . x == u, so the sum over u in
+    # (e[x,-] * e[-,y])(a, b) has the one term u = a^{-1} . x
     for x in range(n):
         for y in range(n):
             exy = e[(x, y)]
             for a in group.elements:
+                u = r.act(group.inv(a), x)
+                exa = e[(x, u)].get(a, _ZERO)
                 for b in group.elements:
                     lhs = exy.get(perm.compose(a, b), _ZERO)
-                    rhs = _ZERO
-                    for u in range(n):
-                        rhs += e[(x, u)].get(a, _ZERO) * e[(u, y)].get(b, _ZERO)
+                    rhs = exa * e[(u, y)].get(b, _ZERO)
                     audit.check("coproduct", lhs == rhs,
                                 (x, y, name[a], name[b]))
             audit.check("counit",

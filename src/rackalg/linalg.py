@@ -103,7 +103,7 @@ def rank_bareiss(matrix):
         for r in range(row + 1, nrows):
             mr = m[r]
             f = mr[col]
-            if f == 0 and prev == 1:
+            if f == 0 and pv == prev:
                 continue
             mrow = m[row]
             for c in range(col, ncols):

@@ -10,8 +10,6 @@ holds.  A quandle additionally satisfies x |> x = x.  Conjugacy classes of
 a group are the motivating example: x |> y = x y x^{-1}.
 """
 
-import json
-
 from . import perm
 
 
@@ -136,9 +134,6 @@ class Rack:
             return cls(r.table, labels)
         return r
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 class PermGroup:
     """A set of permutations closed under composition, with generators."""
@@ -243,19 +238,3 @@ def cyclic_affine_rack(n, a):
     if gcd(a, n) != 1:
         raise ValueError("a must be a unit mod n")
     return Rack([[(a * y + (1 - a) * x) % n for y in range(n)] for x in range(n)])
-
-
-def disjoint_union(r1, r2):
-    """Disjoint union with components acting trivially on each other."""
-    n1, n2 = r1.n, r2.n
-    n = n1 + n2
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x < n1 and y < n1:
-                table[x][y] = r1.act(x, y)
-            elif x >= n1 and y >= n1:
-                table[x][y] = n1 + r2.act(x - n1, y - n1)
-            else:
-                table[x][y] = y
-    return Rack(table, list(r1.labels) + [l + "'" for l in r2.labels])

@@ -288,3 +288,30 @@ def test_empty_relation_set_is_the_free_algebra(capsys, tmp_path):
     code, out, _ = run(capsys, "gb", "run", "--file", str(src))
     assert code == 0
     assert payload(out)["report"]["quotient_dim"] == "infinite"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rack", "props", "--rack", "o24", "--bogus"),
+    ("nichols", "dim", "--rack", "o24", "--max-deg", "abc"),
+    ("nichols",),
+    (),
+])
+def test_argument_errors_are_one_json_document(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert doc["report"]["error"]
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("nichols", "dim", "--rack", "o24", "--cocycle", "chi", "--max-deg", "-3"),
+    ("deform", "verify", "--family", "Echi", "--n", "3", "--samples", "-2"),
+])
+def test_negative_counts_are_invalid_usage(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert "non-negative" in doc["report"]["error"]

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rackalg.catalog import builtin_cocycle, builtin_rack
@@ -84,6 +85,7 @@ def test_trivial_quotient_detection():
     gb = groebner([one])
     assert is_trivial_quotient(gb)
     assert quotient_dim(gb) == 0
+    assert QuotientAlgebra(gb).words == []
 
 
 def test_empty_generator_list_needs_the_alphabet():
@@ -210,3 +212,38 @@ def test_normal_form_fixes_residue(p):
     gb = groebner(fk3_ideal())
     nf = normal_form(p, gb)
     assert normal_form(nf, gb) == nf
+
+
+@st.composite
+def monomial_ideals(draw):
+    ngens = draw(st.integers(min_value=2, max_value=3))
+    word = st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), min_size=1, max_size=3
+    ).map(bytes)
+    return ngens, draw(st.lists(word, max_size=4, unique=True))
+
+
+def avoiding_words(ngens, leads, length):
+    words = (bytes(w) for w in itertools.product(range(ngens), repeat=length))
+    return [w for w in words if not any(lead in w for lead in leads)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_ideals())
+# leads b, aa: the longest normal word "a" has one letter fewer than the
+# automaton (states "" and "a") has states
+@example((2, [bytes([1]), bytes([0, 0])]))
+def test_counting_walk_matches_brute_force(ideal):
+    ngens, leads = ideal
+    gb = groebner([FreePoly.word(ngens, w) for w in leads], ngens=ngens)
+    # the automaton has at most 1 + 4 * 2 states, so a finite quotient has
+    # no normal word longer than 8 letters
+    top = 9
+    by_degree = [avoiding_words(ngens, leads, d) for d in range(top + 1)]
+    assert hilbert_series(gb, top) == [len(ws) for ws in by_degree]
+    if by_degree[top]:
+        assert quotient_dim(gb) == "infinite"
+    else:
+        words = [w for ws in by_degree for w in ws]
+        assert quotient_dim(gb) == len(words)
+        assert QuotientAlgebra(gb).words == words
