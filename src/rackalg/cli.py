@@ -8,6 +8,7 @@ resource budget was exceeded.
 """
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -85,6 +86,8 @@ def _load_json_file(path):
             return json.load(fh)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc), EXIT_INVALID)
+    except UnicodeDecodeError as exc:
+        raise CliError("%s is not UTF-8 text: %s" % (path, exc), EXIT_INVALID)
     except json.JSONDecodeError as exc:
         raise CliError("bad JSON in %s: %s" % (path, exc), EXIT_INVALID)
 
@@ -526,12 +529,12 @@ def _options_doc(args):
     return doc
 
 
-def _emit(doc, json_out):
+def _emit(doc, out=None):
+    """Print the report, and write it to the open --json-out file too."""
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
 
 
 def main(argv=None):
@@ -540,25 +543,34 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except CliError as exc:
         doc.update(command=None, options={}, ok=False, report={"error": str(exc)})
-        _emit(doc, None)
+        _emit(doc)
         return exc.code
     command = (args.group, args.action)
     handler = _HANDLERS[command]
     started = time.perf_counter()
     doc["command"] = "%s %s" % command
     doc["options"] = _options_doc(args)
+    # open --json-out before any work, so a bad path prints one document
     try:
-        payload, ok = handler(args)
-        code = EXIT_OK if ok else EXIT_ASSERTION
-    except CliError as exc:
-        payload, ok = {"error": str(exc)}, False
-        code = exc.code
-    except (DegreeBudgetExceeded, ResourceBudgetExceeded) as exc:
-        payload, ok = {"error": str(exc)}, False
-        code = EXIT_BUDGET
-    doc["ok"] = ok
-    doc["report"] = _jsonable(payload)
-    _emit(doc, args.json_out)
+        out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
+    except OSError as exc:
+        doc.update(ok=False, report={
+            "error": "cannot write %s: %s" % (args.json_out, exc)})
+        _emit(doc)
+        return EXIT_INVALID
+    with out or contextlib.nullcontext():
+        try:
+            payload, ok = handler(args)
+            code = EXIT_OK if ok else EXIT_ASSERTION
+        except CliError as exc:
+            payload, ok = {"error": str(exc)}, False
+            code = exc.code
+        except (DegreeBudgetExceeded, ResourceBudgetExceeded) as exc:
+            payload, ok = {"error": str(exc)}, False
+            code = EXIT_BUDGET
+        doc["ok"] = ok
+        doc["report"] = _jsonable(payload)
+        _emit(doc, out)
     elapsed = time.perf_counter() - started
     print("[time] %s %s %.3fs" % (command[0], command[1], elapsed), file=sys.stderr)
     return code

@@ -702,6 +702,22 @@ def automorphism_conjugators():
     return maps
 
 
+def _common_ratio(a, b):
+    """The mu with b = mu * a entrywise, as a witness string ("any" when
+    both vanish); None when the zero patterns or the ratios differ."""
+    ratio = None
+    for u, v in zip(a, b):
+        if (u == 0) != (v == 0):
+            return None
+        if u != 0:
+            r = v / u
+            if ratio is None:
+                ratio = r
+            elif r != ratio:
+                return None
+    return str(ratio) if ratio is not None else "any"
+
+
 def iso_class_equal(lam_a, lam_b, family):
     """Equality of lifting isomorphism classes, with a witness.
 
@@ -709,32 +725,17 @@ def iso_class_equal(lam_a, lam_b, family):
     scaling-and-automorphism orbit; conjugation permutes the rack, scaling
     is settled by ratio normalization.
     """
+    a = [Fraction(v) for v in lam_a]
+    b = [Fraction(v) for v in lam_b]
     if family == "pointed":
-        a = [Fraction(v) for v in lam_a]
-        b = [Fraction(v) for v in lam_b]
         if len(a) != len(b):
             raise IndexMismatch("length mismatch")
-        if all(v == 0 for v in a) and all(v == 0 for v in b):
-            return True, {"mu": "any"}
-        ratio = None
-        for u, v in zip(a, b):
-            if (u == 0) != (v == 0):
-                return False, None
-            if u != 0:
-                r = v / u
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False, None
-        if ratio is None or ratio == 0:
-            return (ratio is None), ({"mu": "any"} if ratio is None else None)
-        return True, {"mu": str(ratio)}
+        mu = _common_ratio(a, b)
+        return (True, {"mu": mu}) if mu is not None else (False, None)
     if family not in CopointedLambda.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     rack, perms = catalog.builtin_rack(CopointedLambda.FAMILIES[family][0])
     index = {p: i for i, p in enumerate(perms)}
-    a = [Fraction(v) for v in lam_a]
-    b = [Fraction(v) for v in lam_b]
     if len(a) != rack.n or len(b) != rack.n:
         raise IndexMismatch("wrong number of lambda values")
     for t in perm.symmetric_group(4):
@@ -743,23 +744,7 @@ def iso_class_equal(lam_a, lam_b, family):
             a[index[perm.compose(t, perm.compose(perms[i], tinv))]]
             for i in range(rack.n)
         ]
-        ratio = None
-        ok = True
-        for u, v in zip(relabeled, b):
-            if (u == 0) != (v == 0):
-                ok = False
-                break
-            if u != 0:
-                r = v / u
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-        if ok:
-            witness = {
-                "theta": perm.cycle_notation(t),
-                "mu": str(ratio) if ratio is not None else "any",
-            }
-            return True, witness
+        mu = _common_ratio(relabeled, b)
+        if mu is not None:
+            return True, {"theta": perm.cycle_notation(t), "mu": mu}
     return False, None

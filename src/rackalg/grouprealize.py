@@ -10,11 +10,19 @@ inside the function algebra on G, checks the diagonal characters those
 coefficients support, and forms smash products of finite dimensional
 quotient algebras with kG or with functions on G.
 
+One comatrix audit covers kG and functions on G, each given by a small
+record: braiding flavor, product, unit, counit, comatrix and action.  The
+braiding decides the action evaluations and the exchange law, the counit
+and the antipode axiom are shared, and the Yetter-Drinfeld compatibility,
+the coproduct and the extra antipode checks on functions stay per side.
+
 Everything here is exact and finite: groups are small permutation
 groups, scalars are Fractions, and audits enumerate their whole domain
 rather than sampling.
 """
 
+import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from . import perm
@@ -482,6 +490,10 @@ def _pointwise_mul(a, b):
             out[t] = v * w
     return _strip(out)
 
+def _antipode(f):
+    # S(t) = t^{-1} in kG and S(f)(t) = f(t^{-1}) on functions
+    return _strip({perm.inverse(t): c for t, c in f.items()})
+
 
 def pointed_comatrix(realization):
     """Matrix coefficients of the braided space inside kG.
@@ -506,231 +518,183 @@ def copointed_comatrix(realization):
     r = realization
     group = r.group
     n = r.rack.n
-    e = {}
+    e = {(x, y): {} for x in range(n) for y in range(n)}
     for x in range(n):
-        for y in range(n):
-            f = {}
-            for t in group.elements:
-                ti = group.inv(t)
-                if r.act(ti, x) == y:
-                    f[t] = r.chi(x, ti)
-            e[(x, y)] = _strip(f)
-    return e
+        for t in group.elements:
+            ti = group.inv(t)
+            e[(x, r.act(ti, x))][t] = r.chi(x, ti)
+    return {k: _strip(f) for k, f in e.items()}
 
 
-def comatrix_action_audit(realization, side, cocycle=None):
-    """Exhaustive audit of the comatrix coefficients on one side.
-
-    side "pointed" works inside kG, side "copointed" inside functions
-    on G.  Checks the action evaluations against the cocycle, the
-    exchange law between coefficients, the compatibility between action
-    and coaction over the whole group basis, the comatrix coproduct and
-    counit, and the antipode (powers 0 and 1; the square is the
-    identity on both sides, and the copointed side asserts it on every
-    coefficient).  A deliberately
-    wrong ``cocycle`` makes the evaluation checks fail with witnesses,
-    which is the intended negative control.
-    """
-    r = realization
-    group, rack = r.group, r.rack
-    n = rack.n
-    q = cocycle if cocycle is not None else r.induced_cocycle()
-
-    if side == "pointed":
-        return _pointed_audit(r, group, rack, n, q)
-    if side == "copointed":
-        return _copointed_audit(r, group, rack, n, q)
-    raise ValueError("side must be 'pointed' or 'copointed'")
+def _action_value(braiding, a, b, c, d):
+    # what mu(a, b, e[c,d]) must be: the coefficient of (b, d) in c(c, a)
+    target, coeff = braiding.apply_pair(c, a)
+    return coeff if target == (b, d) else _ZERO
 
 
-_COMATRIX_LAWS = ("action_eval", "exchange", "yd_compat", "coproduct",
-                  "counit", "antipode")
+# one Hopf algebra H for the comatrix audit: braiding flavor, product,
+# unit and counit of H, the comatrix e, and mu(x, y, h), the coefficient
+# of v_y in h . v_x
+_Side = namedtuple("_Side", "flavor mul unit counit e mu")
 
 
-def _pointed_audit(r, group, rack, n, q):
-    e = pointed_comatrix(r)
-    name = _names(group)
-    audit = _Audit(*_COMATRIX_LAWS)
+def _pointed_side(r):
+    """kG: the V braiding, e[x,y] = [x == y] g_x, convolution, unit e and
+    the sum of the coefficients as counit."""
 
     def mu(x, y, elt):
-        # coefficient of v_y in elt . v_x, for elt in kG
         total = _ZERO
         for t, c in elt.items():
             if r.act(t, x) == y:
                 total += c * r.chi(x, t)
         return total
 
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for t in range(n):
-                    expected = _ZERO
-                    if z == t and y == rack.act(z, x):
-                        expected = q(z, x)
-                    audit.check("action_eval", mu(x, y, e[(z, t)]) == expected,
-                                (x, y, z, t))
-
-    for s in range(n):
-        for t in range(n):
-            for x in range(n):
-                for y in range(n):
-                    lhs = _scale(_conv_mul(e[(s, t)], e[(x, y)]), q(t, y))
-                    rhs = _scale(
-                        _conv_mul(e[(rack.act(s, x), rack.act(t, y))], e[(s, t)]),
-                        q(s, x),
-                    )
-                    audit.check("exchange", lhs == rhs, (s, t, x, y))
-
-    # action and coaction must interlock over every group element h:
-    # sum_y mu(x,y,h) e[y,z] h  ==  sum_y mu(y,z,h) h e[x,y]
-    for x in range(n):
-        for z in range(n):
-            for h in group.elements:
-                lhs = {}
-                rhs = {}
-                hd = {h: _ONE}
-                for y in range(n):
-                    c = mu(x, y, hd)
-                    if c != 0:
-                        _add_into(lhs, _conv_mul(e[(y, z)], hd), c)
-                    c = mu(y, z, hd)
-                    if c != 0:
-                        _add_into(rhs, _conv_mul(hd, e[(x, y)]), c)
-                audit.check("yd_compat", _strip(lhs) == _strip(rhs),
-                            (rack.labels[x], rack.labels[z], name[h]))
-
-    for x in range(n):
-        for y in range(n):
-            lhs = {}
-            for t, c in e[(x, y)].items():
-                lhs[(t, t)] = lhs.get((t, t), _ZERO) + c
-            rhs = {}
-            for u in range(n):
-                for s, cs in e[(x, u)].items():
-                    for t, ct in e[(u, y)].items():
-                        rhs[(s, t)] = rhs.get((s, t), _ZERO) + cs * ct
-            audit.check("coproduct", _strip(lhs) == _strip(rhs), (x, y))
-            total = sum(e[(x, y)].values(), _ZERO)
-            audit.check("counit", total == (_ONE if x == y else _ZERO), (x, y))
-
-    # antipode axiom on the comatrix, powers 0 and 1; S(g) = g^{-1} and
-    # S^2 = id, so these two powers decide every power
-    for x in range(n):
-        for y in range(n):
-            left = {}
-            right = {}
-            for u in range(n):
-                s_first = {group.inv(t): c for t, c in e[(x, u)].items()}
-                _add_into(left, _conv_mul(s_first, e[(u, y)]))
-                s_last = {group.inv(t): c for t, c in e[(u, y)].items()}
-                _add_into(right, _conv_mul(e[(x, u)], s_last))
-            expected = {group.identity: _ONE} if x == y else {}
-            audit.check("antipode",
-                        _strip(left) == expected and _strip(right) == expected,
-                        (x, y))
-
-    return audit.report()
+    return _Side("V", _conv_mul, {r.group.identity: _ONE},
+                 lambda f: sum(f.values(), _ZERO), pointed_comatrix(r), mu)
 
 
-def _copointed_audit(r, group, rack, n, q):
-    e = copointed_comatrix(r)
-    name = _names(group)
-    audit = _Audit(*_COMATRIX_LAWS)
+def _copointed_side(r):
+    """Functions on G: the W braiding, e[x,y](t) = chi_x(t^{-1})
+    [t^{-1} . x == y], the pointwise product, unit the constant 1 and the
+    value at e as counit; f acts on w_z by its value at g_z^{-1}."""
+    identity = r.group.identity
+    points = [r.group.inv(p) for p in r.gmap]
 
     def mu(z, t, f):
-        # coefficient of w_z in f . w_z for f a function, zero unless z == t
-        if z != t:
-            return _ZERO
-        return f.get(group.inv(r.gmap[z]), _ZERO)
+        return f.get(points[z], _ZERO) if z == t else _ZERO
 
-    for z in range(n):
-        for t in range(n):
-            for x in range(n):
-                for y in range(n):
-                    expected = _ZERO
-                    if z == t and rack.act(z, x) == y:
-                        expected = q(z, x)
-                    audit.check("action_eval", mu(z, t, e[(x, y)]) == expected,
-                                (z, t, x, y))
+    return _Side("W", _pointwise_mul, {t: _ONE for t in r.group.elements},
+                 lambda f: f.get(identity, _ZERO), copointed_comatrix(r), mu)
 
-    # the exchange coefficients pair the second factor's first index
-    # with the first factor's indices: q(y,t) against q(x,s); any other
-    # pairing breaks on the order character already over the rack of
-    # transpositions
-    for s in range(n):
-        for t in range(n):
-            for x in range(n):
-                for y in range(n):
-                    lhs = _scale(_pointwise_mul(e[(s, t)], e[(x, y)]), q(y, t))
-                    rhs = _scale(
-                        _pointwise_mul(
-                            e[(x, y)], e[(rack.act(x, s), rack.act(y, t))]
-                        ),
-                        q(x, s),
-                    )
-                    audit.check("exchange", lhs == rhs, (s, t, x, y))
 
-    # the delta-basis form of the action/coaction compatibility: for
-    # every x, z and every group element g the two functions
-    # e[x,z](g_x g) delta_{g_x g} and e[x,z](g g_z) delta_{g g_z} agree
-    for x in range(n):
-        for z in range(n):
-            exz = e[(x, z)]
-            gx = r.gmap[x]
-            gz = r.gmap[z]
-            for g in group.elements:
-                lk = group.mul(gx, g)
-                rk = group.mul(g, gz)
-                lhs = _strip({lk: exz.get(lk, _ZERO)})
-                rhs = _strip({rk: exz.get(rk, _ZERO)})
-                audit.check("yd_compat", lhs == rhs,
-                            (rack.labels[x], rack.labels[z], name[g]))
+def comatrix_action_audit(realization, side, cocycle=None):
+    """Exhaustive audit of the comatrix coefficients on one side.
 
-    # e[x,u] is supported where a^{-1} . x == u, so the sum over u in
-    # (e[x,-] * e[-,y])(a, b) has the one term u = a^{-1} . x
-    for x in range(n):
-        for y in range(n):
-            exy = e[(x, y)]
-            for a in group.elements:
-                u = r.act(group.inv(a), x)
-                exa = e[(x, u)].get(a, _ZERO)
-                for b in group.elements:
-                    lhs = exy.get(perm.compose(a, b), _ZERO)
-                    rhs = exa * e[(u, y)].get(b, _ZERO)
-                    audit.check("coproduct", lhs == rhs,
-                                (x, y, name[a], name[b]))
-            audit.check("counit",
-                        exy.get(group.identity, _ZERO) == (_ONE if x == y else _ZERO),
-                        (x, y))
+    side "pointed" works inside kG with the V braiding, side "copointed"
+    inside functions on G with the W braiding.  The braiding built from
+    ``cocycle`` (default: the induced one) decides action_eval
+    (mu(a, b, e[c,d]) is the coefficient of (b, d) in c(c, a)) and
+    exchange (c is a comodule map); the counit and the antipode axiom are
+    shared.  yd_compat, the coproduct and the copointed antipode powers
+    stay per side, for the reasons in the comments.  A deliberately wrong
+    ``cocycle`` makes the evaluation checks fail with witnesses, which is
+    the intended negative control.
+    """
+    r = realization
+    group, rack = r.group, r.rack
+    n = rack.n
+    if side not in ("pointed", "copointed"):
+        raise ValueError("side must be 'pointed' or 'copointed'")
+    pointed = side == "pointed"
+    h = _pointed_side(r) if pointed else _copointed_side(r)
+    q = cocycle if cocycle is not None else r.induced_cocycle()
+    braiding = make_braiding(rack, q, h.flavor)
+    e, mul, mu = h.e, h.mul, h.mu
+    name = _names(group)
+    audit = _Audit("action_eval", "exchange", "yd_compat", "coproduct",
+                   "counit", "antipode")
 
-    def antipode(f):
-        return _strip({perm.inverse(t): c for t, c in f.items()})
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        audit.check("action_eval",
+                    mu(a, b, e[(c, d)]) == _action_value(braiding, a, b, c, d),
+                    (a, b, c, d))
 
-    for x in range(n):
-        for y in range(n):
-            exy = e[(x, y)]
+    # with c(s, x) = qa (a, b) and c(t, y) = qb (c, d), the coaction
+    # commutes with c when qb e[s,t] e[x,y] == qa e[a,c] e[b,d]
+    for s, t, x, y in itertools.product(range(n), repeat=4):
+        (a, b), qa = braiding.apply_pair(s, x)
+        (c, d), qb = braiding.apply_pair(t, y)
+        lhs = _scale(mul(e[(s, t)], e[(x, y)]), qb)
+        rhs = _scale(mul(e[(a, c)], e[(b, d)]), qa)
+        audit.check("exchange", lhs == rhs, (s, t, x, y))
+
+    # yd_compat and the coproduct stay per side: the delta-basis form on
+    # functions gives other per-g verdicts than the kG formula once gmap is
+    # not equivariant, and the coproducts count 36 against 20,736 on S4
+    if pointed:
+        # action and coaction interlock over every group element g:
+        # sum_y mu(x,y,g) e[y,z] g  ==  sum_y mu(y,z,g) g e[x,y]
+        for x in range(n):
             for z in range(n):
-                # power 0: acts by evaluation at g_z^{-1}
-                got0 = exy.get(group.inv(r.gmap[z]), _ZERO)
-                want0 = q(z, x) if rack.act(z, x) == y else _ZERO
-                # power 1: S(f) evaluates f at g_z
-                got1 = antipode(exy).get(group.inv(r.gmap[z]), _ZERO)
-                want1 = 1 / q(z, y) if rack.act(z, y) == x else _ZERO
-                audit.check("antipode", got0 == want0 and got1 == want1,
-                            (x, y, z))
-            audit.check("antipode", antipode(antipode(exy)) == exy,
-                        ("square", x, y))
+                for g in group.elements:
+                    lhs = {}
+                    rhs = {}
+                    hd = {g: _ONE}
+                    for y in range(n):
+                        c = mu(x, y, hd)
+                        if c != 0:
+                            _add_into(lhs, _conv_mul(e[(y, z)], hd), c)
+                        c = mu(y, z, hd)
+                        if c != 0:
+                            _add_into(rhs, _conv_mul(hd, e[(x, y)]), c)
+                    audit.check("yd_compat", _strip(lhs) == _strip(rhs),
+                                (rack.labels[x], rack.labels[z], name[g]))
+        # Delta(g) = g (x) g, compared as one element of kG (x) kG per (x, y)
+        for x in range(n):
+            for y in range(n):
+                lhs = {(t, t): c for t, c in e[(x, y)].items()}
+                rhs = {}
+                for u in range(n):
+                    for s, cs in e[(x, u)].items():
+                        for t, ct in e[(u, y)].items():
+                            rhs[(s, t)] = rhs.get((s, t), _ZERO) + cs * ct
+                audit.check("coproduct", _strip(lhs) == _strip(rhs), (x, y))
+    else:
+        # the delta-basis form: for every x, z and g the functions
+        # e[x,z](g_x g) delta_{g_x g} and e[x,z](g g_z) delta_{g g_z} agree
+        for x in range(n):
+            for z in range(n):
+                exz = e[(x, z)]
+                for g in group.elements:
+                    lk = group.mul(r.gmap[x], g)
+                    rk = group.mul(g, r.gmap[z])
+                    lhs = _strip({lk: exz.get(lk, _ZERO)})
+                    rhs = _strip({rk: exz.get(rk, _ZERO)})
+                    audit.check("yd_compat", lhs == rhs,
+                                (rack.labels[x], rack.labels[z], name[g]))
+        # one check per value (a, b) of the coproduct; e[x,u] is supported
+        # where a^{-1} . x == u, so the sum over u has the one term there
+        for x in range(n):
+            for y in range(n):
+                exy = e[(x, y)]
+                for a in group.elements:
+                    u = r.act(group.inv(a), x)
+                    exa = e[(x, u)].get(a, _ZERO)
+                    for b in group.elements:
+                        lhs = exy.get(perm.compose(a, b), _ZERO)
+                        rhs = exa * e[(u, y)].get(b, _ZERO)
+                        audit.check("coproduct", lhs == rhs,
+                                    (x, y, name[a], name[b]))
+
+    for x in range(n):
+        for y in range(n):
+            audit.check("counit", h.counit(e[(x, y)]) == int(x == y), (x, y))
+
+    for x in range(n):
+        for y in range(n):
+            if not pointed:
+                # functions on G also check powers 0 and 1, evaluation at
+                # g_z^{-1} and at g_z, and S^2 = id on every coefficient, so
+                # their axiom witnesses carry a tag; on kG S(g) = g^{-1} and
+                # S^2 = id, and the axiom decides every power
+                exy = e[(x, y)]
+                s_exy = _antipode(exy)
+                for z in range(n):
+                    want0 = q(z, x) if rack.act(z, x) == y else _ZERO
+                    want1 = 1 / q(z, y) if rack.act(z, y) == x else _ZERO
+                    audit.check("antipode", mu(z, z, exy) == want0
+                                and mu(z, z, s_exy) == want1, (x, y, z))
+                audit.check("antipode", _antipode(s_exy) == exy,
+                            ("square", x, y))
             left = {}
             right = {}
             for u in range(n):
-                _add_into(left, _pointwise_mul(antipode(e[(x, u)]), e[(u, y)]))
-                _add_into(right, _pointwise_mul(e[(x, u)], antipode(e[(u, y)])))
-            expected = (
-                {t: _ONE for t in group.elements} if x == y else {}
-            )
+                _add_into(left, mul(_antipode(e[(x, u)]), e[(u, y)]))
+                _add_into(right, mul(e[(x, u)], _antipode(e[(u, y)])))
+            expected = h.unit if x == y else {}
             audit.check("antipode",
                         _strip(left) == expected and _strip(right) == expected,
-                        ("axiom", x, y))
+                        (x, y) if pointed else ("axiom", x, y))
 
     return audit.report()
 
@@ -739,79 +703,60 @@ def theta_characters(realization):
     """The diagonal characters carried by the copointed comatrix.
 
     theta_z sends e[x,y] to q(z,x) when z acts on x to give y, else to
-    zero.  The audit identifies each theta_z with evaluation at
-    p_z = gmap[z]^{-1}, checks multiplicativity on products of
-    coefficients, verifies the exchange relation
-    theta_z theta_t = theta_t theta_{t.z} twice (once on the evaluation
-    points, where convolving delta_a with delta_b gives delta_{ab}, so it
-    reads p_z p_t = p_t p_{t.z}; once through the comatrix coproduct), and
-    records whether the characters are pairwise distinct.  On a rack with
-    repeated columns they are not, and the report says so rather than
-    failing.
+    zero: the value mu(z, z, e[x,y]) read off the W braiding.  The audit
+    identifies each theta_z with evaluation at p_z = gmap[z]^{-1}, checks
+    multiplicativity on products of coefficients, verifies the exchange
+    relation theta_z theta_t = theta_t theta_{t.z} twice (once on the
+    evaluation points, where convolving delta_a with delta_b gives
+    delta_{ab}, so it reads p_z p_t = p_t p_{t.z}; once through the
+    comatrix coproduct), and records whether the characters are pairwise
+    distinct.  On a rack with repeated columns they are not, and the
+    report says so rather than failing.
     """
     r = realization
     group, rack = r.group, r.rack
     n = rack.n
-    q = r.induced_cocycle()
-    e = copointed_comatrix(r)
-
+    side = _copointed_side(r)
+    e = side.e
+    points = [group.inv(p) for p in r.gmap]
+    braiding = make_braiding(rack, r.induced_cocycle(), side.flavor)
     vals = [
-        [
-            [q(z, x) if rack.act(z, x) == y else _ZERO for y in range(n)]
-            for x in range(n)
-        ]
+        [[_action_value(braiding, z, z, x, y) for y in range(n)] for x in range(n)]
         for z in range(n)
     ]
     audit = _Audit("identified", "algebra_map", "exchange_convolution",
                    "exchange_comatrix")
 
-    points = [group.inv(r.gmap[z]) for z in range(n)]
     for z in range(n):
-        audit.check(
-            "identified",
-            all(
-                e[(x, y)].get(points[z], _ZERO) == vals[z][x][y]
-                for x in range(n)
-                for y in range(n)
-            ),
-            rack.labels[z],
-        )
+        audit.check("identified", all(
+            side.mu(z, z, e[(x, y)]) == vals[z][x][y]
+            for x, y in itertools.product(range(n), repeat=2)
+        ), rack.labels[z])
 
+    # every product once, read at each point in the order z, x, y, s, t
+    prods = {
+        (x, y, s, t): side.mul(e[(x, y)], e[(s, t)])
+        for x, y, s, t in itertools.product(range(n), repeat=4)
+    }
     for z in range(n):
         a = points[z]
-        for x in range(n):
-            for y in range(n):
-                for s in range(n):
-                    for t in range(n):
-                        prod = _pointwise_mul(e[(x, y)], e[(s, t)])
-                        audit.check(
-                            "algebra_map",
-                            prod.get(a, _ZERO) == vals[z][x][y] * vals[z][s][t],
-                            (z, x, y, s, t),
-                        )
+        for (x, y, s, t), prod in prods.items():
+            audit.check("algebra_map",
+                        prod.get(a, _ZERO) == vals[z][x][y] * vals[z][s][t],
+                        (z, x, y, s, t))
 
     for z in range(n):
         for t in range(n):
             tz = rack.act(t, z)
             witness = (rack.labels[z], rack.labels[t])
             pz, pt = points[z], points[t]
-            audit.check(
-                "exchange_convolution",
-                group.mul(pz, pt) == group.mul(pt, points[tz]),
-                witness,
-            )
-            audit.check(
-                "exchange_comatrix",
-                all(
-                    sum((vals[z][x][u] * vals[t][u][y] for u in range(n)), _ZERO)
-                    == sum(
-                        (vals[t][x][u] * vals[tz][u][y] for u in range(n)), _ZERO
-                    )
-                    for x in range(n)
-                    for y in range(n)
-                ),
-                witness,
-            )
+            audit.check("exchange_convolution",
+                        group.mul(pz, pt) == group.mul(pt, points[tz]), witness)
+            audit.check("exchange_comatrix", all(
+                sum((vals[z][x][u] * vals[t][u][y] for u in range(n)), _ZERO)
+                == sum((vals[t][x][u] * vals[tz][u][y] for u in range(n)), _ZERO)
+                for x, y in itertools.product(range(n), repeat=2)
+            ), witness)
 
     report = audit.report()
     collisions = []

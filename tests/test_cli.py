@@ -315,3 +315,24 @@ def test_negative_counts_are_invalid_usage(capsys, argv):
     doc = payload(out)
     assert doc["ok"] is False
     assert "non-negative" in doc["report"]["error"]
+
+
+def test_unwritable_json_out_is_one_failing_document(capsys, tmp_path):
+    target = tmp_path / "absent" / "x.json"
+    code, out, _ = run(capsys, "rack", "props", "--rack", "o24",
+                       "--json-out", str(target))
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert str(target) in doc["report"]["error"]
+    assert not target.exists()
+
+
+def test_non_utf8_file_is_invalid_usage(capsys, tmp_path):
+    src = tmp_path / "bin.json"
+    src.write_bytes(b"\xff\xfe")
+    code, out, _ = run(capsys, "rack", "check", "--file", str(src))
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert str(src) in doc["report"]["error"]

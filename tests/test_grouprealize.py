@@ -145,6 +145,28 @@ def test_comatrix_audit_flags_wrong_cocycle():
     assert not report["ok"]
 
 
+def test_comatrix_shared_laws_fail_on_a_non_multiplicative_chi():
+    # sgn rows with chi_0(e) = 2: the cocycle chi_y(g_x) is untouched, but
+    # e[0,0] takes the value 2 at the identity, so the counit, the
+    # coproduct, the exchange law and the antipode axiom break on the
+    # function side; kG never evaluates chi at the identity
+    rack, perms = builtin_rack("o23")
+    group = FiniteGroup.symmetric(3)
+    rows = [{t: F(perm.sign(t)) for t in group.elements} for _ in perms]
+    rows[0][group.identity] = F(2)
+    real = principal_realization(rack, perms, rows)
+    assert comatrix_action_audit(real, "pointed")["ok"]
+    report = comatrix_action_audit(real, "copointed")
+    assert not report["ok"]
+    for law in ("counit", "coproduct", "exchange", "antipode"):
+        assert not report[law]["ok"], law
+        assert report[law]["witnesses"], law
+    assert report["counit"]["witnesses"] == [(0, 0)]
+    assert report["coproduct"]["witnesses"][0] == (0, 0, "e", "e")
+    assert report["exchange"]["witnesses"][0] == (0, 0, 1, 1)
+    assert report["antipode"]["witnesses"] == [("axiom", 0, 0)]
+    assert report["action_eval"]["ok"] and report["yd_compat"]["ok"]
+
 def test_comatrix_shapes():
     real = builtin_realization("o24", "chi")
     e_point = pointed_comatrix(real)
