@@ -8,11 +8,19 @@ rack X with 2-cocycle q:
 
 Both send basis tensors to scalar multiples of basis tensors, so operators
 built from them are tracked as (target tuple, coefficient) walks and only
-materialized as matrices at the end.
+materialized as matrices at the end.  The quantum symmetrizers follow the
+recursion over minimal coset representatives (Andruskiewitsch-Grana 1999),
+rightmost factor first,
+
+    S_m = (1 + c_{m-1} + c_{m-2} c_{m-1} + ... + c_1 ... c_{m-1})
+          o (S_{m-1} (x) id),
+
+which equals the sum of the Matsumoto lifts of all permutations only when
+c satisfies the braid equation; from degree 3 on that is checked first.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, islice, product
 
 from .linalg import RatMatrix, rank_bareiss
 
@@ -83,126 +91,87 @@ def apply_word(space, word, tensor):
 
 def check_braid_equation(space):
     """(c x 1)(1 x c)(c x 1) = (1 x c)(c x 1)(1 x c) on all basis triples."""
+    return all(
+        apply_word(space, (0, 1, 0), t) == apply_word(space, (1, 0, 1), t)
+        for t in product(range(space.n), repeat=3)
+    )
+
+
+def _symmetrizer_columns(space):
+    """Yield the columns of S_0, S_1, ... in turn, by the recursion of the
+    module docstring with c_i on slots (i-1, i), counted from 0.
+
+    Column t of S_m ({target tensor: coefficient}) comes from column t[:-1]
+    of S_{m-1}: each entry v gives u = v + (t[-1],), then c_{m-1}, ..., c_1
+    act on u in turn, every step adding one term.  Before degree 3 the
+    braid equation is checked; a failure raises ValueError.
+    """
     n = space.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                t = (x, y, z)
-                lhs = apply_word(space, (0, 1, 0), t)
-                rhs = apply_word(space, (1, 0, 1), t)
-                if lhs != rhs:
-                    return False
-    return True
+    cols = [{(): Fraction(1)}]
+    for m in count(1):
+        yield cols
+        if m == 3 and not check_braid_equation(space):
+            raise ValueError("the braiding fails the braid equation")
+        below = cols
+        cols = []
+        for col, tensor in enumerate(product(range(n), repeat=m)):
+            column = {}
+            for v, coeff in below[col // n].items():
+                u = v + tensor[-1:]
+                column[u] = column.get(u, 0) + coeff
+                for slot in range(m - 2, -1, -1):
+                    u, coeff = _apply_slot(space, u, coeff, slot)
+                    column[u] = column.get(u, 0) + coeff
+            cols.append({u: c for u, c in column.items() if c != 0})
 
 
-def reduced_word_leftmost(w):
-    """Reduced word for the permutation w via leftmost-descent bubble sort."""
-    seq = list(w)
-    swaps = []
-    m = len(seq)
-    done = False
-    while not done:
-        done = True
-        for i in range(m - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                swaps.append(i)
-                done = False
-                break
-    return tuple(reversed(swaps))
-
-
-def reduced_word_rightmost(w):
-    """Same element, generally a different reduced word (rightmost descent)."""
-    seq = list(w)
-    swaps = []
-    m = len(seq)
-    done = False
-    while not done:
-        done = True
-        for i in range(m - 2, -1, -1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                swaps.append(i)
-                done = False
-                break
-    return tuple(reversed(swaps))
-
-
-def _tensor_index(tensor, n):
-    idx = 0
-    for x in tensor:
-        idx = idx * n + x
-    return idx
-
-
-def _all_tensors(n, m):
-    if m == 0:
-        yield ()
-        return
-    tensor = [0] * m
-    while True:
-        yield tuple(tensor)
-        k = m - 1
-        while k >= 0 and tensor[k] == n - 1:
-            tensor[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        tensor[k] += 1
+def _matrix(cols, n):
+    """Columns as a matrix; a tensor's index is its base-n value."""
+    entries = {}
+    for col, column in enumerate(cols):
+        for target, coeff in column.items():
+            row = 0
+            for x in target:
+                row = row * n + x
+            entries[(row, col)] = coeff
+    return RatMatrix(len(cols), len(cols), entries)
 
 
 def quantum_symmetrizer(space, m):
-    """Sum of braid-group lifts of all permutations in S_m, as a matrix.
+    """The quantum symmetrizer S_m as an n^m x n^m matrix.
 
-    Each permutation is lifted through a reduced word; the braid equation
-    makes the lift word-independent, which is asserted for m <= 4 by
-    computing the walk twice with different reduced words.
+    S_m is the sum of the Matsumoto lifts of all permutations of m
+    letters.  It is built by the recursion of the module docstring, which
+    rests on the braid equation: from m = 3 on, a space that fails it
+    raises ValueError.
     """
-    n = space.n
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    size = n**m
+    size = space.n**m
     if size > MATRIX_ROW_BUDGET:
         raise DegreeBudgetExceeded(f"n^m = {size} rows over budget")
-    if m == 0:
-        return RatMatrix(1, 1, {(0, 0): Fraction(1)})
-    entries = {}
-    words = []
-    for w in permutations(range(m)):
-        word = reduced_word_leftmost(w)
-        alt = reduced_word_rightmost(w) if m <= 4 else None
-        words.append((word, alt))
-    for tensor in _all_tensors(n, m):
-        col = _tensor_index(tensor, n)
-        for word, alt in words:
-            target, coeff = apply_word(space, word, tensor)
-            if alt is not None and alt != word:
-                assert apply_word(space, alt, tensor) == (target, coeff)
-            key = (_tensor_index(target, n), col)
-            acc = entries.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                entries.pop(key, None)
-            else:
-                entries[key] = acc
-    return RatMatrix(size, size, entries)
+    cols = next(islice(_symmetrizer_columns(space), m, None))
+    return _matrix(cols, space.n)
 
 
 def nichols_dim_oracle(space, max_deg):
     """Per-degree ranks of the quantum symmetrizers.
 
-    When the ranks reach 0 by max_deg the total is the dimension of the
-    quotient of the tensor algebra by all symmetrizer kernels; otherwise
-    the result is flagged truncated.
+    Each S_m is built once, from S_{m-1}, so from degree 3 on the space
+    must satisfy the braid equation (ValueError otherwise).  When the
+    ranks reach 0 by max_deg the total is the dimension of the quotient
+    of the tensor algebra by all symmetrizer kernels; otherwise the
+    result is flagged truncated.
     """
     dims = []
     truncated = True
+    columns = _symmetrizer_columns(space)
     for m in range(max_deg + 1):
         if space.n**m > MATRIX_ROW_BUDGET:
             raise DegreeBudgetExceeded(
                 f"degree {m} needs {space.n**m} rows, over budget"
             )
-        r = rank_bareiss(quantum_symmetrizer(space, m))
+        r = rank_bareiss(_matrix(next(columns), space.n))
         dims.append(r)
         if r == 0:
             truncated = False

@@ -90,6 +90,8 @@ def _load_json_file(path):
         raise CliError("%s is not UTF-8 text: %s" % (path, exc), EXIT_INVALID)
     except json.JSONDecodeError as exc:
         raise CliError("bad JSON in %s: %s" % (path, exc), EXIT_INVALID)
+    except RecursionError:
+        raise CliError("JSON in %s is nested too deeply" % path, EXIT_INVALID)
 
 
 def _load_rack(args):

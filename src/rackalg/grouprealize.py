@@ -660,9 +660,11 @@ def comatrix_action_audit(realization, side, cocycle=None):
                 for a in group.elements:
                     u = r.act(group.inv(a), x)
                     exa = e[(x, u)].get(a, _ZERO)
+                    # scale the support of e[u,y] once, not every b
+                    row = {b: exa * v for b, v in e[(u, y)].items()}
                     for b in group.elements:
                         lhs = exy.get(perm.compose(a, b), _ZERO)
-                        rhs = exa * e[(u, y)].get(b, _ZERO)
+                        rhs = row.get(b, _ZERO)
                         audit.check("coproduct", lhs == rhs,
                                     (x, y, name[a], name[b]))
 

@@ -26,29 +26,11 @@ class RatMatrix:
                     assert 0 <= i < rows and 0 <= j < cols
                     self.entries[(i, j)] = v
 
-    def __getitem__(self, ij):
-        return self.entries.get(ij, Fraction(0))
-
-    def add(self, i, j, v):
-        w = self.entries.get((i, j), Fraction(0)) + v
-        if w == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = w
-
     def dense(self):
         m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             m[i][j] = v
         return m
-
-    def to_json(self):
-        dense = self.dense()
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(v) for v in row] for row in dense],
-        }
 
     def __eq__(self, other):
         return (
@@ -182,16 +164,3 @@ def row_space_equal(rows_a, rows_b):
     rb = rref(rows_b)[0] if rows_b else []
     return ra == rb
 
-
-def kernel_data(matrix):
-    """rank + canonical kernel basis of a RatMatrix (or dense rows).
-
-    Both come from one RREF: the rank is its pivot count, that is the
-    column count less one kernel vector per free column.
-    """
-    if isinstance(matrix, RatMatrix):
-        dense, ncols = matrix.dense(), matrix.cols
-    else:
-        dense, ncols = matrix, len(matrix[0]) if matrix else 0
-    kernel = nullspace_basis(dense, ncols=ncols)
-    return {"rank": ncols - len(kernel), "kernel": kernel}

@@ -48,11 +48,6 @@ class RelClass:
         s = self.seq
         return (s[1 % len(s)], s[0])
 
-    def rotation(self, h):
-        """The same cycle re-rooted so pair h+1 becomes the base pair."""
-        s = self.seq
-        return RelClass(s[h:] + s[:h])
-
     def __repr__(self):
         return f"RelClass{self.seq}"
 

@@ -2,8 +2,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rackalg.braided import (
     BraidedSpace,
@@ -11,11 +9,11 @@ from rackalg.braided import (
     make_braiding,
     nichols_dim_oracle,
     quantum_symmetrizer,
-    reduced_word_leftmost,
-    reduced_word_rightmost,
 )
 from rackalg.catalog import builtin_cocycle, builtin_rack
-from rackalg.linalg import nullspace_basis, rank_bareiss
+from rackalg.cocycle import constant_cocycle
+from rackalg.linalg import RatMatrix, nullspace_basis, rank_bareiss
+from rackalg.rack import dihedral_rack
 
 
 def test_builtin_spaces_satisfy_braid_equation(s4_families):
@@ -26,13 +24,21 @@ def test_builtin_spaces_satisfy_braid_equation(s4_families):
             assert space.is_invertible()
 
 
-def test_doctored_pair_map_fails():
+def _o23_space():
     rack, _ = builtin_rack("o23")
-    q = builtin_cocycle("o23", "const:-1")
-    space = make_braiding(rack, q, "V")
+    return make_braiding(rack, builtin_cocycle("o23", "const:-1"), "V")
+
+
+def _doctored_o23_space():
+    """o23 with the images of (0, 1) and (1, 0) swapped: not braided."""
+    space = _o23_space()
     bad = dict(space.pair_map)
     bad[(0, 1)], bad[(1, 0)] = bad[(1, 0)], bad[(0, 1)]
-    assert not check_braid_equation(BraidedSpace(rack.n, "V", bad))
+    return BraidedSpace(space.n, "V", bad)
+
+
+def test_doctored_pair_map_fails():
+    assert not check_braid_equation(_doctored_o23_space())
 
 
 def test_flavors_differ_on_transpositions():
@@ -75,37 +81,60 @@ def test_symmetrizer_degree_zero_and_one():
     assert rank_bareiss(quantum_symmetrizer(space, 1).dense()) == 3
 
 
-def test_reduced_words_are_reduced_and_agree():
-    for w in itertools.permutations(range(4)):
-        for word in (reduced_word_leftmost(w), reduced_word_rightmost(w)):
-            seq = list(w)
-            for i in reversed(word):
-                # every step of the replayed sort must be a descent,
-                # otherwise the word was not reduced
-                assert seq[i] > seq[i + 1]
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-            assert seq == sorted(w)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.permutations(range(5)))
-def test_reduced_word_lengths_match(w):
-    w = tuple(w)
-    inv = sum(
-        1
-        for i in range(5)
-        for j in range(i + 1, 5)
-        if w[i] > w[j]
-    )
-    assert len(reduced_word_leftmost(w)) == inv
-    assert len(reduced_word_rightmost(w)) == inv
-
-
 def test_braid_equation_for_dihedral_with_constant_cocycle():
-    from rackalg.cocycle import constant_cocycle
-    from rackalg.rack import dihedral_rack
-
     rack = dihedral_rack(5)
     q = constant_cocycle(rack, Fraction(-1))
     for flavor in ("V", "W"):
         assert check_braid_equation(make_braiding(rack, q, flavor))
+
+
+def _reference_symmetrizer(space, m):
+    """Sum over all permutations of m letters of the lift walked through
+    one reduced word (bubble sort), independent of the recursion."""
+    n = space.n
+    entries = {}
+    for w in itertools.permutations(range(m)):
+        seq, word = list(w), []
+        while seq != sorted(seq):
+            i = next(i for i in range(m - 1) if seq[i] > seq[i + 1])
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+            word.append(i)
+        for col, tensor in enumerate(itertools.product(range(n), repeat=m)):
+            coeff = Fraction(1)
+            for i in word:
+                (a, b), q = space.apply_pair(tensor[i], tensor[i + 1])
+                tensor = tensor[:i] + (a, b) + tensor[i + 2:]
+                coeff *= q
+            row = sum(x * n**k for k, x in enumerate(reversed(tensor)))
+            entries[(row, col)] = entries.get((row, col), 0) + coeff
+    return RatMatrix(n**m, n**m, entries)
+
+
+def _reference_cases(s4_families):
+    for name, spec, rack, q in s4_families:
+        for flavor in ("V", "W"):
+            yield (name, spec, flavor), make_braiding(rack, q, flavor), 4
+    yield "o23", _o23_space(), 5
+    d5 = dihedral_rack(5)
+    yield "D5", make_braiding(d5, constant_cocycle(d5, Fraction(-1)), "V"), 4
+
+
+def test_symmetrizer_recursion_matches_permutation_sum(s4_families):
+    for label, space, top in _reference_cases(s4_families):
+        for m in range(top + 1):
+            assert quantum_symmetrizer(space, m) == _reference_symmetrizer(
+                space, m
+            ), (label, m)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_non_braided_space_raises_value_error(m):
+    with pytest.raises(ValueError, match="braid equation"):
+        quantum_symmetrizer(_doctored_o23_space(), m)
+
+
+def test_non_braided_space_builds_degree_two_and_oracle_raises():
+    bad = _doctored_o23_space()
+    assert quantum_symmetrizer(bad, 2).rows == 9
+    with pytest.raises(ValueError, match="braid equation"):
+        nichols_dim_oracle(bad, 3)

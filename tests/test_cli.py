@@ -336,3 +336,13 @@ def test_non_utf8_file_is_invalid_usage(capsys, tmp_path):
     doc = payload(out)
     assert doc["ok"] is False
     assert str(src) in doc["report"]["error"]
+
+
+def test_deeply_nested_file_is_invalid_usage(capsys, tmp_path):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 200000 + "]" * 200000)
+    code, out, _ = run(capsys, "rack", "check", "--file", str(src))
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert str(src) in doc["report"]["error"]
