@@ -4,6 +4,7 @@ their quadratic algebras.
 The package is organized bottom-up:
 
 * ``perm``          permutations as tuples, group closures
+* ``exactnum``      exact readers of the numbers in input documents
 * ``rack``          finite racks and their structural properties
 * ``cocycle``       rational 2-cocycles on racks
 * ``linalg``        exact rational matrices, rank and kernel

@@ -8,11 +8,11 @@ Cocycles: "const:w" for the constant cocycle w (a nonzero rational, e.g.
 "const:-1"), and "chi" for the transposition cocycle (o23/o24 only).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import perm
 from .cocycle import WrongRackForChi, chi_cocycle, constant_cocycle
+from .exactnum import rational
 from .rack import PermGroup, conjugacy_rack
 
 RACK_NAMES = ("o23", "o24", "o44")
@@ -49,7 +49,7 @@ def builtin_cocycle(rack_name, spec):
     """Build a named cocycle on a named rack."""
     rck, cls_perms = builtin_rack(rack_name)
     if spec.startswith("const:"):
-        return constant_cocycle(rck, Fraction(spec[len("const:"):]))
+        return constant_cocycle(rck, rational(spec[len("const:"):]))
     if spec == "chi":
         if rack_name not in ("o23", "o24"):
             raise WrongRackForChi("chi lives on transposition racks")

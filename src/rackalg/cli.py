@@ -19,6 +19,7 @@ from . import __version__, deform, grouprealize, perm
 from .braided import DegreeBudgetExceeded, check_braid_equation, make_braiding
 from .catalog import RACK_NAMES, builtin_cocycle, builtin_rack
 from .cocycle import Cocycle2, constant_cocycle
+from .exactnum import rational
 from .freealg import (
     ResourceBudgetExceeded,
     audit_obstructions,
@@ -88,7 +89,7 @@ def _load_json_file(path):
         raise CliError("cannot read %s: %s" % (path, exc), EXIT_INVALID)
     except UnicodeDecodeError as exc:
         raise CliError("%s is not UTF-8 text: %s" % (path, exc), EXIT_INVALID)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise CliError("bad JSON in %s: %s" % (path, exc), EXIT_INVALID)
     except RecursionError:
         raise CliError("JSON in %s is nested too deeply" % path, EXIT_INVALID)
@@ -121,7 +122,7 @@ def _load_cocycle(args, rack, rack_name):
         if rack_name is not None:
             return builtin_cocycle(rack_name, spec)
         if spec.startswith("const:"):
-            return constant_cocycle(rack, Fraction(spec[len("const:"):]))
+            return constant_cocycle(rack, rational(spec[len("const:"):]))
         raise CliError(
             "cocycle %r needs a builtin rack" % spec, EXIT_INVALID
         )
@@ -357,14 +358,12 @@ def _cmd_lift_pointed(args):
     payload = {
         "rack": args.rack,
         "cocycle": args.cocycle,
-        "free_values": {
-            ",".join(str(a) for a in k): str(v) for k, v in lam.items()
-        },
+        "free_values": lam,
         "count": len(records),
         "classes": [
             {
                 "class": ",".join(str(a) for a in rec["class"].base_pair),
-                "lam": str(rec["lam"]),
+                "lam": rec["lam"],
                 "g": perm.cycle_notation(rec["g"]),
                 "relation": _poly_doc(rec["b"]),
             }
@@ -374,56 +373,30 @@ def _cmd_lift_pointed(args):
     return payload, True
 
 
-_COPOINTED_FAMILY = {
-    key: family for family, key in deform.CopointedLambda.FAMILIES.items()
-}
-
-
 def _cmd_lift_copointed(args):
-    key = (args.rack, args.cocycle)
-    if key not in _COPOINTED_FAMILY:
+    names = {deform.lifting_model(name): name for name in deform.LIFTINGS}
+    if (args.rack, args.cocycle) not in names:
         raise CliError(
             "copointed liftings exist for %s"
-            % ", ".join("%s/%s" % k for k in sorted(_COPOINTED_FAMILY)),
+            % ", ".join("%s/%s" % k for k in sorted(names)),
             EXIT_INVALID,
         )
-    family = _COPOINTED_FAMILY[key]
+    family = names[args.rack, args.cocycle]
     rng = random.Random(args.seed)
-    if family == "FourCycles":
-        inv = deform.fourcycle_inverses()
-        pair_values = {}
-        lam = [None] * 6
-        for i in range(6):
-            j = inv[i]
-            key2 = (min(i, j), max(i, j))
-            if key2 not in pair_values:
-                pair_values[key2] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        pairs = sorted(pair_values)
-        pair_values[pairs[-1]] = -sum(pair_values[k] for k in pairs[:-1])
-        for (i, j), v in pair_values.items():
-            lam[i] = v
-            lam[j] = v
-    else:
-        lam = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)]
-        lam.append(-sum(lam))
-    try:
-        cl = deform.CopointedLambda(family, lam)
-    except deform.NormalizationViolated as exc:
-        return {"error": str(exc)}, False
-    gens = deform.copointed_lifting_generators(cl)
-    rack = cl.rack()
+    params = deform.copointed_lifting_point(
+        family, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    )
+    gens = deform.copointed_lifting_generators(params)
+    rack = gens["rack"]
     payload = {
         "family": family,
-        "lambda": {rack.labels[i]: str(v) for i, v in enumerate(cl.lam)},
+        "lambda": dict(zip(rack.labels, params.coordinates()[0])),
         "quadratic_count": len(gens["quadratic"]),
         "deformed": [
             {
                 "x": rack.labels[rec["x"]],
                 "poly": _poly_doc(rec["poly"]),
-                "f": {
-                    perm.cycle_notation(g): str(c)
-                    for g, c in sorted(rec["f"].items())
-                },
+                "f": {perm.cycle_notation(g): c for g, c in rec["f"].items()},
             }
             for rec in gens["deformed"]
         ],

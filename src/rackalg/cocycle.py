@@ -11,6 +11,8 @@ otherwise (i < j); its diagonal is identically -1.
 
 from fractions import Fraction
 
+from .exactnum import rational
+
 
 class ZeroEntry(ValueError):
     pass
@@ -53,7 +55,7 @@ class Cocycle2:
 
         if rack is None:
             rack = Rack.from_json(obj["rack"])
-        values = [[Fraction(v) for v in row] for row in obj["q"]]
+        values = [[rational(v) for v in row] for row in obj["q"]]
         return validate_cocycle(rack, values)
 
 

@@ -9,14 +9,22 @@ presets onto lambda; GenericLambda takes lambda as given.  Verification is
 by exact rational specialization: seeded samples feed the Groebner engine,
 which certifies nontriviality and (on the admissible points) flatness of
 the dimension.
+
+A copointed lifting datum is a point of the same model: the Eminus, Echi
+or Etilde preset at n = 4 with zero mu's (the lifting families
+TranspMinus, TranspChi and FourCycles of LIFTINGS), which lies in the
+copointed space, with the one further law sum_x lambda_x = 0.  Its
+deforming functions are read off the group action of the builtin
+realization.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 
-from . import catalog, perm, quadrel
+from . import catalog, grouprealize, perm, quadrel
 from .braided import DegreeBudgetExceeded
+from .exactnum import integer, rational
 from .freealg import (
     FreePoly,
     groebner,
@@ -39,7 +47,8 @@ class ConditionViolated(ValueError):
 
 
 class NormalizationViolated(ValueError):
-    """Copointed scalars break their normalization constraints."""
+    """A copointed lifting datum leaves the copointed space, or its
+    lambda_x do not sum to zero."""
 
 
 EMINUS = "Eminus"
@@ -61,24 +70,6 @@ PRESETS = {
 }
 
 
-def transposition_pairs(n):
-    """(i, j) with i < j, 1-based, aligned with transposition_rack(n)."""
-    _, perms = catalog.transposition_rack(n)
-    out = []
-    for p in perms:
-        moved = tuple(i + 1 for i in range(len(p)) if p[i] != i)
-        assert len(moved) == 2
-        out.append(moved)
-    return out
-
-
-def fourcycle_inverses():
-    """idx -> idx of the inverse 4-cycle, on the o44 rack order."""
-    _, perms = catalog.builtin_rack("o44")
-    index = {p: i for i, p in enumerate(perms)}
-    return tuple(index[perm.inverse(p)] for p in perms)
-
-
 def _normalize_scalars(raw, labels, what):
     """Accept a scalar, a label-keyed dict, or a full sequence."""
     m = len(labels)
@@ -86,12 +77,9 @@ def _normalize_scalars(raw, labels, what):
         vals = [None] * m
         label_index = {lab: i for i, lab in enumerate(labels)}
         for key, v in raw.items():
-            if key in label_index:
-                vals[label_index[key]] = Fraction(v)
-            elif isinstance(key, int) and 0 <= key < m:
-                vals[key] = Fraction(v)
-            else:
+            if key not in label_index:
                 raise IndexMismatch(f"unknown {what} label {key!r}")
+            vals[label_index[key]] = Fraction(v)
         if any(v is None for v in vals):
             missing = [labels[i] for i, v in enumerate(vals) if v is None]
             raise IndexMismatch(f"missing {what} values for {missing}")
@@ -272,14 +260,14 @@ class DeformParams:
             racks, _, key, mus = PRESETS[family]
             return cls._preset(
                 family,
-                int(doc["n"]) if len(racks) > 1 else 4,
-                {k: Fraction(v) for k, v in p[key].items()},
-                *(Fraction(p.get(name, 0)) for name, _, _ in mus),
+                integer(doc["n"]) if len(racks) > 1 else 4,
+                {k: rational(v) for k, v in p[key].items()},
+                *(rational(p.get(name, 0)) for name, _, _ in mus),
             )
         lam = {}
         for key, v in p["lambda"].items():
             a, b = key.split(",")
-            lam[(int(a), int(b))] = Fraction(v)
+            lam[(int(a), int(b))] = rational(v)
         return cls.generic(doc["rack"], doc["cocycle"], lam)
 
 
@@ -420,11 +408,9 @@ def appendix_printed_elements(alpha, mu1, mu2):
     rack, _ = catalog.transposition_rack(4)
     a = _normalize_scalars(alpha, rack.labels, "alpha")
     m1, m2 = Fraction(mu1), Fraction(mu2)
-    idx = {p: i for i, p in enumerate(transposition_pairs(4))}
-    i12, i13, i14 = idx[(1, 2)], idx[(1, 3)], idx[(1, 4)]
-    i23, i24, i34 = idx[(2, 3)], idx[(2, 4)], idx[(3, 4)]
-    a12, a13, a14 = a[i12], a[i13], a[i14]
-    a23, a24, a34 = a[i23], a[i24], a[i34]
+    ids = [rack.labels.index(f"({p})") for p in ("12", "13", "14", "23", "24", "34")]
+    i12, i13, i14, i23, i24, i34 = ids
+    a12, a13, a14, a23, a24, a34 = (a[i] for i in ids)
     n = rack.n
 
     def w(*ids, c=1):
@@ -617,68 +603,70 @@ def pointed_lifting_generators(realization, lam_free):
     return records
 
 
-class CopointedLambda:
-    """Scalars for a copointed lifting family, with their normalizations."""
-
-    # family -> the builtin rack and cocycle it deforms
-    FAMILIES = {
-        "TranspMinus": ("o24", "const:-1"),
-        "TranspChi": ("o24", "chi"),
-        "FourCycles": ("o44", "const:-1"),
-    }
-
-    __slots__ = ("family", "lam")
-
-    def __init__(self, family, lam):
-        if family not in self.FAMILIES:
-            raise ValueError(f"unknown copointed family {family!r}")
-        self.family = family
-        rack, _, _, copointed = _model(*self.FAMILIES[family])
-        lam = _normalize_scalars(lam, rack.labels, "lambda")
-        if sum(lam) != 0:
-            raise NormalizationViolated("lambda values must sum to zero")
-        shared = {}
-        for x, pair in enumerate(_label_classes(copointed, rack.n)):
-            if shared.setdefault(pair, lam[x]) != lam[x]:
-                raise NormalizationViolated(
-                    "lambda must agree on labels sharing a relation class "
-                    "(the inverse pairs of the 4-cycles)"
-                )
-        self.lam = lam
-
-    def rack(self):
-        return catalog.builtin_rack(self.FAMILIES[self.family][0])[0]
+# The copointed lifting families by name, each the preset whose point at
+# n = 4 with zero mu's carries the lifting datum lambda_x.
+LIFTINGS = {"TranspMinus": EMINUS, "TranspChi": ECHI, "FourCycles": ETILDE}
 
 
-def function_part(cl):
-    """The deforming functions f_x: group element -> scalar, per x."""
-    _, perms = catalog.builtin_rack(cl.FAMILIES[cl.family][0])
-    index = {p: i for i, p in enumerate(perms)}
-    group = perm.symmetric_group(4)
-    out = []
-    for x, px in enumerate(perms):
-        f = {}
-        for g in group:
-            conj = perm.conjugate(perm.inverse(g), px)
-            val = cl.lam[x] - cl.lam[index[conj]]
-            if val != 0:
-                f[g] = val
-        out.append(f)
-    return out
+def lifting_model(name):
+    """(rack name, cocycle spec) of a copointed lifting family."""
+    preset = LIFTINGS[name]
+    return _preset_rack(preset, 4), PRESETS[preset][1]
 
 
-def copointed_lifting_generators(cl):
-    """Structured generator set: fixed quadratics plus deformed relations.
+def copointed_lifting_point(name, draw):
+    """The family's lifting datum with one draw() per copointed free class,
+    in first-appearance order along the labels, but the last class, which
+    is set so that the lambda_x sum to zero."""
+    rack_name, spec = lifting_model(name)
+    labels, _ = _chart(LIFTINGS[name], rack_name, spec)
+    *classes, last = dict.fromkeys(labels)
+    values = {c: draw() for c in classes}
+    values[last] = -Fraction(sum(values.get(c, 0) for c in labels), labels.count(last))
+    return DeformParams._from_chart(
+        LIFTINGS[name], rack_name, spec, [values[c] for c in labels], ()
+    )
 
-    The quadratics are the relations b_C of the classes the copointed
-    space forces to zero.  Each label x gets the relation of the free
-    class holding a pair (x, .) (a square for the transposition families,
-    an inverse-pair anticommutator for the 4-cycle family) with its
-    function-algebra right-hand side f_x.
+
+def function_part(params):
+    """The deforming functions f_x(g) = lambda_x - lambda_{g^-1 . x} of a
+    preset point, per label x, with the action of the realization of its
+    rack and cocycle; zero values are left out."""
+    r = grouprealize.builtin_realization(params.rack_name, params.cocycle_spec)
+    lam, _ = params.coordinates()
+    return [
+        {g: v for g in r.group if (v := lx - lam[r.act(r.group.inv(g), x)])}
+        for x, lx in enumerate(lam)
+    ]
+
+
+def copointed_lifting_generators(params):
+    """Structured generator set of a copointed lifting datum: fixed
+    quadratics plus deformed relations.
+
+    The datum is a preset point at n = 4 in the copointed space whose
+    lambda_x sum to zero; anything else raises IndexMismatch or
+    NormalizationViolated.  The quadratics are the relations b_C of the
+    classes the copointed space forces to zero.  Each label x gets the
+    relation of the free class holding a pair (x, .) (a square for the
+    transposition families, an inverse-pair anticommutator for the 4-cycle
+    family) with its function-algebra right-hand side f_x.
     """
-    rack, relations, _, copointed = _model(*cl.FAMILIES[cl.family])
+    family = params.family
+    if family not in LIFTINGS.values() or params.rack_name != _preset_rack(family, 4):
+        raise IndexMismatch(
+            f"copointed liftings are the presets {sorted(LIFTINGS.values())} "
+            "at n = 4"
+        )
+    rack, relations, _, copointed = _model(params.rack_name, params.cocycle_spec)
+    if not copointed.contains(params.lam):
+        raise NormalizationViolated(
+            "a copointed lifting lies in the copointed space (zero mu's)"
+        )
+    if sum(params.coordinates()[0]) != 0:
+        raise NormalizationViolated("lambda values must sum to zero")
     b = dict(relations)
-    fs = function_part(cl)
+    fs = function_part(params)
     return {
         "rack": rack,
         "quadratic": [b[c.base_pair] for c in copointed.zero_classes()],
@@ -687,19 +675,6 @@ def copointed_lifting_generators(cl):
             for x, pair in enumerate(_label_classes(copointed, rack.n))
         ],
     }
-
-
-def automorphism_conjugators():
-    """All of Aut(S4) as conjugation maps; they are pairwise distinct."""
-    group = perm.symmetric_group(4)
-    maps = {}
-    for t in group:
-        tinv = perm.inverse(t)
-        maps[t] = tuple(
-            perm.compose(t, perm.compose(g, tinv)) for g in group
-        )
-    assert len(set(maps.values())) == 24
-    return maps
 
 
 def _common_ratio(a, b):
@@ -721,9 +696,10 @@ def _common_ratio(a, b):
 def iso_class_equal(lam_a, lam_b, family):
     """Equality of lifting isomorphism classes, with a witness.
 
-    Pointed families compare projectively.  Copointed families search the
-    scaling-and-automorphism orbit; conjugation permutes the rack, scaling
-    is settled by ratio normalization.
+    Pointed families compare projectively.  Copointed families, named as
+    in LIFTINGS, search the scaling-and-automorphism orbit: conjugation by
+    t relabels lambda through the realization's action, in the group's
+    element order, and scaling is settled by ratio normalization.
     """
     a = [Fraction(v) for v in lam_a]
     b = [Fraction(v) for v in lam_b]
@@ -732,19 +708,14 @@ def iso_class_equal(lam_a, lam_b, family):
             raise IndexMismatch("length mismatch")
         mu = _common_ratio(a, b)
         return (True, {"mu": mu}) if mu is not None else (False, None)
-    if family not in CopointedLambda.FAMILIES:
+    if family not in LIFTINGS:
         raise ValueError(f"unknown family {family!r}")
-    rack, perms = catalog.builtin_rack(CopointedLambda.FAMILIES[family][0])
-    index = {p: i for i, p in enumerate(perms)}
-    if len(a) != rack.n or len(b) != rack.n:
+    r = grouprealize.builtin_realization(*lifting_model(family))
+    n = r.rack.n
+    if len(a) != n or len(b) != n:
         raise IndexMismatch("wrong number of lambda values")
-    for t in perm.symmetric_group(4):
-        tinv = perm.inverse(t)
-        relabeled = [
-            a[index[perm.compose(t, perm.compose(perms[i], tinv))]]
-            for i in range(rack.n)
-        ]
-        mu = _common_ratio(relabeled, b)
+    for t in r.group:
+        mu = _common_ratio([a[r.act(t, x)] for x in range(n)], b)
         if mu is not None:
             return True, {"theta": perm.cycle_notation(t), "mu": mu}
     return False, None

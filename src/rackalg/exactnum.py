@@ -1,0 +1,42 @@
+"""Exact readers for the numbers of input documents and specs.
+
+An integer is an int that is not a bool.  A rational is such an int or
+a string that Fraction parses, with a decimal exponent of at most
+MAX_EXPONENT in absolute value; the interpreter's limit on the digits of
+an int read from a string already bounds the mantissa.  Floats are
+refused, because the binary value JSON reads is not the decimal the file
+shows, and so are bools.  A refused value raises BadNumber.
+"""
+
+import re
+from fractions import Fraction
+
+MAX_EXPONENT = 4300  # the interpreter's default int digit limit
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+class BadNumber(TypeError, ValueError):
+    """A value that is not an exact integer or rational.  It is both a
+    TypeError and a ValueError, so callers that take either as malformed
+    input catch it."""
+
+
+def integer(value):
+    if type(value) is not int:
+        raise BadNumber("expected an integer, got %.40r" % (value,))
+    return value
+
+
+def rational(value):
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise BadNumber("expected an integer or a string, got %.40r" % (value,))
+    try:
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise BadNumber("not an exact rational: %.40r" % (value,)) from None

@@ -15,6 +15,7 @@ import heapq
 from fractions import Fraction
 
 from .braided import DegreeBudgetExceeded  # shared budget error
+from .exactnum import integer, rational
 
 __all__ = [
     "FreePoly",
@@ -526,10 +527,10 @@ def ideal_from_json(doc):
     for rec in doc["polys"]:
         terms = {}
         for t in rec:
-            w = bytes(int(i) for i in t["word"])
+            w = bytes(integer(i) for i in t["word"])
             if any(i >= ngens for i in w):
                 raise ValueError("word index out of alphabet range")
-            c = Fraction(str(t["coeff"]))
+            c = rational(t["coeff"])
             if c != 0:
                 terms[w] = terms.get(w, Fraction(0)) + c
         polys.append(FreePoly(ngens, terms))

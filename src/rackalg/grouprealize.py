@@ -29,6 +29,7 @@ from . import perm
 from .braided import make_braiding
 from .catalog import builtin_rack
 from .cocycle import chi_character_value, validate_cocycle
+from .exactnum import integer, rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -205,16 +206,16 @@ class PrincipalRealization:
             group = FiniteGroup.symmetric(int(gdoc[1:]))
         else:
             group = FiniteGroup(
-                int(gdoc["degree"]),
-                [tuple(int(i) for i in p) for p in gdoc["elements"]],
+                integer(gdoc["degree"]),
+                [tuple(map(integer, p)) for p in gdoc["elements"]],
             )
         rack = Rack.from_json(doc["rack"])
-        gmap = [tuple(int(i) for i in p) for p in doc["g"]]
+        gmap = [tuple(map(integer, p)) for p in doc["g"]]
         chi = doc["chi"]
         if isinstance(chi, str):
             return principal_realization(rack, gmap, chi, group)
         table = [
-            {t: Fraction(chi[x][i]) for i, t in enumerate(group.elements)}
+            {t: rational(chi[x][i]) for i, t in enumerate(group.elements)}
             for x in range(rack.n)
         ]
         return principal_realization(rack, gmap, table, group)

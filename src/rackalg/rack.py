@@ -11,6 +11,7 @@ a group are the motivating example: x |> y = x y x^{-1}.
 """
 
 from . import perm
+from .exactnum import integer
 
 
 class NotBijective(ValueError):
@@ -128,7 +129,7 @@ class Rack:
 
     @classmethod
     def from_json(cls, obj):
-        r = validate_rack(obj["n"], obj["table"])
+        r = validate_rack(integer(obj["n"]), obj["table"])
         labels = obj.get("labels")
         if labels:
             return cls(r.table, labels)
@@ -177,7 +178,7 @@ def validate_rack(n, table):
         raise ValueError("table must be %d x %d" % (n, n))
     for x in range(n):
         row = table[x]
-        if any(not isinstance(v, int) or not (0 <= v < n) for v in row):
+        if any(not (0 <= integer(v) < n) for v in row):
             raise ValueError("entries must be in 0..%d" % (n - 1))
         if len(set(row)) != n:
             raise NotBijective(x)

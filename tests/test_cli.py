@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -346,3 +347,53 @@ def test_deeply_nested_file_is_invalid_usage(capsys, tmp_path):
     doc = payload(out)
     assert doc["ok"] is False
     assert str(src) in doc["report"]["error"]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("cocycle", "check"),
+     {"n": 2, "table": [[0, 1], [0, 1]], "q": [[0.1, "1"], ["1", "1"]]}),
+    (("rack", "check"), {"n": 2, "table": [[False, True], [False, True]]}),
+    (("gb", "run"),
+     {"alphabet": ["a", "b"], "polys": [[{"word": [0, 1.9], "coeff": "1"}]]}),
+    (("gb", "run"),
+     {"alphabet": ["a", "b"], "polys": [[{"word": [True, "0"], "coeff": "1"}]]}),
+    (("gb", "run"),
+     {"alphabet": ["a", "b"], "polys": [[{"word": [0], "coeff": "1e10000000"}]]}),
+    (("deform", "verify"),
+     {"family": "Echi", "n": 3,
+      "params": {"alpha": {"(12)": 0.5, "(13)": "1", "(23)": "1"}}}),
+    (("deform", "verify"),
+     {"family": "Echi", "n": 3.0,
+      "params": {"alpha": {"(12)": "1", "(13)": "1", "(23)": "1"}}}),
+], ids=["float-q", "bool-table", "float-word", "bool-word", "huge-exponent",
+        "float-alpha", "float-n"])
+def test_inexact_json_values_are_invalid_usage(capsys, tmp_path, argv, doc):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--file", str(src))
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+
+
+def test_integer_over_the_digit_limit_is_invalid_usage(capsys, tmp_path):
+    src = tmp_path / "huge.json"
+    src.write_text('{"n": %s, "table": []}' % ("1" * 5000))
+    code, out, _ = run(capsys, "rack", "check", "--file", str(src))
+    assert code == 2
+    assert "bad JSON" in payload(out)["report"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cocycle", "check", "--rack", "o24", "--cocycle", "const:1e10000000"),
+    ("deform", "verify", "--family", "GenericLambda", "--rack", "o44",
+     "--cocycle", "const:1e10000000"),
+])
+def test_unbounded_cocycle_constant_is_invalid_usage(capsys, argv):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert not payload(out)["ok"]

@@ -1,0 +1,119 @@
+"""The CLI contract on hostile ``--file`` input.
+
+Hypothesis starts from well-formed rack, cocycle, parameter and ideal
+documents of small size and breaks up to three of their nodes: a node
+becomes a wrong type (a float, a bool, a huge exponent or integer, a
+list, a dict), a key or a list entry goes missing, or a list entry is
+repeated, which makes a table ragged.  Every run of ``cli.main`` must
+print exactly one JSON document on stdout and exit with 0, 1, 2 or 3.
+The examples are derandomized and bounded, so the test is deterministic
+and takes a few seconds.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rackalg import cli
+from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.cocycle import constant_cocycle
+from rackalg.deform import DeformParams
+from rackalg.freealg import ideal_to_json
+from rackalg.quadrel import quadratic_ideal
+from rackalg.rack import dihedral_rack, trivial_rack
+
+HUGE_INT = "__huge_int__"  # written as a 5000-digit integer literal
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(min_value=-2, max_value=6),
+    st.sampled_from([
+        "1e10000000", "-1E-99999", "1/0", "0.1", "abc", "", "1e" + "9" * 5000,
+        HUGE_INT,
+    ]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["n", "q", "a"]), st.integers(0, 2), max_size=1),
+)
+
+
+def _o23_ideal():
+    rack, _ = builtin_rack("o23")
+    polys = quadratic_ideal(rack, builtin_cocycle("o23", "const:-1"), "V")
+    return ideal_to_json(list(rack.labels), polys)
+
+
+RACKS = [trivial_rack(1), trivial_rack(2), dihedral_rack(3), builtin_rack("o23")[0]]
+VALID = {
+    ("rack", "check"): [r.to_json() for r in RACKS],
+    ("cocycle", "check"): [
+        {**r.to_json(), **constant_cocycle(r, -1).to_json(inline_rack=False)}
+        for r in RACKS
+    ],
+    ("deform", "verify", "--max-deg", "2"): [
+        DeformParams.unit("Eminus", 3).to_json(),
+        DeformParams.echi(4, 1, 2).to_json(),
+        DeformParams.etilde(2, 0, 1).to_json(),
+        DeformParams.unit("GenericLambda", rack_name="o23", cocycle_spec="chi").to_json(),
+    ],
+    ("gb", "run", "--max-deg", "4"): [
+        _o23_ideal(),
+        {"alphabet": ["a", "b"], "polys": [[{"word": [0, 1], "coeff": "1/2"}]]},
+    ],
+}
+
+
+def _nodes(doc, out):
+    """Every (container, key) below doc, depth first."""
+    keys = doc if isinstance(doc, dict) else range(len(doc))
+    for key in keys:
+        out.append((doc, key))
+        if isinstance(doc[key], (dict, list)):
+            _nodes(doc[key], out)
+    return out
+
+
+@st.composite
+def cases(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    doc = copy.deepcopy(draw(st.sampled_from(VALID[command])))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        nodes = _nodes(doc, [])
+        if not nodes:
+            break
+        parent, key = draw(st.sampled_from(nodes))
+        how = draw(st.sampled_from(["junk", "drop", "repeat"]))
+        if how == "junk":
+            parent[key] = draw(JUNK)
+        elif how == "drop":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        doc = draw(JUNK)
+    return list(command), doc
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cases())
+def test_file_input_yields_one_document_and_a_documented_exit(tmp_path, case):
+    argv, doc = case
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc).replace(json.dumps(HUGE_INT), "1" * 5000))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--file", str(src)])
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert set(report) == {"schema", "version", "command", "options", "ok", "report"}
+    assert report["ok"] is (code == 0)

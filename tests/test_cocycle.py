@@ -4,6 +4,7 @@ import pytest
 
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.exactnum import BadNumber
 from rackalg.cocycle import (
     CocycleLawFails,
     Cocycle2,
@@ -105,3 +106,14 @@ def test_json_round_trip(o24):
     assert back.q == q.q
     again = Cocycle2.from_json({"q": doc["q"]}, rack=rack)
     assert again == q
+
+
+@pytest.mark.parametrize("entry", [0.1, True, "1e10000000", "1/0", None])
+def test_json_values_are_exact_rationals(entry):
+    doc = {"rack": {"n": 2, "table": [[0, 1], [0, 1]]}, "q": [["1", 1], [1, 1]]}
+    assert Cocycle2.from_json(doc).q[0][0] == 1
+    doc["q"][0][0] = "0.1"
+    assert Cocycle2.from_json(doc).q[0][0] == Fraction(1, 10)
+    doc["q"][0][0] = entry
+    with pytest.raises(BadNumber):
+        Cocycle2.from_json(doc)

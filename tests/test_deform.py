@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import pathlib
@@ -8,7 +9,6 @@ import pytest
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle, builtin_rack
 from rackalg.deform import (
-    CopointedLambda,
     ConditionViolated,
     DeformParams,
     IndexMismatch,
@@ -16,21 +16,19 @@ from rackalg.deform import (
     NormalizationViolated,
     appendix_membership_audit,
     appendix_printed_elements,
-    automorphism_conjugators,
     build_deformed_ideal,
     copointed_lifting_generators,
-    fourcycle_inverses,
     function_part,
     is_admissible,
     iso_class_equal,
     pointed_lifting_generators,
     sample_params,
-    transposition_pairs,
     verify_nonzero,
     zero_parameter_dim,
 )
 from rackalg import deform
 from rackalg.braided import DegreeBudgetExceeded
+from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
     GroebnerBasis,
@@ -73,6 +71,19 @@ def ideal_rows(polys, m):
 # The hand-written relations of the three named families, kept as the
 # reference the presets onto lambda are checked against.  alpha and beta
 # are per-label sequences on the rack order.
+
+
+def transposition_pairs(n):
+    """(i, j) with i < j, 1-based, aligned with the transposition rack."""
+    _, perms = builtin_rack({3: "o23", 4: "o24"}[n])
+    return [tuple(i + 1 for i in range(n) if p[i] != i) for p in perms]
+
+
+def fourcycle_inverses():
+    """idx -> idx of the inverse 4-cycle, on the o44 rack order."""
+    _, perms = builtin_rack("o44")
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(index[perm.inverse(p)] for p in perms)
 
 
 def minus_relations(n, alpha, mu1, mu2):
@@ -330,6 +341,24 @@ def test_params_json_round_trip():
         assert back.to_json() == doc
 
 
+def test_params_json_values_are_exact():
+    doc = DeformParams.eminus(4, 0, 1, 0).to_json()
+    doc["params"]["alpha"]["(12)"] = "0.1"
+    i12 = builtin_rack("o24")[0].labels.index("(12)")
+    assert DeformParams.from_json(doc).coordinates()[0][i12] == F(1, 10)
+    for edit in (
+        lambda d: d["params"]["alpha"].update({"(12)": 0.1}),
+        lambda d: d["params"].update(mu1=True),
+        lambda d: d["params"].update(mu2="1e10000000"),
+        lambda d: d.update(n=True),
+        lambda d: d.update(n=4.0),
+    ):
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        with pytest.raises(BadNumber):
+            DeformParams.from_json(bad)
+
+
 def test_printed_elements_reduce_to_zero():
     for alpha, mu1, mu2 in [
         (F(1), F(0), F(0)),
@@ -361,21 +390,29 @@ def test_copointed_normalizations():
     labels24 = builtin_rack("o24")[0].labels
     labels44 = builtin_rack("o44")[0].labels
     with pytest.raises(NormalizationViolated):
-        CopointedLambda(
-            "TranspMinus", full_scalars(labels24, **{"(12)": 1})
+        # the lambda_x must sum to zero
+        copointed_lifting_generators(
+            DeformParams.eminus(4, full_scalars(labels24, **{"(12)": 1}))
         )
     with pytest.raises(NormalizationViolated):
-        # sums to zero but breaks the inverse-pair rule
-        CopointedLambda(
-            "FourCycles",
-            full_scalars(labels44, **{"(1234)": 1, "(1243)": -1}),
+        # a nonzero mu leaves the copointed space
+        zero_sum = full_scalars(labels24, **{"(12)": 1, "(34)": -1})
+        copointed_lifting_generators(DeformParams.eminus(4, zero_sum, 0, 1))
+    with pytest.raises(IndexMismatch):
+        # sums to zero but breaks the inverse-pair rule of the preset chart
+        DeformParams.etilde(
+            full_scalars(labels44, **{"(1234)": 1, "(1243)": -1})
         )
+    with pytest.raises(IndexMismatch):
+        # no lifting family deforms the transpositions of S3
+        copointed_lifting_generators(DeformParams.eminus(3, 0))
     with pytest.raises(ValueError):
-        CopointedLambda("NoSuchFamily", {})
-    cl = CopointedLambda(
-        "TranspMinus", full_scalars(labels24, **{"(12)": 1, "(34)": -1})
+        iso_class_equal([0] * 6, [0] * 6, "NoSuchFamily")
+    cl = DeformParams.eminus(
+        4, full_scalars(labels24, **{"(12)": 1, "(34)": -1})
     )
-    assert sum(cl.lam) == 0
+    copointed_lifting_generators(cl)
+    assert sum(cl.coordinates()[0]) == 0
 
 
 def fourcycle_lambda():
@@ -384,21 +421,19 @@ def fourcycle_lambda():
     lam = [F(0)] * 6
     lam[0] = lam[inv[0]] = F(2)
     lam[1] = lam[inv[1]] = F(-2)
-    return CopointedLambda(
-        "FourCycles", {rack.labels[i]: lam[i] for i in range(6)}
-    )
+    return DeformParams.etilde({rack.labels[i]: lam[i] for i in range(6)})
 
 
 def test_copointed_generator_counts():
     labels24 = builtin_rack("o24")[0].labels
-    cl = CopointedLambda(
-        "TranspMinus", full_scalars(labels24, **{"(12)": 1, "(34)": -1})
+    cl = DeformParams.eminus(
+        4, full_scalars(labels24, **{"(12)": 1, "(34)": -1})
     )
     gens = copointed_lifting_generators(cl)
     assert len(gens["quadratic"]) == 11
     assert len(gens["deformed"]) == 6
-    chi = CopointedLambda(
-        "TranspChi", full_scalars(labels24, **{"(13)": 2, "(24)": -2})
+    chi = DeformParams.echi(
+        4, full_scalars(labels24, **{"(13)": 2, "(24)": -2})
     )
     gens_chi = copointed_lifting_generators(chi)
     assert len(gens_chi["quadratic"]) == 11
@@ -410,8 +445,8 @@ def test_copointed_generator_counts():
 
 def test_function_part_values():
     labels24 = builtin_rack("o24")[0].labels
-    cl = CopointedLambda(
-        "TranspMinus", full_scalars(labels24, **{"(12)": 1, "(34)": -1})
+    cl = DeformParams.eminus(
+        4, full_scalars(labels24, **{"(12)": 1, "(34)": -1})
     )
     fs = function_part(cl)
     ident = perm.identity(4)
@@ -425,6 +460,13 @@ def test_function_part_values():
     f12 = fs[x12]
     # lam[(12)] - lam[(23)] = 1 - 0
     assert f12[g13] == 1
+    # f_x(g) = lam_x - lam at the conjugate of x by g^-1, for all of S4
+    lam = cl.coordinates()[0]
+    index = {p: i for i, p in enumerate(perms)}
+    for x, px in enumerate(perms):
+        for g in perm.symmetric_group(4):
+            conj = perm.conjugate(perm.inverse(g), px)
+            assert fs[x].get(g, 0) == lam[x] - lam[index[conj]]
 
 
 def test_function_part_agrees_on_inverse_pairs():
@@ -435,9 +477,23 @@ def test_function_part_agrees_on_inverse_pairs():
 
 
 def test_automorphism_conjugators_all_distinct():
-    maps = automorphism_conjugators()
-    assert len(maps) == 24
-    assert len(set(maps.values())) == 24
+    # Aut(S4) is conjugation by the 24 elements; the realization's action,
+    # which relabels lambda in iso_class_equal, is that conjugation on the
+    # rack, and the 24 maps are pairwise distinct on both racks
+    for rack_name, spec in [("o24", "const:-1"), ("o44", "const:-1")]:
+        real = builtin_realization(rack_name, spec)
+        perms = builtin_rack(rack_name)[1]
+        index = {p: i for i, p in enumerate(perms)}
+        assert list(real.group) == perm.symmetric_group(4)
+        maps = set()
+        for t in real.group:
+            action = tuple(real.act(t, x) for x in range(6))
+            assert action == tuple(
+                index[perm.compose(t, perm.compose(p, perm.inverse(t)))]
+                for p in perms
+            )
+            maps.add(action)
+        assert len(maps) == 24
 
 
 def test_iso_class_pointed():
@@ -539,8 +595,8 @@ def test_pointed_lifting_requires_free_class_keys():
 def test_copointed_deformed_squares_are_consistent():
     # the deformed relation x_s^2 = f_s must reduce to the quadratic ideal
     # when lambda = 0
-    cl = CopointedLambda(
-        "TranspMinus", {label: 0 for label in builtin_rack("o24")[0].labels}
+    cl = DeformParams.eminus(
+        4, {label: 0 for label in builtin_rack("o24")[0].labels}
     )
     gens = copointed_lifting_generators(cl)
     for rec in gens["deformed"]:

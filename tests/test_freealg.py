@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
     GroebnerBasis,
@@ -180,6 +181,22 @@ def test_ideal_json_round_trip():
     back_names, back_polys = ideal_from_json(doc)
     assert back_names == names
     assert back_polys == polys
+
+
+@pytest.mark.parametrize("word, coeff", [
+    ([0, 1.9], "1"),
+    ([True, "0"], "1"),
+    ([0, 1], 0.1),
+    ([0, 1], "1e10000000"),
+    ([0, 1], False),
+])
+def test_ideal_json_takes_integer_words_and_exact_coefficients(word, coeff):
+    good = {"alphabet": ["a", "b"], "polys": [[{"word": [0, 1], "coeff": "0.1"}]]}
+    _, (poly,) = ideal_from_json(good)
+    assert poly.terms == {bytes([0, 1]): F(1, 10)}
+    bad = {"alphabet": ["a", "b"], "polys": [[{"word": word, "coeff": coeff}]]}
+    with pytest.raises(BadNumber):
+        ideal_from_json(bad)
 
 
 words3 = st.lists(

@@ -7,6 +7,7 @@ import pytest
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle, builtin_rack
 from rackalg.cocycle import Cocycle2
+from rackalg.exactnum import BadNumber
 from rackalg.freealg import QuotientAlgebra, groebner
 from rackalg.grouprealize import (
     FiniteDimAlgebra,
@@ -215,6 +216,21 @@ def test_realization_json_round_trip():
     assert back.rack.table == real.rack.table
     assert back.induced_cocycle() == real.induced_cocycle()
     assert back.to_json() == doc
+
+
+def test_realization_json_takes_integer_images_and_exact_chi():
+    doc = builtin_realization("o24", "const:-1").to_json()
+    doc["g"][0] = [True, False, 2, 3]
+    with pytest.raises(BadNumber):
+        PrincipalRealization.from_json(doc)
+    doc = builtin_realization("o24", "const:-1").to_json()
+    doc["group"] = {"degree": 4, "elements": [[0, 1, 2, 3.0]]}
+    with pytest.raises(BadNumber):
+        PrincipalRealization.from_json(doc)
+    doc = builtin_realization("o24", "const:-1").to_json()
+    doc["chi"] = [[-1.0] * 24] * 6
+    with pytest.raises(BadNumber):
+        PrincipalRealization.from_json(doc)
 
 
 def test_scalar_algebra_smash_is_group_algebra():

@@ -15,6 +15,7 @@ from rackalg.rack import (
     validate_rack,
 )
 from rackalg.catalog import builtin_rack, symmetric_permgroup
+from rackalg.exactnum import BadNumber
 
 
 def test_builtin_sizes_and_labels(o23, o24, o44):
@@ -105,6 +106,17 @@ def test_json_round_trip(o44):
     back = Rack.from_json(doc)
     assert back == rack
     assert back.labels == rack.labels
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "table": [[False, True], [False, True]]},
+    {"n": 2, "table": [[0, 1.0], [0, 1]]},
+    {"n": True, "table": [[0]]},
+    {"n": 2.0, "table": [[0, 1], [0, 1]]},
+])
+def test_json_table_takes_only_integers(doc):
+    with pytest.raises(BadNumber):
+        Rack.from_json(doc)
 
 
 @given(st.integers(min_value=2, max_value=8))
