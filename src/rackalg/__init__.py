@@ -3,7 +3,7 @@ their quadratic algebras.
 
 The package is organized bottom-up:
 
-* ``perm``          permutations as tuples, group closures
+* ``perm``          permutations as tuples, closures, the one group type
 * ``exactnum``      exact readers of the numbers in input documents
 * ``rack``          finite racks and their structural properties
 * ``cocycle``       rational 2-cocycles on racks

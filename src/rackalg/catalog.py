@@ -13,16 +13,16 @@ from functools import lru_cache
 from . import perm
 from .cocycle import WrongRackForChi, chi_cocycle, constant_cocycle
 from .exactnum import rational
-from .rack import PermGroup, conjugacy_rack
+from .rack import conjugacy_rack
 
 RACK_NAMES = ("o23", "o24", "o44")
 
 
 @lru_cache(maxsize=None)
 def symmetric_permgroup(n):
-    els = perm.symmetric_group(n)
+    """S_n, generated by the adjacent transpositions; the one place S_n is built."""
     gens = [perm.from_cycles(n, [(i + 1, i + 2)]) for i in range(n - 1)]
-    return PermGroup(n, els, generators=gens)
+    return perm.Group(n, perm.symmetric_group(n), gens)
 
 
 @lru_cache(maxsize=None)

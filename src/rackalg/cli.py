@@ -279,7 +279,7 @@ def _default_params(args):
         )
     try:
         return deform.DeformParams.unit(
-            args.family, args.n if args.n else 4, args.rack, args.cocycle
+            args.family, 4 if args.n is None else args.n, args.rack, args.cocycle
         )
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError("invalid parameters: %s" % exc, EXIT_INVALID)
@@ -480,7 +480,7 @@ def _build_parser():
     common.add_argument("--max-deg", dest="max_deg", type=_count, default=0)
     common.add_argument("--json-out", dest="json_out", help="also write the report here")
     common.add_argument("--family", help="deformation family name")
-    common.add_argument("--n", type=int, default=0, help="transposition rack size")
+    common.add_argument("--n", type=int, help="transposition rack size")
     groups = {}
     sub = parser.add_subparsers(dest="group", required=True)
     for group, action in sorted(_HANDLERS):
@@ -493,14 +493,12 @@ def _build_parser():
 
 def _options_doc(args):
     doc = {"seed": args.seed}
-    for key in ("rack", "cocycle", "flavor", "file", "family"):
-        value = getattr(args, key, None)
+    for key in ("rack", "cocycle", "flavor", "file", "family", "samples", "max_deg"):
+        value = getattr(args, key)
         if value:
             doc[key] = value
-    for key in ("samples", "max_deg", "n"):
-        value = getattr(args, key, 0)
-        if value:
-            doc[key] = value
+    if args.n is not None:
+        doc["n"] = args.n
     return doc
 
 

@@ -102,12 +102,7 @@ def chi_cocycle(rack, class_perms):
         if len(moved) != 2:
             raise WrongRackForChi("element %r is not a transposition" % (p,))
         supports.append(tuple(moved))
-    q = []
-    for g in class_perms:
-        row = []
-        for (i, j) in supports:  # i < j by construction
-            row.append(Fraction(1) if g[i] < g[j] else Fraction(-1))
-        q.append(row)
+    q = [[chi_character_value(g, s) for s in supports] for g in class_perms]
     return validate_cocycle(rack, q)
 
 

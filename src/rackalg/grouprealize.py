@@ -17,17 +17,21 @@ and the antipode axiom are shared, and the Yetter-Drinfeld compatibility,
 the coproduct and the extra antipode checks on functions stay per side.
 
 Everything here is exact and finite: groups are small permutation
-groups, scalars are Fractions, and audits enumerate their whole domain
-rather than sampling.
+groups of the one type :class:`rackalg.perm.Group`, scalars are
+Fractions, and audits enumerate their whole domain rather than sampling.
+A generated group is trusted; a group read from a realization document is
+checked by :func:`read_group`.
 """
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from . import perm
 from .braided import make_braiding
-from .catalog import builtin_rack
+from .catalog import builtin_rack, symmetric_permgroup
 from .cocycle import chi_character_value, validate_cocycle
 from .exactnum import integer, rational
 
@@ -44,85 +48,6 @@ class NotModuleAlgebra(ValueError):
 
     Carries a witness tuple describing the first failing instance.
     """
-
-
-class FiniteGroup:
-    """A finite permutation group with a fixed element order.
-
-    Elements are image tuples, sorted lexicographically, so indexing,
-    iteration and serialization are deterministic.  Construction checks
-    that every element is a permutation of the given degree and that the
-    set holds the identity, every inverse, every product and the
-    generators.  Associativity is not checked: composition of maps is
-    associative.
-    """
-
-    __slots__ = ("degree", "elements", "index", "generators")
-
-    def __init__(self, degree, elements, generators=()):
-        els = sorted(set(elements))
-        if not els:
-            raise RealizationError("a group needs at least the identity")
-        for p in els:
-            if len(p) != degree or sorted(p) != list(range(degree)):
-                raise RealizationError(
-                    "not a permutation of degree %d: %r" % (degree, p)
-                )
-        self.degree = degree
-        self.elements = tuple(els)
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        self.generators = tuple(generators)
-        ident = perm.identity(degree)
-        if ident not in self.index:
-            raise RealizationError("identity is missing")
-        for p in self.elements:
-            if perm.inverse(p) not in self.index:
-                raise RealizationError(
-                    "inverse of %s is missing" % perm.cycle_notation(p)
-                )
-            for q in self.elements:
-                if perm.compose(p, q) not in self.index:
-                    raise RealizationError(
-                        "product %s * %s escapes the set"
-                        % (perm.cycle_notation(p), perm.cycle_notation(q))
-                    )
-        for g in self.generators:
-            if g not in self.index:
-                raise RealizationError("generator outside the group")
-
-    @classmethod
-    def symmetric(cls, n):
-        gens = []
-        if n >= 2:
-            gens.append(perm.from_cycles(n, [(1, 2)]))
-        if n >= 3:
-            gens.append(perm.from_cycles(n, [tuple(range(1, n + 1))]))
-        return cls(n, perm.symmetric_group(n), gens)
-
-    @property
-    def identity(self):
-        return perm.identity(self.degree)
-
-    def mul(self, p, q):
-        return perm.compose(p, q)
-
-    def inv(self, p):
-        return perm.inverse(p)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, p):
-        return p in self.index
-
-    def is_symmetric(self):
-        full = 1
-        for k in range(2, self.degree + 1):
-            full *= k
-        return len(self.elements) == full
 
 
 class PrincipalRealization:
@@ -174,7 +99,7 @@ class PrincipalRealization:
 
     def to_json(self):
         group = self.group
-        if group.is_symmetric():
+        if len(group) == math.factorial(group.degree):
             gdoc = "S%d" % group.degree
         else:
             gdoc = {
@@ -199,16 +124,7 @@ class PrincipalRealization:
     def from_json(cls, doc):
         from .rack import Rack
 
-        gdoc = doc["group"]
-        if isinstance(gdoc, str):
-            if not gdoc.startswith("S"):
-                raise RealizationError("unknown group name %r" % gdoc)
-            group = FiniteGroup.symmetric(int(gdoc[1:]))
-        else:
-            group = FiniteGroup(
-                integer(gdoc["degree"]),
-                [tuple(map(integer, p)) for p in gdoc["elements"]],
-            )
+        group = read_group(doc["group"])
         rack = Rack.from_json(doc["rack"])
         gmap = [tuple(map(integer, p)) for p in doc["g"]]
         chi = doc["chi"]
@@ -219,6 +135,44 @@ class PrincipalRealization:
             for x in range(rack.n)
         ]
         return principal_realization(rack, gmap, table, group)
+
+
+# the largest S_k a document may name: S6 has 720 elements, and the audits
+# run over |G|^2 pairs
+MAX_NAMED_DEGREE = 6
+_NAMED_GROUPS = {"S%d" % k: k for k in range(1, MAX_NAMED_DEGREE + 1)}
+
+
+def read_group(gdoc):
+    """The group of a realization document, checked.
+
+    A string names S_k ("S1" to "S6"); otherwise the document lists the
+    degree and the elements, which must be permutations of that degree
+    holding the identity and every product.  Inverses then come for free
+    (the inverse of p is a power of p), and associativity holds for any
+    composition of maps.
+    """
+    if isinstance(gdoc, str):
+        if gdoc not in _NAMED_GROUPS:
+            raise RealizationError("unknown group name %r" % gdoc)
+        return symmetric_permgroup(_NAMED_GROUPS[gdoc])
+    degree = integer(gdoc["degree"])
+    els = {tuple(map(integer, p)) for p in gdoc["elements"]}
+    for p in els:
+        if len(p) != degree or sorted(p) != list(range(degree)):
+            raise RealizationError(
+                "not a permutation of degree %d: %r" % (degree, p)
+            )
+    if not els or perm.identity(degree) not in els:
+        raise RealizationError("identity is missing")
+    for p in els:
+        for q in els:
+            if perm.compose(p, q) not in els:
+                raise RealizationError(
+                    "product %s * %s escapes the set"
+                    % (perm.cycle_notation(p), perm.cycle_notation(q))
+                )
+    return perm.Group(degree, els)
 
 
 def _conjugation_action(group, gmap):
@@ -290,18 +244,19 @@ def principal_realization(rack, gmap, chi="sgn", group=None):
     if group is None:
         if not gmap:
             raise RealizationError("empty gmap")
-        group = FiniteGroup.symmetric(len(gmap[0]))
+        group = symmetric_permgroup(len(gmap[0]))
     act = _conjugation_action(group, gmap)
     rows, name = _chi_rows(group, gmap, chi)
     return PrincipalRealization(group, rack, gmap, rows, act, chi_name=name)
 
 
+@lru_cache(maxsize=None)
 def builtin_realization(rack_name, cocycle_spec):
     """The natural datum for a builtin rack and cocycle.
 
     The constant -1 cocycle is realized by the sign character, the chi
     cocycle by the order character.  Other constants have no builtin
-    datum here.
+    datum here.  Each datum is built once and shared: do not mutate it.
     """
     rack, class_perms = builtin_rack(rack_name)
     if cocycle_spec == "chi":

@@ -1,8 +1,11 @@
-"""Permutations as tuples of images and closures of generator sets.
+"""Permutations as tuples of images, closures of generator sets, and the
+one permutation-group type.
 
 A permutation of degree n is a tuple p of length n with p[i] = image of i
 (0-based everywhere).  Tuples are hashable, comparable and cheap, which is
-all the group machinery here needs.
+all the group machinery here needs.  A :class:`Group` trusts its elements,
+as a rack trusts its table: the groups generated here are closed by
+construction, and a group read from a document is checked by its reader.
 """
 
 from itertools import permutations as _all_perms
@@ -109,3 +112,39 @@ def mulclose(gens, cap=10 ** 6):
 def symmetric_group(n):
     """All permutations of degree n, sorted lexicographically."""
     return [tuple(p) for p in _all_perms(range(n))]
+
+
+class Group:
+    """A finite permutation group with a fixed element order.
+
+    Elements are image tuples, sorted lexicographically, so indexing,
+    iteration and serialization are deterministic.  The elements are
+    trusted to form a group of the given degree; nothing is checked here.
+    """
+
+    __slots__ = ("degree", "elements", "index", "generators")
+
+    def __init__(self, degree, elements, generators=()):
+        self.degree = degree
+        self.elements = tuple(sorted(set(elements)))
+        self.index = {p: i for i, p in enumerate(self.elements)}
+        self.generators = tuple(generators)
+
+    @property
+    def identity(self):
+        return identity(self.degree)
+
+    def mul(self, p, q):
+        return compose(p, q)
+
+    def inv(self, p):
+        return inverse(p)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, p):
+        return p in self.index

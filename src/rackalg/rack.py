@@ -90,7 +90,7 @@ class Rack:
             els = perm.mulclose([self.phi(x) for x in range(self.n)], cap=cap)
         except RuntimeError as e:
             raise ClosureBudgetExceeded(str(e))
-        return PermGroup(self.n, els, generators=[self.phi(x) for x in range(self.n)])
+        return perm.Group(self.n, els, [self.phi(x) for x in range(self.n)])
 
     def is_indecomposable(self):
         """Transitivity of the inner group on X.
@@ -136,38 +136,6 @@ class Rack:
         return r
 
 
-class PermGroup:
-    """A set of permutations closed under composition, with generators."""
-
-    __slots__ = ("degree", "elements", "generators")
-
-    def __init__(self, degree, elements, generators=()):
-        self.degree = degree
-        self.elements = frozenset(elements)
-        self.generators = tuple(generators)
-        assert perm.identity(degree) in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, p):
-        return p in self.elements
-
-    def is_transitive(self):
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for i in frontier:
-                for g in self.generators or self.elements:
-                    j = g[i]
-                    if j not in orbit:
-                        orbit.add(j)
-                        new.append(j)
-            frontier = new
-        return len(orbit) == self.degree
-
-
 def validate_rack(n, table):
     """Check both rack axioms on an n x n table and return the Rack.
 
@@ -197,9 +165,9 @@ def conjugacy_rack(group, seed):
     Elements are ordered lexicographically as permutation tuples, which fixes
     the labels and the table once and for all.
     """
-    if seed not in group.elements:
+    if seed not in group:
         raise SeedNotInGroup(repr(seed))
-    cls = sorted({perm.conjugate(g, seed) for g in group.elements})
+    cls = sorted({perm.conjugate(g, seed) for g in group})
     index = {p: i for i, p in enumerate(cls)}
     table = [[index[perm.conjugate(x, y)] for y in cls] for x in cls]
     labels = [perm.cycle_notation(p) for p in cls]

@@ -226,15 +226,17 @@ def test_options_echoed_in_envelope(capsys):
     assert doc["options"]["rack"] == "o23"
     assert doc["options"]["flavor"] == "W"
     assert doc["options"]["seed"] == 9
+    assert "n" not in doc["options"]
 
 
-@pytest.mark.parametrize("n", ["1", "5"])
+@pytest.mark.parametrize("n", ["0", "1", "5"])
 def test_deform_n_outside_range_is_invalid_usage(capsys, n):
     code, out, _ = run(capsys, "deform", "verify", "--family", "Eminus",
                        "--n", n)
     assert code == 2
     doc = payload(out)
     assert not doc["ok"]
+    assert doc["options"]["n"] == int(n)
     assert "n in [3, 4]" in doc["report"]["error"]
 
 

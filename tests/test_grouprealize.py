@@ -1,17 +1,17 @@
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
 
 from rackalg import perm
-from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
 from rackalg.cocycle import Cocycle2
 from rackalg.exactnum import BadNumber
 from rackalg.freealg import QuotientAlgebra, groebner
 from rackalg.grouprealize import (
     FiniteDimAlgebra,
-    FiniteGroup,
     NotModuleAlgebra,
     PrincipalRealization,
     RealizationError,
@@ -27,6 +27,7 @@ from rackalg.grouprealize import (
     principal_realization,
     quotient_grading,
     quotient_group_action,
+    read_group,
     rational_characters,
     scalar_algebra,
     smash_with_dual,
@@ -54,17 +55,30 @@ def fk3_quotient(flavor="V"):
     return QuotientAlgebra(groebner(quadratic_ideal(rack, q, flavor)))
 
 
+def _listed(degree, *elements):
+    return {"degree": degree, "elements": [list(p) for p in elements]}
+
+
 def test_finite_group_construction_guards():
-    with pytest.raises(RealizationError):
-        FiniteGroup(3, [(0, 1)])  # wrong degree
-    with pytest.raises(RealizationError):
-        FiniteGroup(2, [(1, 0)])  # identity missing
-    with pytest.raises(RealizationError):
-        FiniteGroup(3, [(0, 1, 2), (1, 2, 0)])  # not closed
-    g = FiniteGroup.symmetric(3)
+    # a group listed in a realization document is checked by its reader
+    doc = builtin_realization("o23", "const:-1").to_json()
+    e = (0, 1, 2)
+    for bad in (
+        _listed(3, e, (0, 1)),  # wrong degree
+        _listed(3, e, (0, 0, 0)),  # not a permutation, though closed
+        _listed(3),  # identity missing
+        _listed(2, (1, 0)),  # identity missing
+        _listed(3, e, (1, 2, 0)),  # inverse missing
+        _listed(3, e, (1, 0, 2), (2, 1, 0)),  # a product escapes the set
+    ):
+        with pytest.raises(RealizationError):
+            read_group(bad)
+        with pytest.raises(RealizationError):
+            PrincipalRealization.from_json(dict(doc, group=bad))
+    g = symmetric_permgroup(3)
     assert len(g) == 6
     assert g.identity == (0, 1, 2)
-    assert g.is_symmetric()
+    assert read_group("S3") is g
     a = perm.from_cycles(3, [(1, 2)])
     b = perm.from_cycles(3, [(1, 2, 3)])
     assert g.mul(a, a) == g.identity
@@ -152,7 +166,7 @@ def test_comatrix_shared_laws_fail_on_a_non_multiplicative_chi():
     # coproduct, the exchange law and the antipode axiom break on the
     # function side; kG never evaluates chi at the identity
     rack, perms = builtin_rack("o23")
-    group = FiniteGroup.symmetric(3)
+    group = symmetric_permgroup(3)
     rows = [{t: F(perm.sign(t)) for t in group.elements} for _ in perms]
     rows[0][group.identity] = F(2)
     real = principal_realization(rack, perms, rows)
@@ -233,8 +247,46 @@ def test_realization_json_takes_integer_images_and_exact_chi():
         PrincipalRealization.from_json(doc)
 
 
+def test_named_groups_are_strict_and_bounded():
+    doc = builtin_realization("o24", "const:-1").to_json()
+    assert doc["group"] == "S4"
+    assert PrincipalRealization.from_json(doc).to_json() == doc
+    assert len(read_group("S6")) == 720
+    for name in ("S 4", "S+4", "S\u0664", "S04", "s4", "S4 ", "S", "S0",
+                 "S7", "S9", "S" + "9" * 5000):
+        started = time.perf_counter()
+        with pytest.raises(RealizationError):
+            PrincipalRealization.from_json(dict(doc, group=name))
+        assert time.perf_counter() - started < 1, name
+
+
+def test_listed_subgroup_realization_round_trips():
+    a = perm.from_cycles(4, [(1, 2)])
+    b = perm.from_cycles(4, [(3, 4)])
+    group = _listed(4, *sorted([perm.identity(4), a, b, perm.compose(a, b)]))
+    doc = principal_realization(
+        trivial_rack(2), [a, b], "sgn", read_group(group)
+    ).to_json()
+    assert doc["group"] == group
+    back = PrincipalRealization.from_json(doc)
+    assert len(back.group) == 4
+    assert back.to_json() == doc
+    assert validate_principal(back)["ok"]
+    # an element list equal to S4 is written back as its name
+    doc = builtin_realization("o24", "const:-1").to_json()
+    listed = dict(doc, group=_listed(4, *perm.symmetric_group(4)))
+    assert PrincipalRealization.from_json(listed).to_json()["group"] == "S4"
+
+
+def test_builtin_realization_is_built_once():
+    assert builtin_realization("o24", "chi") is builtin_realization("o24", "chi")
+    for _ in range(2):
+        with pytest.raises(RealizationError):
+            builtin_realization("o24", "const:2")
+
+
 def test_scalar_algebra_smash_is_group_algebra():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric_permgroup(3)
     triv = scalar_algebra()
     action = {t: [{0: F(1)}] for t in g}
     smash = smash_with_group(triv, g, action)
@@ -249,7 +301,7 @@ def test_scalar_algebra_smash_is_group_algebra():
 
 
 def test_scalar_algebra_smash_with_dual_is_function_algebra():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric_permgroup(3)
     triv = scalar_algebra()
     degrees = [g.identity]
     smash = smash_with_dual(triv, g, degrees)
@@ -331,7 +383,7 @@ def test_finite_dim_algebra_audits_catch_breakage():
 
 
 def test_rational_characters_of_s3():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric_permgroup(3)
     chars = rational_characters(g)
     assert len(chars) == 2
     values = sorted(
@@ -344,7 +396,7 @@ def test_rational_characters_of_s3():
 
 
 def test_character_span_obstruction_for_small_symmetric_group():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric_permgroup(3)
     rack, _ = builtin_rack("o23")
     report = character_span_obstruction(g, rack)
     assert report == {
@@ -355,7 +407,7 @@ def test_character_span_obstruction_for_small_symmetric_group():
 
 
 def test_character_span_no_obstruction_for_trivial_rack():
-    g = FiniteGroup.symmetric(3)
+    g = symmetric_permgroup(3)
     report = character_span_obstruction(g, trivial_rack(1))
     assert not report["obstructed"]
 
@@ -513,7 +565,7 @@ def test_non_equivariant_gmap_fails_theta_with_witnesses():
 def test_grading_audit_caps_unit_witnesses():
     # six orthogonal idempotents summing to the unit, all put in the
     # degree of a transposition: six unit failures, at most five kept
-    g = FiniteGroup.symmetric(3)
+    g = symmetric_permgroup(3)
     t = perm.from_cycles(3, [(1, 2)])
     table = [[{i: F(1)} if i == j else {} for j in range(6)] for i in range(6)]
     alg = FiniteDimAlgebra(6, table, {i: F(1) for i in range(6)})
