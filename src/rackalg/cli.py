@@ -74,13 +74,6 @@ def _jsonable(value):
     return value
 
 
-def _poly_doc(poly):
-    return [
-        {"word": [int(a) for a in w], "coeff": str(c)}
-        for w, c in poly.sorted_terms()
-    ]
-
-
 def _load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -265,28 +258,31 @@ def _cmd_gb_run(args):
     return payload, bool(confluent)
 
 
-def _default_params(args):
+def _default_params(args, family):
+    """The point of --file, or the unit point of the family."""
     if args.file:
+        if args.n is not None or args.rack or args.cocycle:
+            raise CliError(
+                "--file takes no --n, --rack or --cocycle", EXIT_INVALID
+            )
         doc = _load_json_file(args.file)
         try:
             return deform.DeformParams.from_json(doc)
         except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise CliError("invalid parameter document: %s" % exc, EXIT_INVALID)
-    if args.family not in deform.FAMILIES:
+    if family not in deform.FAMILIES:
         raise CliError(
             "--family must be one of %s" % ", ".join(deform.FAMILIES),
             EXIT_INVALID,
         )
     try:
-        return deform.DeformParams.unit(
-            args.family, 4 if args.n is None else args.n, args.rack, args.cocycle
-        )
+        return deform.DeformParams.unit(family, args.n, args.rack, args.cocycle)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError("invalid parameters: %s" % exc, EXIT_INVALID)
 
 
 def _cmd_deform_verify(args):
-    params = _default_params(args)
+    params = _default_params(args, args.family)
     try:
         report = deform.verify_nonzero(
             params,
@@ -302,10 +298,7 @@ def _cmd_deform_verify(args):
 def _cmd_deform_audit(args):
     if args.family and args.family != "Eminus":
         raise CliError("the printed-basis audit is specific to Eminus", EXIT_INVALID)
-    if args.file:
-        params = _default_params(args)
-    else:
-        params = deform.DeformParams.unit(deform.EMINUS)
+    params = _default_params(args, deform.EMINUS)
     try:
         report = deform.appendix_membership_audit(params)
     except ValueError as exc:
@@ -365,7 +358,7 @@ def _cmd_lift_pointed(args):
                 "class": ",".join(str(a) for a in rec["class"].base_pair),
                 "lam": rec["lam"],
                 "g": perm.cycle_notation(rec["g"]),
-                "relation": _poly_doc(rec["b"]),
+                "relation": rec["b"].to_json(),
             }
             for rec in records
         ],
@@ -395,7 +388,7 @@ def _cmd_lift_copointed(args):
         "deformed": [
             {
                 "x": rack.labels[rec["x"]],
-                "poly": _poly_doc(rec["poly"]),
+                "poly": rec["poly"].to_json(),
                 "f": {perm.cycle_notation(g): c for g, c in rec["f"].items()},
             }
             for rec in gens["deformed"]

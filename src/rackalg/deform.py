@@ -202,14 +202,19 @@ class DeformParams:
         return cls(GENERIC, rack_name, cocycle_spec, lam)
 
     @classmethod
-    def unit(cls, family, n=4, rack_name=None, cocycle_spec=None):
+    def unit(cls, family, n=None, rack_name=None, cocycle_spec=None):
         """The family's point with every coordinate 1.  A preset picks its
-        rack by n; GenericLambda needs the rack and cocycle by name."""
+        rack by n (None means 4); GenericLambda needs the rack and cocycle
+        by name.  Either raises IndexMismatch on what it does not read."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if family in PRESETS:
-            rack_name = _preset_rack(family, n)
+            if rack_name is not None or cocycle_spec is not None:
+                raise IndexMismatch(f"{family} fixes its rack and cocycle")
+            rack_name = _preset_rack(family, 4 if n is None else n)
             cocycle_spec = PRESETS[family][1]
+        elif n is not None:
+            raise IndexMismatch(f"{family} takes no n")
         elif not (rack_name and cocycle_spec):
             raise IndexMismatch(f"{family} needs a rack and a cocycle")
         labels, mus = _chart(family, rack_name, cocycle_spec)

@@ -164,6 +164,10 @@ class FreePoly:
             self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True
         )
 
+    def to_json(self):
+        """The term list a document holds for this polynomial."""
+        return [{"word": list(w), "coeff": str(c)} for w, c in self.sorted_terms()]
+
     def __repr__(self):
         if not self.terms:
             return "FreePoly(0)"
@@ -178,8 +182,9 @@ class ResourceBudgetExceeded(Exception):
     """Basis grew past the configured size budget."""
 
 
-def _reduce_terms(terms, basis_items):
-    """Full normal form of a term dict against monic (lead, terms) pairs.
+def _reduce_terms(terms, basis):
+    """Full normal form of a term dict against a monic basis, a dict from
+    lead to terms whose order is the order the leads are tried in.
 
     Pops the deglex-largest live word; every replacement word is strictly
     smaller, so each word is handled once and irreducible words are final.
@@ -195,21 +200,18 @@ def _reduce_terms(terms, basis_items):
         if not c:
             work.pop(w, None)
             continue
-        hit = None
-        for lead, poly in basis_items:
+        for lead in basis:
             k = w.find(lead)
             if k >= 0:
-                hit = (lead, poly, k)
                 break
-        if hit is None:
+        else:
             out[w] = c
             del work[w]
             continue
-        lead, poly, k = hit
         left = w[:k]
         right = w[k + len(lead):]
         del work[w]
-        for u, d in poly.items():
+        for u, d in basis[lead].items():
             if u == lead:
                 continue
             nw = left + u + right
@@ -226,14 +228,13 @@ def _reduce_terms(terms, basis_items):
 class GroebnerBasis:
     """Monic interreduced basis plus completion status."""
 
-    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_leads")
+    __slots__ = ("ngens", "elements", "truncated_at", "_items")
 
     def __init__(self, ngens, elements, truncated_at=None):
         self.ngens = ngens
         self.elements = elements  # list of FreePoly, sorted by lead
         self.truncated_at = truncated_at
-        self._items = [(p.lead()[0], p.terms) for p in elements]
-        self._leads = [lead for lead, _ in self._items]
+        self._items = {p.lead()[0]: p.terms for p in elements}
 
     @property
     def complete(self):
@@ -246,7 +247,7 @@ class GroebnerBasis:
         return f"truncated-at-degree-{self.truncated_at}"
 
     def leads(self):
-        return self._leads
+        return self._items.keys()
 
 
 def normal_form(poly, gb):
@@ -338,23 +339,22 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         basis[lead] = terms
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
-        # tail-reduce every other element against the refreshed basis
-        current = list(basis.items())
-        for ld, tm in list(basis.items()):
+        # tail-reduce every other element against the refreshed basis;
+        # assigning to a present key keeps its place in the dict
+        for ld, tm in basis.items():
             if ld == lead:
                 continue
             tail = {w: v for w, v in tm.items() if w != ld}
             if not any(lead in w for w in tail):
                 continue
-            red = _reduce_terms(tail, current)
+            red = _reduce_terms(tail, basis)
             red[ld] = Fraction(1)
             basis[ld] = red
-            current = list(basis.items())
         add_pairs(lead)
 
     while pending or pair_heap:
         if pending:
-            red = _reduce_terms(pending.pop(), list(basis.items()))
+            red = _reduce_terms(pending.pop(), basis)
             if red:
                 insert(red)
             continue
@@ -365,7 +365,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             truncated_at = max_deg
             break
         s = _s_element(u, basis[u], v, basis[v], k)
-        red = _reduce_terms(s, list(basis.items()))
+        red = _reduce_terms(s, basis)
         if red:
             insert(red)
 
@@ -376,11 +376,8 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
 def audit_obstructions(gb):
     """Post-hoc confluence audit: every overlap S-element reduces to zero."""
     items = gb._items
-    n = len(items)
-    for a in range(n):
-        u, fu = items[a]
-        for b in range(n):
-            v, fv = items[b]
+    for u, fu in items.items():
+        for v, fv in items.items():
             for k in _proper_overlaps(u, v):
                 if _reduce_terms(_s_element(u, fu, v, fv, k), items):
                     return False
@@ -507,13 +504,7 @@ class QuotientAlgebra:
 def ideal_to_json(names, polys, status=None):
     doc = {
         "alphabet": list(names),
-        "polys": [
-            [
-                {"word": list(w), "coeff": str(c)}
-                for w, c in p.sorted_terms()
-            ]
-            for p in polys
-        ],
+        "polys": [p.to_json() for p in polys],
     }
     if status is not None:
         doc["status"] = status

@@ -147,10 +147,10 @@ def read_group(gdoc):
     """The group of a realization document, checked.
 
     A string names S_k ("S1" to "S6"); otherwise the document lists the
-    degree and the elements, which must be permutations of that degree
-    holding the identity and every product.  Inverses then come for free
-    (the inverse of p is a power of p), and associativity holds for any
-    composition of maps.
+    degree and at most 6! distinct elements, which must be permutations
+    of that degree holding the identity and every product.  Inverses then
+    come for free (the inverse of p is a power of p), and associativity
+    holds for any composition of maps.
     """
     if isinstance(gdoc, str):
         if gdoc not in _NAMED_GROUPS:
@@ -158,6 +158,11 @@ def read_group(gdoc):
         return symmetric_permgroup(_NAMED_GROUPS[gdoc])
     degree = integer(gdoc["degree"])
     els = {tuple(map(integer, p)) for p in gdoc["elements"]}
+    if len(els) > math.factorial(MAX_NAMED_DEGREE):
+        raise RealizationError(
+            "a listed group has at most %d elements, got %d"
+            % (math.factorial(MAX_NAMED_DEGREE), len(els))
+        )
     for p in els:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise RealizationError(

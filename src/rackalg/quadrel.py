@@ -1,15 +1,16 @@
 """Quadratic relation classes of a rack with cocycle.
 
 The pair set X x X is partitioned by the shift (i, j) -> (i>j, i) into
-cycles.  A cycle C with sequence (i_1, ..., i_L), where i_{h+2} = i_{h+1} >
-i_h around the cycle, carries the relation
+cycles.  A cycle with sequence (i_1, ..., i_L), where i_{h+2} = i_{h+1} >
+i_h around the cycle, is a class C of R' when the cocycle product around
+it is (-1)^L; then it carries the relation
 
     b_C  = sum_h eta_h v_{i_{h+1}} v_{i_h}        (flavor V)
     bt_C = sum_h eta_h w_{i_h} w_{i_{h+1}}        (flavor W)
 
-with eta_1 = 1 and eta_h = (-1)^{h+1} q_{i_2 i_1} ... q_{i_h i_{h-1}}.  The
-class contributes a relation exactly when the cocycle product around the
-cycle is (-1)^L.  This module also solves the two parameter-space
+with eta_1 = 1 and eta_h = -eta_{h-1} q_{i_h i_{h-1}}.  ``enumerate_classes``
+lists the cycles and ``select_Rprime`` turns the ones in R' into complete
+``RelClass`` objects.  This module also solves the two parameter-space
 constraint systems that decide which deformation scalars survive.
 """
 
@@ -19,19 +20,14 @@ from .freealg import FreePoly
 from . import braided, linalg
 
 
-class NotInRprime(Exception):
-    """Relation requested for a class without the sign condition."""
-
-
 class RelClass:
-    """One cycle of the pair partition, in canonical rotation."""
+    """One class of R': its cycle in canonical rotation and its eta."""
 
-    __slots__ = ("seq", "eta", "in_rprime")
+    __slots__ = ("seq", "eta")
 
-    def __init__(self, seq):
+    def __init__(self, seq, eta):
         self.seq = tuple(seq)
-        self.eta = None
-        self.in_rprime = None
+        self.eta = tuple(eta)
 
     @property
     def size(self):
@@ -53,65 +49,49 @@ class RelClass:
 
 
 def enumerate_classes(rack):
-    """Partition X x X into canonical-rotation cycles, sorted by base pair."""
-    n = rack.n
+    """The shift cycles of X x X as sequences (i_1, ..., i_L), sorted by
+    base pair (i_2, i_1).
+
+    The walks start at pairs in lexicographic order, so each starts at
+    the least pair of its cycle: that pair is the base pair of the
+    canonical rotation, and the cycles come out sorted by it.
+    """
     seen = set()
-    classes = []
-    for i in range(n):
-        for j in range(n):
+    cycles = []
+    for i in range(rack.n):
+        for j in range(rack.n):
             if (i, j) in seen:
                 continue
-            orbit = []
+            seq = [j]
             a, b = i, j
             while (a, b) not in seen:
                 seen.add((a, b))
-                orbit.append((a, b))
+                seq.append(a)
                 a, b = rack.act(a, b), a
             assert (a, b) == (i, j), "pair shift is not a pure cycle"
-            # orbit[h] = (i_{h+2}, i_{h+1}); rotate so the base pair is least
-            k = orbit.index(min(orbit))
-            orbit = orbit[k:] + orbit[:k]
-            seq = [orbit[0][1]] + [p[0] for p in orbit[:-1]]
-            classes.append(RelClass(seq))
-    classes.sort(key=lambda c: c.base_pair)
-    for c in classes:
-        for (a, b), (a2, b2) in zip(c.pairs(), c.pairs()[1:] + c.pairs()[:1]):
-            assert (a2, b2) == (rack.act(a, b), a)
-    return classes
+            cycles.append(tuple(seq[:-1]))
+    return cycles
 
 
-def annotate_class(cls, cocycle):
-    """Fill in eta coefficients and the R' membership flag."""
-    s = cls.seq
-    L = len(s)
-    eta = [Fraction(1)]
-    acc = Fraction(1)
-    for h in range(2, L + 1):
-        acc *= cocycle(s[h - 1], s[h - 2])
-        eta.append(acc if h % 2 == 1 else -acc)
-    prod = Fraction(1)
-    for a, b in cls.pairs():
-        prod *= cocycle(a, b)
-    cls.eta = eta
-    cls.in_rprime = prod == (-1) ** L
-    return cls
+def select_Rprime(cycles, cocycle):
+    """The classes of R' among the cycles, in their order, each with eta.
 
-
-def select_Rprime(classes, cocycle):
-    """Annotate every class; return the ones carrying a relation."""
+    Running the eta recursion once more around the cycle gives
+    (-1)^L times the cocycle product, so the cycle is in R' exactly when
+    that last step returns to 1.
+    """
     out = []
-    for c in classes:
-        annotate_class(c, cocycle)
-        if c.in_rprime:
-            out.append(c)
+    for seq in cycles:
+        L = len(seq)
+        eta = [Fraction(1)]
+        for h in range(1, L + 1):
+            eta.append(-eta[-1] * cocycle(seq[h % L], seq[h - 1]))
+        if eta.pop() == 1:
+            out.append(RelClass(seq, eta))
     return out
 
 
 def relation_poly(cls, flavor, ngens):
-    if cls.eta is None:
-        raise NotInRprime("class not annotated; run select_Rprime first")
-    if not cls.in_rprime:
-        raise NotInRprime(f"class {cls.seq} fails the sign condition")
     if flavor not in ("V", "W"):
         raise ValueError("flavor must be 'V' or 'W'")
     terms = {}
@@ -127,10 +107,9 @@ def relation_poly(cls, flavor, ngens):
 
 def quadratic_ideal(rack, cocycle, flavor):
     """All relations b_C (or their W-twins), in class order."""
-    classes = enumerate_classes(rack)
     return [
         relation_poly(c, flavor, rack.n)
-        for c in select_Rprime(classes, cocycle)
+        for c in select_Rprime(enumerate_classes(rack), cocycle)
     ]
 
 
@@ -218,9 +197,7 @@ class ParamSpace:
 
     @property
     def free_dim(self):
-        return sum(
-            1 for r in self.uf.roots() if r not in self.uf.zero_roots
-        )
+        return len(self.free_classes())
 
     def free_classes(self):
         return [
@@ -290,8 +267,7 @@ def pointed_lambda_space(rack, cocycle):
     applying it to the h-th pair of C lands on the base pair of D, the
     scalars satisfy lam_C = q_{x,i_{h+1}} q_{x,i_h} eta_h(C) lam_D.
     """
-    classes = enumerate_classes(rack)
-    rprime = select_Rprime(classes, cocycle)
+    rprime = select_Rprime(enumerate_classes(rack), cocycle)
     pair_to_class = {}
     for i, c in enumerate(rprime):
         for p in c.pairs():
@@ -328,8 +304,7 @@ def copointed_condition(cls, rack, cocycle):
 
 
 def copointed_lambda_space(rack, cocycle):
-    classes = enumerate_classes(rack)
-    rprime = select_Rprime(classes, cocycle)
+    rprime = select_Rprime(enumerate_classes(rack), cocycle)
     uf = RatioUnionFind(len(rprime))
     for i, c in enumerate(rprime):
         if not copointed_condition(c, rack, cocycle):
@@ -344,8 +319,7 @@ def hom_vanishing_check(rack, cocycle):
     phi_j = phi_{i2} phi_{i1} together with the matching scalar products;
     all=true means no class does.
     """
-    classes = enumerate_classes(rack)
-    rprime = select_Rprime(classes, cocycle)
+    rprime = select_Rprime(enumerate_classes(rack), cocycle)
     per_class = {}
     for c in rprime:
         s = c.seq

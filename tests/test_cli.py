@@ -240,6 +240,24 @@ def test_deform_n_outside_range_is_invalid_usage(capsys, n):
     assert "n in [3, 4]" in doc["report"]["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "GenericLambda", "--rack", "o44",
+     "--cocycle", "const:2", "--n", "9"),
+    ("verify", "--family", "Eminus", "--rack", "o44", "--cocycle", "chi"),
+    ("audit", "--n", "3"),
+    ("verify", "--file", "PARAMS", "--n", "3"),
+], ids=["generic-n", "preset-rack", "audit-n", "file-n"])
+def test_deform_flags_the_point_does_not_read_are_refused(capsys, tmp_path, argv):
+    from rackalg.deform import DeformParams
+
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(DeformParams.unit("Eminus", 3).to_json()))
+    argv = [str(params) if a == "PARAMS" else a for a in argv]
+    code, out, _ = run(capsys, "deform", *argv)
+    assert code == 2
+    assert not payload(out)["ok"]
+
+
 @pytest.mark.parametrize("spec", ["const:abc", "const:0"])
 def test_bad_cocycle_spec_is_invalid_usage(capsys, spec):
     code, out, _ = run(capsys, "cocycle", "check", "--rack", "o24",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import time
@@ -258,6 +259,20 @@ def test_named_groups_are_strict_and_bounded():
         with pytest.raises(RealizationError):
             PrincipalRealization.from_json(dict(doc, group=name))
         assert time.perf_counter() - started < 1, name
+
+
+def test_listed_groups_are_bounded_before_closure(monkeypatch):
+    def no_products(p, q):
+        raise AssertionError("composed a product of an oversized group")
+
+    monkeypatch.setattr(perm, "compose", no_products)
+    doc = builtin_realization("o24", "const:-1").to_json()
+    big = _listed(7, *itertools.islice(itertools.permutations(range(7)), 721))
+    for group in (big, dict(big, elements=big["elements"] + big["elements"])):
+        with pytest.raises(RealizationError, match="at most 720"):
+            read_group(group)
+        with pytest.raises(RealizationError, match="at most 720"):
+            PrincipalRealization.from_json(dict(doc, group=group))
 
 
 def test_listed_subgroup_realization_round_trips():

@@ -1,10 +1,8 @@
 from fractions import Fraction
 
-import pytest
-
-from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
+from rackalg.cocycle import constant_cocycle
 from rackalg.quadrel import (
-    NotInRprime,
     RatioUnionFind,
     copointed_lambda_space,
     enumerate_classes,
@@ -15,6 +13,7 @@ from rackalg.quadrel import (
     select_Rprime,
     verify_J2,
 )
+from rackalg.rack import dihedral_rack, trivial_rack
 
 F = Fraction
 
@@ -50,15 +49,24 @@ def test_relation_polys_cover_class_pairs():
     assert pv.terms[bytes([a, b])] == 1
 
 
-def test_relation_poly_requires_annotation():
-    rack, _ = builtin_rack("o23")
-    cls = enumerate_classes(rack)[0]
-    with pytest.raises(NotInRprime):
-        relation_poly(cls, "V", rack.n)
-
-
 def test_quadratic_ideal_spans_symmetrizer_kernel(s4_families):
-    for name, spec, rack, q in s4_families:
+    cases = [(name, spec, rack, q, 17) for name, spec, rack, q in s4_families]
+    # beyond S4: R' empty, partial or full among the shift cycles
+    for name, rack, sizes in (
+        ("D3", dihedral_rack(3), (5, 0, 0)),
+        ("D4", dihedral_rack(4), (8, 4, 0)),
+        ("D5", dihedral_rack(5), (9, 0, 0)),
+        ("D6", dihedral_rack(6), (15, 5, 0)),
+        ("trivial3", trivial_rack(3), (6, 3, 0)),
+    ):
+        for w, size in zip((-1, 1, 2), sizes):
+            cases.append((name, w, rack, constant_cocycle(rack, w), size))
+    s5 = transposition_rack(5)[0]
+    cases.append(("S5", -1, s5, constant_cocycle(s5, -1), 45))
+    o44 = builtin_rack("o44")[0]
+    cases.append(("o44", "const:2", o44, builtin_cocycle("o44", "const:2"), 0))
+    for name, spec, rack, q, size in cases:
+        assert len(select_Rprime(enumerate_classes(rack), q)) == size, (name, spec)
         for flavor in ("V", "W"):
             assert verify_J2(rack, q, flavor), (name, spec, flavor)
 
