@@ -4,12 +4,14 @@ Every subcommand prints one JSON document to standard output and
 nothing else there; wall-clock timings go to standard error so repeated
 runs with the same flags and seed stay byte-identical.  Exit codes: 0
 success, 1 a mathematical assertion failed, 2 invalid input, 3 a
-resource budget was exceeded.
+resource budget was exceeded.  The table ``_COMMANDS`` is the one source
+of each command's flags; a flag outside a command's entry exits 2.
 """
 
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 import time
@@ -116,19 +118,11 @@ def _load_cocycle(args, rack, rack_name):
             return builtin_cocycle(rack_name, spec)
         if spec.startswith("const:"):
             return constant_cocycle(rack, rational(spec[len("const:"):]))
-        raise CliError(
-            "cocycle %r needs a builtin rack" % spec, EXIT_INVALID
-        )
+        raise CliError("cocycle %r needs a builtin rack" % spec, EXIT_INVALID)
     except (KeyError, ZeroDivisionError) as exc:
         raise CliError(str(exc), EXIT_INVALID)
     except ValueError as exc:
         raise CliError("invalid cocycle: %s" % exc, EXIT_INVALID)
-
-
-def _flavor(args):
-    if args.flavor not in ("V", "W"):
-        raise CliError("--flavor must be V or W", EXIT_INVALID)
-    return args.flavor
 
 
 def _complete_gb(polys, args, ngens):
@@ -161,9 +155,7 @@ def _cmd_cocycle_check(args):
         try:
             q = Cocycle2.from_json(doc, rack=rack)
         except (KeyError, TypeError) as exc:
-            raise CliError(
-                "malformed cocycle document: %s" % exc, EXIT_INVALID
-            )
+            raise CliError("malformed cocycle document: %s" % exc, EXIT_INVALID)
         except ValueError as exc:
             raise CliError("invalid cocycle: %s" % exc, EXIT_ASSERTION)
     else:
@@ -179,7 +171,7 @@ def _cmd_cocycle_check(args):
 def _cmd_braid_check(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    space = make_braiding(rack, q, _flavor(args))
+    space = make_braiding(rack, q, args.flavor)
     holds = check_braid_equation(space)
     invertible = space.is_invertible()
     payload = {
@@ -194,7 +186,7 @@ def _cmd_braid_check(args):
 def _cmd_nichols_dim(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    gb = _complete_gb(quadratic_ideal(rack, q, _flavor(args)), args, rack.n)
+    gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args, rack.n)
     dim = quotient_dim(gb)
     payload = {
         "rack": name or "file",
@@ -209,13 +201,12 @@ def _cmd_nichols_dim(args):
 def _cmd_nichols_j2(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    flavor = _flavor(args)
-    kernel = degree_two_kernel(rack, q, flavor)
-    relations = quadratic_ideal(rack, q, flavor)
+    kernel = degree_two_kernel(rack, q, args.flavor)
+    relations = quadratic_ideal(rack, q, args.flavor)
     match = spans_kernel(relations, kernel, rack.n)
     payload = {
         "rack": name or "file",
-        "flavor": flavor,
+        "flavor": args.flavor,
         "kernel_dim": len(kernel),
         "relation_count": len(relations),
         "span_match": match,
@@ -226,7 +217,7 @@ def _cmd_nichols_j2(args):
 def _cmd_nichols_hilbert(args):
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    gb = _complete_gb(quadratic_ideal(rack, q, _flavor(args)), args, rack.n)
+    gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args, rack.n)
     up_to = args.max_deg if args.max_deg else 8
     payload = {
         "rack": name or "file",
@@ -258,37 +249,36 @@ def _cmd_gb_run(args):
     return payload, bool(confluent)
 
 
-def _default_params(args, family):
-    """The point of --file, or the unit point of the family."""
+def _params_file(path):
+    doc = _load_json_file(path)
+    try:
+        return deform.DeformParams.from_json(doc)
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise CliError("invalid parameter document: %s" % exc, EXIT_INVALID)
+
+
+def _default_params(args):
+    """The point of --file, or the unit point of --family."""
     if args.file:
         if args.n is not None or args.rack or args.cocycle:
-            raise CliError(
-                "--file takes no --n, --rack or --cocycle", EXIT_INVALID
-            )
-        doc = _load_json_file(args.file)
-        try:
-            return deform.DeformParams.from_json(doc)
-        except (AttributeError, KeyError, ValueError, TypeError) as exc:
-            raise CliError("invalid parameter document: %s" % exc, EXIT_INVALID)
-    if family not in deform.FAMILIES:
+            raise CliError("--file takes no --n, --rack or --cocycle", EXIT_INVALID)
+        return _params_file(args.file)
+    if args.family not in deform.FAMILIES:
         raise CliError(
             "--family must be one of %s" % ", ".join(deform.FAMILIES),
             EXIT_INVALID,
         )
     try:
-        return deform.DeformParams.unit(family, args.n, args.rack, args.cocycle)
+        return deform.DeformParams.unit(args.family, args.n, args.rack, args.cocycle)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise CliError("invalid parameters: %s" % exc, EXIT_INVALID)
 
 
 def _cmd_deform_verify(args):
-    params = _default_params(args, args.family)
+    params = _default_params(args)
     try:
         report = deform.verify_nonzero(
-            params,
-            samples=args.samples,
-            seed=args.seed,
-            max_deg=args.max_deg if args.max_deg else 16,
+            params, samples=args.samples, seed=args.seed, max_deg=args.max_deg or 16
         )
     except deform.NonzeroCheckFailed as exc:
         return {"family": params.family, "error": str(exc)}, False
@@ -296,9 +286,10 @@ def _cmd_deform_verify(args):
 
 
 def _cmd_deform_audit(args):
-    if args.family and args.family != "Eminus":
-        raise CliError("the printed-basis audit is specific to Eminus", EXIT_INVALID)
-    params = _default_params(args, deform.EMINUS)
+    if args.file:
+        params = _params_file(args.file)
+    else:
+        params = deform.DeformParams.unit(deform.EMINUS)
     try:
         report = deform.appendix_membership_audit(params)
     except ValueError as exc:
@@ -409,11 +400,7 @@ def _cmd_realize_dual(args):
     braiding = grouprealize.dual_braiding_check(realization)
     pointed = grouprealize.comatrix_action_audit(realization, "pointed")
     copointed = grouprealize.comatrix_action_audit(realization, "copointed")
-    payload = {
-        "braiding": braiding,
-        "pointed": pointed,
-        "copointed": copointed,
-    }
+    payload = {"braiding": braiding, "pointed": pointed, "copointed": copointed}
     ok = braiding["ok"] and pointed["ok"] and copointed["ok"]
     return payload, ok
 
@@ -424,23 +411,31 @@ def _cmd_realize_theta(args):
     return report, bool(report["ok"])
 
 
-_HANDLERS = {
-    ("rack", "check"): _cmd_rack_check,
-    ("rack", "props"): _cmd_rack_check,
-    ("cocycle", "check"): _cmd_cocycle_check,
-    ("braid", "check"): _cmd_braid_check,
-    ("nichols", "dim"): _cmd_nichols_dim,
-    ("nichols", "j2"): _cmd_nichols_j2,
-    ("nichols", "hilbert"): _cmd_nichols_hilbert,
-    ("gb", "run"): _cmd_gb_run,
-    ("deform", "verify"): _cmd_deform_verify,
-    ("deform", "audit"): _cmd_deform_audit,
-    ("deform", "params"): _cmd_deform_params,
-    ("lift", "pointed"): _cmd_lift_pointed,
-    ("lift", "copointed"): _cmd_lift_copointed,
-    ("realize", "check"): _cmd_realize_check,
-    ("realize", "dual"): _cmd_realize_dual,
-    ("realize", "theta"): _cmd_realize_theta,
+_RACK = ("--rack", "--file")
+_COCYCLE = _RACK + ("--cocycle",)
+_BRAIDING = _COCYCLE + ("--flavor",)
+_REALIZATION = ("--rack", "--cocycle")
+
+# (group, action) -> (handler, the flags it reads); --json-out is on every one
+_COMMANDS = {
+    ("rack", "check"): (_cmd_rack_check, _RACK),
+    ("rack", "props"): (_cmd_rack_check, _RACK),
+    ("cocycle", "check"): (_cmd_cocycle_check, _COCYCLE),
+    ("braid", "check"): (_cmd_braid_check, _BRAIDING),
+    ("nichols", "dim"): (_cmd_nichols_dim, _BRAIDING + ("--max-deg",)),
+    ("nichols", "j2"): (_cmd_nichols_j2, _BRAIDING),
+    ("nichols", "hilbert"): (_cmd_nichols_hilbert, _BRAIDING + ("--max-deg",)),
+    ("gb", "run"): (_cmd_gb_run, ("--file", "--max-deg")),
+    ("deform", "verify"): (_cmd_deform_verify, (
+        "--family", "--n", "--rack", "--cocycle", "--file", "--samples",
+        "--seed", "--max-deg")),
+    ("deform", "audit"): (_cmd_deform_audit, ("--file",)),
+    ("deform", "params"): (_cmd_deform_params, _COCYCLE),
+    ("lift", "pointed"): (_cmd_lift_pointed, _REALIZATION + ("--seed",)),
+    ("lift", "copointed"): (_cmd_lift_copointed, _REALIZATION + ("--seed",)),
+    ("realize", "check"): (_cmd_realize_check, _REALIZATION),
+    ("realize", "dual"): (_cmd_realize_dual, _REALIZATION),
+    ("realize", "theta"): (_cmd_realize_theta, _REALIZATION),
 }
 
 
@@ -458,40 +453,45 @@ def _count(text):
     return int(text)
 
 
+_FLAG_SPECS = {
+    "--rack": dict(help="builtin rack name: %s" % ", ".join(RACK_NAMES)),
+    "--cocycle": dict(help="builtin cocycle: const:w or chi"),
+    "--flavor": dict(default="V", choices=("V", "W"), help="braiding flavor"),
+    "--file": dict(help="JSON input file"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=_count, default=0),
+    "--max-deg": dict(type=_count, default=0),
+    "--family": dict(help="deformation family name"),
+    "--n": dict(type=int, help="transposition rack size"),
+    "--json-out": dict(help="also write the report here"),
+}
+
+
 def _build_parser():
     parser = _Parser(
         prog="rackalg",
         description="exact computations with racks, braidings and their algebras",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rack", help="builtin rack name: %s" % ", ".join(RACK_NAMES))
-    common.add_argument("--cocycle", help="builtin cocycle: const:w or chi")
-    common.add_argument("--flavor", default="V", help="braiding flavor, V or W")
-    common.add_argument("--file", help="JSON input file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=_count, default=0)
-    common.add_argument("--max-deg", dest="max_deg", type=_count, default=0)
-    common.add_argument("--json-out", dest="json_out", help="also write the report here")
-    common.add_argument("--family", help="deformation family name")
-    common.add_argument("--n", type=int, help="transposition rack size")
     groups = {}
     sub = parser.add_subparsers(dest="group", required=True)
-    for group, action in sorted(_HANDLERS):
+    for (group, action), (_, flags) in sorted(_COMMANDS.items()):
         if group not in groups:
             gp = sub.add_parser(group)
             groups[group] = gp.add_subparsers(dest="action", required=True)
-        groups[group].add_parser(action, parents=[common])
+        ap = groups[group].add_parser(action, allow_abbrev=False)
+        for flag in flags + ("--json-out",):
+            ap.add_argument(flag, **_FLAG_SPECS[flag])
     return parser
 
 
-def _options_doc(args):
-    doc = {"seed": args.seed}
-    for key in ("rack", "cocycle", "flavor", "file", "family", "samples", "max_deg"):
+def _options_doc(args, flags):
+    """The command's own flags: truthy values, and seed and n if given."""
+    doc = {}
+    for flag in flags:
+        key = flag[2:].replace("-", "_")
         value = getattr(args, key)
-        if value:
+        if value or (key in ("seed", "n") and value is not None):
             doc[key] = value
-    if args.n is not None:
-        doc["n"] = args.n
     return doc
 
 
@@ -512,12 +512,17 @@ def main(argv=None):
         _emit(doc)
         return exc.code
     command = (args.group, args.action)
-    handler = _HANDLERS[command]
+    handler, flags = _COMMANDS[command]
     started = time.perf_counter()
     doc["command"] = "%s %s" % command
-    doc["options"] = _options_doc(args)
+    doc["options"] = _options_doc(args, flags)
     # open --json-out before any work, so a bad path prints one document
+    # and the --file input is never opened for writing before it is read
+    clobbers = "--file" in flags and args.json_out and args.file and all(
+        map(os.path.exists, (args.json_out, args.file)))
     try:
+        if clobbers and os.path.samefile(args.json_out, args.file):
+            raise OSError("it is the --file input")
         out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
     except OSError as exc:
         doc.update(ok=False, report={

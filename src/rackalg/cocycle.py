@@ -110,17 +110,3 @@ def chi_character_value(g, transposition_support):
     """chi(g, (ij)) for an arbitrary permutation g; support = (i, j), i < j."""
     i, j = transposition_support
     return Fraction(1) if g[i] < g[j] else Fraction(-1)
-
-
-def componentwise_constant_cocycle(rack, component_values, components):
-    """Constant on each inner-group orbit; a cocycle on decomposable racks.
-
-    components maps each element to an orbit id, component_values maps the
-    orbit id to a nonzero rational.  The cocycle law needs the value
-    q_{x,z} to depend only on the orbit of z, which orbit-constancy gives.
-    """
-    q = [
-        [Fraction(component_values[components[z]]) for z in range(rack.n)]
-        for _ in range(rack.n)
-    ]
-    return validate_cocycle(rack, q)

@@ -987,62 +987,3 @@ def smash_with_dual(algebra, group, degrees):
     audit = module_algebra_audit_grading(algebra, group, degrees)
     unit = {(i, g): c for i, c in algebra.unit.items() for g in group.elements}
     return _smash(algebra, group, audit, product, unit, "%s#d(%s)")
-
-
-def rational_characters(group):
-    """All multiplicative characters of the group with rational values.
-
-    Rational values of finite order are 1 and -1, so candidates are sign
-    assignments on the generators, extended by multiplicativity and
-    rejected on conflict.  Returns dicts keyed by group element, sorted
-    deterministically.
-    """
-    gens = list(group.generators) if group.generators else list(group.elements)
-    found = {}
-    for mask in range(1 << len(gens)):
-        assign = {
-            gens[k]: (_ONE if mask >> k & 1 == 0 else -_ONE)
-            for k in range(len(gens))
-        }
-        values = {group.identity: _ONE}
-        frontier = [group.identity]
-        ok = True
-        while frontier and ok:
-            new = []
-            for h in frontier:
-                for g, vg in assign.items():
-                    w = group.mul(g, h)
-                    v = vg * values[h]
-                    if w in values:
-                        if values[w] != v:
-                            ok = False
-                            break
-                    else:
-                        values[w] = v
-                        new.append(w)
-                if not ok:
-                    break
-            frontier = new
-        if ok and len(values) == len(group):
-            key = tuple(values[t] for t in group.elements)
-            found[key] = values
-    return tuple(found[k] for k in sorted(found))
-
-
-def character_span_obstruction(group, rack):
-    """A counting obstruction to realizing a braiding over functions on G.
-
-    A realization of the group-side flavor inside the function algebra
-    would attach to every rack element a one dimensional grading piece,
-    that is a rational character of G, and rack elements with different
-    action rows need different characters.  When the rack has more
-    distinct rows than G has characters, no such realization exists.
-    The report only ever certifies the negative direction.
-    """
-    rows = {tuple(rack.act(x, y) for y in range(rack.n)) for x in range(rack.n)}
-    chars = rational_characters(group)
-    return {
-        "characters_available": len(chars),
-        "distinct_rows_needed": len(rows),
-        "obstructed": len(chars) < len(rows),
-    }

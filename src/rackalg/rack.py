@@ -175,21 +175,6 @@ def conjugacy_rack(group, seed):
     return Rack(r.table, labels), cls
 
 
-def check_enveloping_map(rack, f_images, compose=perm.compose):
-    """True iff f_x f_y = f_{x |> y} f_x for all x, y.
-
-    f_images maps each rack element to something composable (default:
-    permutation tuples).
-    """
-    for x in range(rack.n):
-        for y in range(rack.n):
-            lhs = compose(f_images[x], f_images[y])
-            rhs = compose(f_images[rack.act(x, y)], f_images[x])
-            if lhs != rhs:
-                return False
-    return True
-
-
 def trivial_rack(n):
     """x |> y = y; decomposable and unfaithful for n >= 2."""
     return Rack([[y for y in range(n)] for _ in range(n)])

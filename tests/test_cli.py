@@ -220,13 +220,64 @@ def test_gb_run_round_trip(capsys, tmp_path):
 
 def test_options_echoed_in_envelope(capsys):
     code, out, _ = run(capsys, "nichols", "j2", "--rack", "o23",
-                       "--cocycle", "chi", "--flavor", "W", "--seed", "9")
+                       "--cocycle", "chi", "--flavor", "W")
     assert code == 0
     doc = payload(out)
     assert doc["options"]["rack"] == "o23"
     assert doc["options"]["flavor"] == "W"
-    assert doc["options"]["seed"] == 9
+    assert "seed" not in doc["options"]
     assert "n" not in doc["options"]
+    code, out, _ = run(capsys, "lift", "pointed", "--rack", "o24",
+                       "--cocycle", "chi", "--seed", "9")
+    assert code == 0
+    assert payload(out)["options"]["seed"] == 9
+
+
+# one value per flag, valid wherever the flag is read
+FLAG_VALUES = {
+    "--rack": "o24", "--cocycle": "chi", "--flavor": "W", "--file": "x.json",
+    "--seed": "1", "--samples": "1", "--max-deg": "2", "--family": "Echi",
+    "--n": "3",
+}
+
+
+def _unread_flag(command):
+    _, flags = cli._COMMANDS[command]
+    return next(f for f in FLAG_VALUES if f not in flags)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [list(c) + [_unread_flag(c), FLAG_VALUES[_unread_flag(c)]]
+     for c in sorted(cli._COMMANDS)]
+    + [["deform", "audit", "--max-deg", "2", "--samples", "5"],
+       ["rack", "props", "--rack", "o24", "--cocycle", "chi", "--family", "Echi"],
+       ["rack", "props", "--rack", "o24", "--json", "x.json"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    _, flags = cli._COMMANDS[tuple(argv[:2])]
+    assert next(a for a in argv[2::2] if a not in flags) in doc["report"]["error"]
+    assert "usage:" not in err
+
+
+def test_json_out_never_overwrites_the_file_input(capsys, tmp_path):
+    from rackalg.rack import dihedral_rack
+
+    src = tmp_path / "r.json"
+    src.write_text(json.dumps(dihedral_rack(3).to_json()))
+    before = src.read_bytes()
+    code, out, _ = run(capsys, "rack", "check", "--file", str(src),
+                       "--json-out", str(tmp_path / "." / "r.json"))
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert "--file" in doc["report"]["error"]
+    assert src.read_bytes() == before
 
 
 @pytest.mark.parametrize("n", ["0", "1", "5"])

@@ -1,4 +1,4 @@
-"""The CLI contract on hostile ``--file`` input.
+"""The CLI contract on hostile ``--file`` input and hostile argv.
 
 Hypothesis starts from well-formed rack, cocycle, parameter and ideal
 documents of small size and breaks up to three of their nodes: a node
@@ -6,8 +6,10 @@ becomes a wrong type (a float, a bool, a huge exponent or integer, a
 list, a dict), a key or a list entry goes missing, or a list entry is
 repeated, which makes a table ragged.  Every run of ``cli.main`` must
 print exactly one JSON document on stdout and exit with 0, 1, 2 or 3.
-The examples are derandomized and bounded, so the test is deterministic
-and takes a few seconds.
+The argv half draws a command from ``cli._COMMANDS``, a subset of its
+flags with valid or invalid values, and sometimes one flag the command
+does not read, which must exit 2.  The examples are derandomized and
+bounded, so the tests are deterministic and take a few seconds.
 """
 
 import copy
@@ -117,3 +119,62 @@ def test_file_input_yields_one_document_and_a_documented_exit(tmp_path, case):
     report = json.loads(out.getvalue())
     assert set(report) == {"schema", "version", "command", "options", "ok", "report"}
     assert report["ok"] is (code == 0)
+
+
+# per flag, valid and invalid values; FILE:<kind> names a document below.
+# --max-deg stays small and --samples at most 1, so every run is quick.
+ARGV_VALUES = {
+    "--rack": ["o23", "o24", "o44", "o55"],
+    "--cocycle": ["chi", "const:-1", "const:2", "const:x"],
+    "--flavor": ["V", "W", "X"],
+    "--file": ["FILE:rack", "FILE:cocycle", "FILE:params", "FILE:ideal",
+               "FILE:junk", "FILE:absent"],
+    "--seed": ["0", "5", "-2", "x"],
+    "--samples": ["0", "1", "-1", "x"],
+    "--max-deg": ["1", "2", "3", "-1", "x"],
+    "--family": ["Eminus", "Echi", "Etilde", "GenericLambda", "Bogus"],
+    "--n": ["3", "4", "9", "x"],
+}
+ARGV_FILES = {
+    "rack": RACKS[2].to_json(),
+    "cocycle": VALID[("cocycle", "check")][2],
+    "params": VALID[("deform", "verify", "--max-deg", "2")][0],
+    "ideal": VALID[("gb", "run", "--max-deg", "4")][0],
+    "junk": [1, "a"],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, flags = cli._COMMANDS[command]
+    chosen = [f for f in flags if f == "--max-deg" or draw(st.integers(0, 3))]
+    if draw(st.integers(0, 4)) == 0:
+        chosen.append(draw(st.sampled_from(
+            [f for f in ARGV_VALUES if f not in flags])))
+    argv = list(command)
+    for flag in chosen:
+        argv += [flag, draw(st.sampled_from(ARGV_VALUES[flag]))]
+    return argv, not set(chosen) <= set(flags)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argvs())
+def test_argv_yields_one_document_and_a_documented_exit(tmp_path, case):
+    argv, unread = case
+    for kind, doc in ARGV_FILES.items():
+        (tmp_path / kind).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a[5:]) if a.startswith("FILE:") else a for a in argv]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert report["ok"] is (code == 0)
+    if unread:
+        assert code == 2

@@ -92,6 +92,19 @@ def test_readme_lists_the_golden_commands():
     assert listed == README_COMMANDS
 
 
+def test_readme_lists_each_commands_flags():
+    """The README's flag table is the command table of `cli`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            commands, flags = line.strip("|").split("|")
+            for command in commands.split(","):
+                listed[tuple(command.strip(" `").split())] = tuple(
+                    flags.strip(" `").split())
+    assert listed == {c: flags for c, (_, flags) in cli._COMMANDS.items()}
+
+
 @pytest.mark.parametrize("command", README_COMMANDS + EXTRA_COMMANDS)
 def test_stdout_matches_golden(command, capsys, tmp_path):
     cli.main(_argv(command, _write_ideal(tmp_path)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rackalg import perm
-from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.catalog import builtin_cocycle
 from rackalg.exactnum import BadNumber
 from rackalg.cocycle import (
     CocycleLawFails,
@@ -12,7 +12,6 @@ from rackalg.cocycle import (
     ZeroEntry,
     chi_character_value,
     chi_cocycle,
-    componentwise_constant_cocycle,
     constant_cocycle,
     validate_cocycle,
 )
@@ -90,12 +89,6 @@ def test_validate_rejects_law_violation(o24):
 def test_chi_needs_transpositions():
     with pytest.raises(WrongRackForChi):
         builtin_cocycle("o44", "chi")
-
-
-def test_componentwise_constant(o24):
-    rack, _ = o24
-    q = componentwise_constant_cocycle(rack, [Fraction(-1)], [0] * rack.n)
-    assert q(2, 3) == MINUS
 
 
 def test_json_round_trip(o24):

@@ -18,7 +18,6 @@ from rackalg.grouprealize import (
     RealizationError,
     algebra_from_quotient,
     builtin_realization,
-    character_span_obstruction,
     comatrix_action_audit,
     copointed_comatrix,
     dual_braiding_check,
@@ -29,7 +28,6 @@ from rackalg.grouprealize import (
     quotient_grading,
     quotient_group_action,
     read_group,
-    rational_characters,
     scalar_algebra,
     smash_with_dual,
     smash_with_group,
@@ -37,7 +35,7 @@ from rackalg.grouprealize import (
     validate_principal,
 )
 from rackalg.quadrel import quadratic_ideal
-from rackalg.rack import Rack, trivial_rack
+from rackalg.rack import trivial_rack
 
 F = Fraction
 
@@ -395,36 +393,6 @@ def test_finite_dim_algebra_audits_catch_breakage():
     report = skew.associativity_audit()
     assert not report["ok"]
     assert report["witnesses"]
-
-
-def test_rational_characters_of_s3():
-    g = symmetric_permgroup(3)
-    chars = rational_characters(g)
-    assert len(chars) == 2
-    values = sorted(
-        tuple(c[t] for t in g.elements) for c in chars
-    )
-    assert values[0] == tuple(
-        F(perm.sign(t)) for t in g.elements
-    )
-    assert values[1] == tuple(F(1) for _ in g.elements)
-
-
-def test_character_span_obstruction_for_small_symmetric_group():
-    g = symmetric_permgroup(3)
-    rack, _ = builtin_rack("o23")
-    report = character_span_obstruction(g, rack)
-    assert report == {
-        "characters_available": 2,
-        "distinct_rows_needed": 3,
-        "obstructed": True,
-    }
-
-
-def test_character_span_no_obstruction_for_trivial_rack():
-    g = symmetric_permgroup(3)
-    report = character_span_obstruction(g, trivial_rack(1))
-    assert not report["obstructed"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from rackalg.rack import (
     NotBijective,
     NotSelfDistributive,
     Rack,
-    check_enveloping_map,
     conjugacy_rack,
     dihedral_rack,
     trivial_rack,
@@ -87,15 +86,6 @@ def test_inner_group_of_o24(o24):
     # the inner group is S4 acting on them, order 24, with one orbit
     assert len(inner) == 24
     assert {g[0] for g in inner} == set(range(6))
-
-
-def test_enveloping_map_check(o24):
-    rack, cls = o24
-    assert check_enveloping_map(rack, cls)
-    # breaking one image must be caught
-    bad = list(cls)
-    bad[0] = perm.identity(4)
-    assert not check_enveloping_map(rack, bad)
 
 
 def test_json_round_trip(o44):
