@@ -16,7 +16,8 @@ The package is organized bottom-up:
 * ``catalog``       the named racks and cocycles used throughout
 * ``cli``           command line interface with JSON reports
 
-All arithmetic is exact (``fractions.Fraction``); nothing here uses floats.
+All arithmetic is exact (``fractions.Fraction``, with integral coefficients
+kept as ``int`` inside the Groebner engine); nothing here uses floats.
 """
 
 __version__ = "0.1.0"

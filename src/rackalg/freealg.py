@@ -2,13 +2,17 @@
 
 Words are `bytes` of generator indices; the monomial order is
 degree-lexicographic, realized as the tuple key (len(word), word).
-Polynomials are dicts word -> nonzero Fraction, wrapped in FreePoly at the
-API boundary.
+Polynomials are dicts word -> nonzero coefficient, wrapped in FreePoly at
+the API boundary. Inside the engine an integral coefficient is kept as an
+`int` and any other as a Fraction; at the API every coefficient is a
+Fraction. No coefficient is ever a float.
 
 The completion is Buchberger-style for two-sided ideals: the obstruction
 queue holds proper overlaps of leading words (lowest common degree first),
 the basis is kept monic and fully interreduced after every insertion, so a
 completed run yields the unique reduced Groebner basis for the order.
+Reduction finds a lead in a word by looking up the word's subwords in the
+dict of leads.
 """
 
 import heapq
@@ -59,13 +63,15 @@ class FreePoly:
         self.terms = {}
         if terms:
             for w, c in terms.items():
+                if isinstance(c, float):
+                    raise TypeError(f"float coefficient {c!r}: coefficients are exact")
                 c = Fraction(c)
                 if c != 0:
                     self.terms[bytes(w)] = c
 
     @classmethod
     def one(cls, ngens, coeff=1):
-        return cls(ngens, {b"": Fraction(coeff)})
+        return cls(ngens, {b"": coeff})
 
     @classmethod
     def gen(cls, ngens, i):
@@ -74,7 +80,7 @@ class FreePoly:
 
     @classmethod
     def word(cls, ngens, indices, coeff=1):
-        return cls(ngens, {bytes(indices): Fraction(coeff)})
+        return cls(ngens, {bytes(indices): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -182,13 +188,33 @@ class ResourceBudgetExceeded(Exception):
     """Basis grew past the configured size budget."""
 
 
+def _first_lead(w, lens, basis):
+    """Leftmost occurrence in w of a lead of basis, the shortest lead at
+    that start, as (start, lead); None when w is irreducible.  ``lens`` is
+    the sorted list of lead lengths.  Start and length both run up to
+    len(w), so the empty lead of a trivial quotient matches every word."""
+    n = len(w)
+    for k in range(n + 1):
+        for m in lens:
+            if k + m > n:
+                break
+            sub = w[k:k + m]
+            if sub in basis:
+                return k, sub
+    return None
+
+
 def _reduce_terms(terms, basis):
     """Full normal form of a term dict against a monic basis, a dict from
-    lead to terms whose order is the order the leads are tried in.
+    lead to terms.
 
-    Pops the deglex-largest live word; every replacement word is strictly
-    smaller, so each word is handled once and irreducible words are final.
+    Pops the deglex-largest live word and rewrites the lead occurrence that
+    `_first_lead` finds in it; every replacement word is strictly smaller,
+    so each word is handled once and irreducible words are final.
+    Coefficients come out as the arithmetic of the inputs makes them: int
+    when every operand is an int, Fraction otherwise.
     """
+    lens = sorted({len(ld) for ld in basis})
     work = dict(terms)
     out = {}
     heap = [(_negkey(w), w) for w in work]
@@ -200,14 +226,12 @@ def _reduce_terms(terms, basis):
         if not c:
             work.pop(w, None)
             continue
-        for lead in basis:
-            k = w.find(lead)
-            if k >= 0:
-                break
-        else:
+        found = _first_lead(w, lens, basis)
+        if found is None:
             out[w] = c
             del work[w]
             continue
+        k, lead = found
         left = w[:k]
         right = w[k + len(lead):]
         del work[w]
@@ -215,7 +239,7 @@ def _reduce_terms(terms, basis):
             if u == lead:
                 continue
             nw = left + u + right
-            acc = work.get(nw, Fraction(0)) - c * d
+            acc = work.get(nw, 0) - c * d
             if acc == 0:
                 work.pop(nw, None)
             else:
@@ -274,14 +298,14 @@ def _s_element(u, fu, v, fv, k):
     s = {}
     for word, c in fu.items():
         nw = word + right
-        acc = s.get(nw, Fraction(0)) + c
+        acc = s.get(nw, 0) + c
         if acc == 0:
             s.pop(nw, None)
         else:
             s[nw] = acc
     for word, c in fv.items():
         nw = left + word
-        acc = s.get(nw, Fraction(0)) - c
+        acc = s.get(nw, 0) - c
         if acc == 0:
             s.pop(nw, None)
         else:
@@ -330,9 +354,13 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
 
     def insert(terms):
         lead = _lead_word(terms)
-        c = terms[lead]
-        if c != 1:
-            terms = {w: v / c for w, v in terms.items()}
+        # monic, with an integral coefficient stored as an int
+        inv = 1 / Fraction(terms[lead])
+        monic = {}
+        for w, v in terms.items():
+            v *= inv
+            monic[w] = v.numerator if v.denominator == 1 else v
+        terms = monic
         # retire basis elements whose lead contains the new lead
         for ld in [ld for ld in basis if lead in ld]:
             pending.append(basis.pop(ld))
@@ -348,7 +376,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             if not any(lead in w for w in tail):
                 continue
             red = _reduce_terms(tail, basis)
-            red[ld] = Fraction(1)
+            red[ld] = 1
             basis[ld] = red
         add_pairs(lead)
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
+from rackalg.cocycle import constant_cocycle
 from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
@@ -138,14 +141,48 @@ def test_normal_form_properties():
         assert normal_form(g, gb).is_zero()
 
 
+def basis_json(gb):
+    return [g.to_json() for g in gb.elements]
+
+
 def test_quotient_dim_stable_under_generator_shuffles():
+    # a completed run gives the unique reduced basis, whatever the
+    # presentation of the ideal
     base = fk3_ideal()
+    reference = basis_json(groebner(base))
     rng = random.Random(3)
     for _ in range(10):
         gens = list(base)
         rng.shuffle(gens)
         scaled = [F(rng.randint(1, 5)) * g for g in gens]
-        assert quotient_dim(groebner(scaled)) == 12
+        gb = groebner(scaled)
+        assert quotient_dim(gb) == 12
+        assert basis_json(gb) == reference
+
+
+def test_s5_reduced_basis_is_pinned_across_presentations():
+    # the S5 transposition ideal is homogeneous, so its basis truncated at
+    # degree 6 is unique too; the hash was recorded with the find-based
+    # lead search and Fraction-only coefficients
+    rack, _ = transposition_rack(5)
+    ideal = quadratic_ideal(rack, constant_cocycle(rack, F(-1)), "V")
+    rng = random.Random(5)
+    bases = []
+    for _ in range(2):
+        gens = list(ideal)
+        rng.shuffle(gens)
+        gens = [g * F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                for g in gens]
+        gb = groebner(gens, max_deg=6)
+        assert gb.status == "truncated-at-degree-6"
+        assert hilbert_series(gb, 6) == [1, 10, 55, 220, 711, 1960, 4761]
+        bases.append(basis_json(gb))
+    assert bases[0] == bases[1]
+    assert len(bases[0]) == 114
+    digest = hashlib.sha256(json.dumps(bases[0]).encode()).hexdigest()
+    assert digest == (
+        "3251fefc17180cf959762937636a44c9150ff90a460abd3649621c6260d50b08"
+    )
 
 
 def test_degree_budget_reports_truncation():
@@ -154,9 +191,59 @@ def test_degree_budget_reports_truncation():
     x = FreePoly.gen(2, 0)
     y = FreePoly.gen(2, 1)
     gb = groebner([x * y * x - y * y * y], max_deg=4)
-    if not gb.complete:
-        assert gb.status.startswith("truncated-at-degree-")
-        assert quotient_dim(gb) == "unknown"
+    assert not gb.complete
+    assert gb.status == "truncated-at-degree-4"
+    assert len(gb.elements) == 2
+    assert quotient_dim(gb) == "unknown"
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        FreePoly(2, {b"\x00": 0.1})
+    with pytest.raises(TypeError):
+        FreePoly.one(2, 0.5)
+    with pytest.raises(TypeError):
+        FreePoly.word(2, [0, 1], 2.0)
+
+
+def assert_fraction_coefficients(polys):
+    for p in polys:
+        assert all(type(c) is F for c in p.terms.values())
+
+
+def test_monic_scaling_is_exact():
+    x = FreePoly.gen(2, 0)
+    y = FreePoly.gen(2, 1)
+    gb = groebner([3 * x * y - 2 * y * x])
+    assert gb.complete
+    assert gb.elements == [y * x - F(3, 2) * x * y]
+    nf = normal_form(y * x * x, gb)
+    assert nf == F(9, 4) * x * x * y
+    assert_fraction_coefficients(gb.elements + [nf])
+
+
+def test_integral_leads_other_than_one_are_made_monic():
+    x = FreePoly.gen(2, 0)
+    y = FreePoly.gen(2, 1)
+    f = y * x - 2 * x * y
+    g = y * y - x * x
+    # the overlap yyx of the two leads reduces to 3*xxx
+    s = g * x - y * f
+    assert normal_form(s, groebner([f, g], max_deg=2)) == 3 * x * x * x
+    gb = groebner([f, g])
+    assert gb.complete
+    assert gb.elements == [f, g, x * x * x, x * x * y]
+    assert audit_obstructions(gb)
+    assert quotient_dim(gb) == 5
+    nf = normal_form(y * x + y, gb)
+    assert nf == 2 * x * y + y
+    assert_fraction_coefficients(gb.elements + [nf])
+
+
+def test_empty_lead_reduces_every_word():
+    gb = groebner([FreePoly.one(2)])
+    assert normal_form(FreePoly.one(2, 5), gb).is_zero()
+    assert normal_form(FreePoly.word(2, [0, 1, 1], 3), gb).is_zero()
 
 
 def test_quotient_algebra_words_and_products():
