@@ -7,7 +7,7 @@ The package is organized bottom-up:
 * ``exactnum``      exact readers of the numbers in input documents
 * ``rack``          finite racks and their structural properties
 * ``cocycle``       rational 2-cocycles on racks
-* ``linalg``        exact rational matrices, rank and kernel
+* ``linalg``        exact rational matrices: one sparse integer elimination
 * ``braided``       braidings V(X,q) / W(q,X) and quantum symmetrizers
 * ``quadrel``       pair classes, quadratic relations, parameter spaces
 * ``freealg``       free algebra over Q with a Groebner engine

@@ -1,13 +1,22 @@
 """Exact rational matrices: rank, reduced echelon form, kernel bases.
 
-Rank goes through fraction-free (Bareiss) integer elimination after clearing
-denominators row by row.  Kernel bases come from a Fraction RREF and are
-canonical: reduced echelon form with pivots in increasing column order, one
-kernel vector per free column, free coordinate set to 1.
+One elimination serves them all.  `_echelon` clears each row of denominators
+and reduces it against the pivot rows found so far, dividing by the gcd of
+its entries after each step: integers throughout, and a sparse row stays
+sparse.  The rank is the pivot count; `rref` back-substitutes over the pivot
+rows, and kernels and row spaces are read off its canonical form.
+`rank_bareiss` keeps the name of the Bareiss elimination it once ran because
+the benchmark harness calls and traces it.  Float entries raise TypeError.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def _exact(v):
+    if isinstance(v, float):
+        raise TypeError(f"float entry {v!r}: entries are exact")
+    return Fraction(v)
 
 
 class RatMatrix:
@@ -21,7 +30,7 @@ class RatMatrix:
         self.entries = {}
         if entries:
             for (i, j), v in entries.items():
-                v = Fraction(v)
+                v = _exact(v)
                 if v != 0:
                     assert 0 <= i < rows and 0 <= j < cols
                     self.entries[(i, j)] = v
@@ -40,127 +49,92 @@ class RatMatrix:
         )
 
 
-def _int_rows(dense):
-    """Scale each row by the lcm of denominators: same row space over Q."""
-    out = []
-    for row in dense:
-        scale = 1
-        for v in row:
-            d = v.denominator
-            scale = scale * d // gcd(scale, d)
-        out.append([int(v * scale) for v in row])
-    return out
+def _rows(matrix):
+    """(width, rows) of a RatMatrix or of dense rows; each row is a dict
+    {column: Fraction} of its nonzero entries."""
+    if isinstance(matrix, RatMatrix):
+        rows = [{} for _ in range(matrix.rows)]
+        for (i, j), v in matrix.entries.items():
+            rows[i][j] = v
+        return matrix.cols, rows
+    rows = [{j: v for j, v in enumerate(map(_exact, r)) if v} for r in matrix]
+    return (len(matrix[0]) if matrix else 0), rows
+
+
+def _reduce(row, piv, col):
+    """row <- a*row - b*piv with a, b coprime, clearing row[col]."""
+    g = gcd(piv[col], row[col])
+    a, b = piv[col] // g, row[col] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, v in piv.items():
+        w = row.get(j, 0) - b * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    if (g := gcd(*row.values())) > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _echelon(rows):
+    """Pivot column -> integer row {column: int}, together spanning the
+    row space of `rows`; a pivot row's first nonzero column is its pivot."""
+    pivots = {}
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {j: int(v * scale) for j, v in row.items()}
+        while row and (col := min(row)) in pivots:
+            _reduce(row, pivots[col], col)
+        if row:
+            pivots[col] = row
+    return pivots
 
 
 def rank_bareiss(matrix):
-    """Exact rank via fraction-free elimination with column pivoting.
+    """Exact rank of a RatMatrix or of dense rows of ints and Fractions."""
+    return len(_echelon(_rows(matrix)[1]))
 
-    Accepts a RatMatrix or a dense list of Fraction/int rows.
+
+def rref(matrix):
+    """Reduced row echelon form over Q: (rows, pivot_cols).  Only nonzero
+    rows come back, each a list of Fractions whose pivot is 1 and the only
+    nonzero entry of its column."""
+    width, rows = _rows(matrix)
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            _reduce(row, echelon[k], k)
+    return [
+        [Fraction(echelon[c].get(j, 0), echelon[c][c]) for j in range(width)]
+        for c in pivots
+    ], pivots
+
+
+def nullspace_basis(matrix):
+    """Canonical kernel basis of a RatMatrix or of dense rows over Q: one
+    vector per free column, in increasing order, with that coordinate 1 and
+    the pivot coordinates read off the RREF.  `RatMatrix(0, n)` has width n.
     """
+    rows, pivots = rref(matrix)
     if isinstance(matrix, RatMatrix):
-        if not matrix.entries:
-            return 0
-        dense = matrix.dense()
+        width = matrix.cols
     else:
-        dense = [[Fraction(v) for v in row] for row in matrix]
-        if not dense:
-            return 0
-    m = _int_rows(dense)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nrows):
-            mr = m[r]
-            f = mr[col]
-            if f == 0 and pv == prev:
-                continue
-            mrow = m[row]
-            for c in range(col, ncols):
-                mr[c] = (pv * mr[c] - f * mrow[c]) // prev
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rref(dense):
-    """Reduced row echelon form over Q.  Returns (rows, pivot_cols).
-
-    Only the nonzero rows are returned, each a list of Fractions; pivots are
-    1 and are the only nonzero entries in their columns.
-    """
-    m = [[Fraction(v) for v in row] for row in dense]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [v / pv for v in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m[:row], pivots
-
-
-def nullspace_basis(dense, ncols=None):
-    """Canonical kernel basis of a matrix given as dense rows over Q.
-
-    One vector per free column (in increasing column order), with the free
-    coordinate 1 and pivot coordinates solved from the RREF.
-    """
-    if not dense:
-        if ncols is None:
-            return []
-        return [
-            [Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)
-        ]
-    ncols = len(dense[0])
-    rows, pivots = rref(dense)
-    pivset = set(pivots)
+        width = len(matrix[0]) if matrix else 0
     basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [Fraction(0)] * ncols
+    for free in sorted(set(range(width)) - set(pivots)):
+        vec = [Fraction(0)] * width
         vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][free]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
         basis.append(vec)
     return basis
 
 
 def row_space_equal(rows_a, rows_b):
     """Exact equality of row spaces via canonical RREFs."""
-    ra = rref(rows_a)[0] if rows_a else []
-    rb = rref(rows_b)[0] if rows_b else []
-    return ra == rb
-
+    return rref(rows_a)[0] == rref(rows_b)[0]

@@ -125,7 +125,7 @@ def degree_two_kernel(rack, cocycle, flavor):
     """Canonical kernel basis of the degree-2 quantum symmetrizer."""
     space = braided.make_braiding(rack, cocycle, flavor)
     s2 = braided.quantum_symmetrizer(space, 2)
-    return linalg.nullspace_basis(s2.dense(), ncols=s2.cols)
+    return linalg.nullspace_basis(s2)
 
 
 def spans_kernel(relations, kernel, n):

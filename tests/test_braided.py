@@ -12,7 +12,9 @@ from rackalg.braided import (
 )
 from rackalg.catalog import builtin_cocycle, builtin_rack
 from rackalg.cocycle import constant_cocycle
+from rackalg.freealg import groebner, hilbert_series
 from rackalg.linalg import RatMatrix, nullspace_basis, rank_bareiss
+from rackalg.quadrel import quadratic_ideal
 from rackalg.rack import dihedral_rack
 
 
@@ -71,6 +73,21 @@ def test_three_element_quotient_dimension_and_ranks():
     assert not report["truncated"]
     # per-degree ranks are the coefficients of the Hilbert series
     assert report["dims"] == [1, 3, 4, 3, 1, 0]
+
+
+def test_oracle_matches_engine_on_s4(s4_families):
+    # two independent routes to the Hilbert series 1, 6, 19, 42, 71, ...
+    for name, spec, rack, q in s4_families:
+        dims = nichols_dim_oracle(make_braiding(rack, q, "V"), 4)["dims"]
+        gb = groebner(quadratic_ideal(rack, q, "V"))
+        assert dims == hilbert_series(gb, 4) == [1, 6, 19, 42, 71], (name, spec)
+
+
+def test_oracle_degree_five_on_o24_chi():
+    # S_5 is 7,776 x 7,776 with 180,864 nonzeros; the rank stays sparse
+    rack, _ = builtin_rack("o24")
+    space = make_braiding(rack, builtin_cocycle("o24", "chi"), "V")
+    assert nichols_dim_oracle(space, 5)["dims"][5] == 96
 
 
 def test_symmetrizer_degree_zero_and_one():

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +53,7 @@ def test_nullspace_matches_hand_kernel():
 
 
 def test_nullspace_of_empty_matrix_is_full():
-    basis = nullspace_basis([], ncols=3)
+    basis = nullspace_basis(RatMatrix(0, 3))
     assert len(basis) == 3
     assert basis[0][0] == 1 and basis[2][2] == 1
 
@@ -67,6 +69,13 @@ def test_ratmatrix_json_and_eq():
     m = RatMatrix(1, 2, {(0, 1): F(1, 2)})
     assert m == RatMatrix(1, 2, {(0, 1): F(1, 2)})
     assert m != RatMatrix(1, 2, {(0, 0): F(1, 2)})
+
+
+def test_float_entries_raise():
+    with pytest.raises(TypeError):
+        rank_bareiss([[0.1, F(1, 3)], [F(1, 10), F(1, 3)]])
+    with pytest.raises(TypeError):
+        RatMatrix(1, 1, {(0, 0): 0.1})
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -103,3 +112,52 @@ def test_kernel_vectors_annihilate(m):
     for vec in nullspace_basis(m):
         for row in m:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+@st.composite
+def rational_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.builds(F, small_entries, st.integers(min_value=1, max_value=3))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _det(m):
+    """Cofactor expansion along the first row."""
+    if not m:
+        return F(1)
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _minor_rank(m):
+    """The largest k with a nonzero k x k minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rs in combinations(range(len(m)), k):
+            for cs in combinations(range(len(m[0])), k):
+                if _det([[m[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_elimination_against_minors_and_reconstruction(m):
+    sparse = RatMatrix(len(m), len(m[0]), {
+        (i, j): v for i, row in enumerate(m) for j, v in enumerate(row)
+    })
+    rank = _minor_rank(m)
+    for matrix in (m, sparse):
+        assert rank_bareiss(matrix) == rank
+        rows, pivots = rref(matrix)
+        assert len(rows) == len(pivots) == rank
+        assert pivots == sorted(set(pivots))
+        for k, pc in enumerate(pivots):
+            assert [row[pc] for row in rows] == [int(i == k) for i in range(rank)]
+        for row in m:
+            assert row == [
+                sum((row[pc] * r[j] for r, pc in zip(rows, pivots)), F(0))
+                for j in range(len(row))
+            ]
