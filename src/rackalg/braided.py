@@ -72,12 +72,6 @@ def make_braiding(rack, cocycle, flavor):
     return BraidedSpace(n, flavor, pair_map)
 
 
-def _apply_slot(space, tensor, coeff, slot):
-    """Apply c on tensor slots (slot, slot+1) to a scaled basis tensor."""
-    (a, b), q = space.apply_pair(tensor[slot], tensor[slot + 1])
-    return tensor[:slot] + (a, b) + tensor[slot + 2:], coeff * q
-
-
 def apply_word(space, word, tensor):
     """Apply c_{i_1} ... c_{i_k} to a basis tensor, rightmost letter first.
 
@@ -85,7 +79,9 @@ def apply_word(space, word, tensor):
     """
     coeff = Fraction(1)
     for slot in reversed(word):
-        tensor, coeff = _apply_slot(space, tensor, coeff, slot)
+        ab, q = space.apply_pair(tensor[slot], tensor[slot + 1])
+        tensor = tensor[:slot] + ab + tensor[slot + 2:]
+        coeff *= q
     return tensor, coeff
 
 
@@ -107,7 +103,13 @@ def _symmetrizer_columns(space):
     braid equation is checked; a failure raises ValueError.
     """
     n = space.n
-    cols = [{(): Fraction(1)}]
+    # integral scalars as ints, so a column of an integral braiding is
+    # built in int arithmetic
+    pairs = {
+        xy: (ab, q.numerator if q.denominator == 1 else q)
+        for xy, (ab, q) in space.pair_map.items()
+    }
+    cols = [{(): 1}]
     for m in count(1):
         yield cols
         if m == 3 and not check_braid_equation(space):
@@ -116,11 +118,14 @@ def _symmetrizer_columns(space):
         cols = []
         for col, tensor in enumerate(product(range(n), repeat=m)):
             column = {}
+            last = tensor[-1:]
             for v, coeff in below[col // n].items():
-                u = v + tensor[-1:]
+                u = v + last
                 column[u] = column.get(u, 0) + coeff
                 for slot in range(m - 2, -1, -1):
-                    u, coeff = _apply_slot(space, u, coeff, slot)
+                    ab, q = pairs[u[slot], u[slot + 1]]
+                    u = u[:slot] + ab + u[slot + 2:]
+                    coeff *= q
                     column[u] = column.get(u, 0) + coeff
             cols.append({u: c for u, c in column.items() if c != 0})
 

@@ -3,13 +3,20 @@
 Words are `bytes` of generator indices; the monomial order is
 degree-lexicographic, realized as the tuple key (len(word), word).
 Polynomials are dicts word -> nonzero coefficient, wrapped in FreePoly at
-the API boundary. Inside the engine an integral coefficient is kept as an
-`int` and any other as a Fraction; at the API every coefficient is a
-Fraction. No coefficient is ever a float.
+the API boundary, where every coefficient is a Fraction.  No coefficient
+is ever a float.
+
+Inside the engine every coefficient is an `int`.  Input is cleared of
+denominators once; each basis element is kept primitive over Z (content
+1, positive lead coefficient); and reduction is fraction-free: where the
+reducer's lead coefficient does not divide the coefficient being
+cancelled, the word being reduced is scaled up instead of the reducer
+being divided (Bareiss 1968, carried over to Bergman 1978).  The result
+is made monic, as Fractions, once at the end.
 
 The completion is Buchberger-style for two-sided ideals: the obstruction
 queue holds proper overlaps of leading words (lowest common degree first),
-the basis is kept monic and fully interreduced after every insertion, so a
+the basis is kept fully interreduced after every insertion, so a
 completed run yields the unique reduced Groebner basis for the order.
 Reduction finds a lead in a word by looking up the word's subwords in the
 dict of leads.
@@ -17,6 +24,7 @@ dict of leads.
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from .braided import DegreeBudgetExceeded  # shared budget error
 from .exactnum import integer, rational
@@ -63,9 +71,10 @@ class FreePoly:
         self.terms = {}
         if terms:
             for w, c in terms.items():
-                if isinstance(c, float):
-                    raise TypeError(f"float coefficient {c!r}: coefficients are exact")
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    if isinstance(c, float):
+                        raise TypeError(f"float coefficient {c!r}: coefficients are exact")
+                    c = Fraction(c)
                 if c != 0:
                     self.terms[bytes(w)] = c
 
@@ -204,38 +213,68 @@ def _first_lead(w, lens, basis):
     return None
 
 
-def _reduce_terms(terms, basis):
-    """Full normal form of a term dict against a monic basis, a dict from
-    lead to terms.
+def _integral(terms):
+    """(int terms, den): the terms times den, the lcm of their
+    denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den
 
-    Pops the deglex-largest live word and rewrites the lead occurrence that
-    `_first_lead` finds in it; every replacement word is strictly smaller,
-    so each word is handled once and irreducible words are final.
-    Coefficients come out as the arithmetic of the inputs makes them: int
-    when every operand is an int, Fraction otherwise.
+
+def _primitive(terms, lead):
+    """Integer terms divided by their content, signed so the coefficient
+    of lead is positive."""
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {w: c // g for w, c in terms.items()}
+
+
+def _reduce_terms(terms, basis):
+    """Fraction-free normal form of an integer term dict against a basis,
+    a dict from lead to primitive integer terms.
+
+    Returns (out, scale): out is the normal form of scale * terms, with
+    integer coefficients.  Pops the deglex-largest live word and rewrites
+    the lead occurrence that `_first_lead` finds in it; every replacement
+    word is strictly smaller, so each word is handled once and irreducible
+    words are final.  When the reducer's lead coefficient a does not
+    divide the coefficient c being cancelled, the whole word being reduced
+    is multiplied by a // gcd(a, c) first.
     """
     lens = sorted({len(ld) for ld in basis})
     work = dict(terms)
     out = {}
+    scale = 1
     heap = [(_negkey(w), w) for w in work]
     heapq.heapify(heap)
     push = heapq.heappush
     while heap:
         _, w = heapq.heappop(heap)
-        c = work.get(w)
+        c = work.pop(w, 0)
         if not c:
-            work.pop(w, None)
             continue
         found = _first_lead(w, lens, basis)
         if found is None:
             out[w] = c
-            del work[w]
             continue
         k, lead = found
         left = w[:k]
         right = w[k + len(lead):]
-        del work[w]
-        for u, d in basis[lead].items():
+        poly = basis[lead]
+        a = poly[lead]
+        if a != 1:
+            g = gcd(a, c)
+            m = a // g
+            if m != 1:
+                scale *= m
+                for u in work:
+                    work[u] *= m
+                for u in out:
+                    out[u] *= m
+            c //= g
+        for u, d in poly.items():
             if u == lead:
                 continue
             nw = left + u + right
@@ -246,19 +285,42 @@ def _reduce_terms(terms, basis):
                 if nw not in work:
                     push(heap, (_negkey(nw), nw))
                 work[nw] = acc
-    return out
+    return out, scale
+
+
+def _fractions(terms, den):
+    """Integer terms divided by den, as Fractions."""
+    return {w: Fraction(c, den) for w, c in terms.items()}
+
+
+def _reduce_fractions(terms, items):
+    """Normal form of a term dict with rational coefficients: cleared of
+    denominators once, reduced, and divided by den * scale once."""
+    ints, den = _integral(terms)
+    out, scale = _reduce_terms(ints, items)
+    return _fractions(out, den * scale)
 
 
 class GroebnerBasis:
-    """Monic interreduced basis plus completion status."""
+    """Monic interreduced basis plus completion status.
+
+    ``elements`` are the monic FreePolys; ``_items`` maps each lead to the
+    same element as primitive integer terms, the form the engine reduces
+    with.  It is derived from ``elements`` when not given.
+    """
 
     __slots__ = ("ngens", "elements", "truncated_at", "_items")
 
-    def __init__(self, ngens, elements, truncated_at=None):
+    def __init__(self, ngens, elements, truncated_at=None, items=None):
         self.ngens = ngens
         self.elements = elements  # list of FreePoly, sorted by lead
         self.truncated_at = truncated_at
-        self._items = {p.lead()[0]: p.terms for p in elements}
+        if items is None:
+            items = {}
+            for p in elements:
+                lead = p.lead()[0]
+                items[lead] = _primitive(_integral(p.terms)[0], lead)
+        self._items = items
 
     @property
     def complete(self):
@@ -278,7 +340,7 @@ def normal_form(poly, gb):
     """Remainder of poly modulo the basis: no leading word divides any term."""
     if poly.ngens != gb.ngens:
         raise ValueError("mixed alphabets")
-    return FreePoly(poly.ngens, _reduce_terms(poly.terms, gb._items))
+    return FreePoly(poly.ngens, _reduce_fractions(poly.terms, gb._items))
 
 
 def _proper_overlaps(u, v):
@@ -292,20 +354,27 @@ def _proper_overlaps(u, v):
 
 
 def _s_element(u, fu, v, fv, k):
-    """fu * v[k:] - u[:-k] * fv for leads u, v overlapping in k letters."""
+    """b * fu * v[k:] - a * u[:-k] * fv for leads u, v overlapping in k
+    letters, where a and b are the lead coefficients of fu and fv, each
+    divided by their gcd."""
+    a = fu[u]
+    b = fv[v]
+    g = gcd(a, b)
+    a //= g
+    b //= g
     right = v[k:]
     left = u[:-k]
     s = {}
     for word, c in fu.items():
         nw = word + right
-        acc = s.get(nw, 0) + c
+        acc = s.get(nw, 0) + b * c
         if acc == 0:
             s.pop(nw, None)
         else:
             s[nw] = acc
     for word, c in fv.items():
         nw = left + word
-        acc = s.get(nw, 0) - c
+        acc = s.get(nw, 0) - a * c
         if acc == 0:
             s.pop(nw, None)
         else:
@@ -316,9 +385,10 @@ def _s_element(u, fu, v, fv, k):
 def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     """Two-sided Groebner basis of the ideal the generators span.
 
-    Completion runs lowest-obstruction-first; the basis stays monic and
-    interreduced throughout.  Obstructions above max_deg truncate the run
-    (status records the cutoff); a basis larger than max_basis raises.
+    Completion runs lowest-obstruction-first; the basis stays primitive
+    over Z and interreduced throughout, and is made monic at the end.
+    Obstructions above max_deg truncate the run (status records the
+    cutoff); a basis larger than max_basis raises.
     ``ngens`` is the alphabet size; it defaults to the generators' own
     and must be given when the list is empty, since the quotient of the
     free algebra on ngens letters by the zero ideal depends on it.
@@ -334,12 +404,13 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     if not gens:
         return GroebnerBasis(ngens, [])
 
-    # lead -> monic terms.  Leads of an interreduced basis never divide one
-    # another, and a retired lead stays reducible, so it never comes back:
-    # a queued pair is live exactly when both of its leads are still keys.
+    # lead -> primitive integer terms.  Leads of an interreduced basis
+    # never divide one another, and a retired lead stays reducible, so it
+    # never comes back: a queued pair is live exactly when both of its
+    # leads are still keys.
     basis = {}
     pair_heap = []  # (common len, common word, u, v, k)
-    pending = [dict(g.terms) for g in gens]
+    pending = [_integral(g.terms)[0] for g in gens]
     truncated_at = None
 
     def add_pairs(u):
@@ -354,13 +425,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
 
     def insert(terms):
         lead = _lead_word(terms)
-        # monic, with an integral coefficient stored as an int
-        inv = 1 / Fraction(terms[lead])
-        monic = {}
-        for w, v in terms.items():
-            v *= inv
-            monic[w] = v.numerator if v.denominator == 1 else v
-        terms = monic
+        terms = _primitive(terms, lead)
         # retire basis elements whose lead contains the new lead
         for ld in [ld for ld in basis if lead in ld]:
             pending.append(basis.pop(ld))
@@ -375,14 +440,14 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             tail = {w: v for w, v in tm.items() if w != ld}
             if not any(lead in w for w in tail):
                 continue
-            red = _reduce_terms(tail, basis)
-            red[ld] = 1
-            basis[ld] = red
+            red, scale = _reduce_terms(tail, basis)
+            red[ld] = scale * tm[ld]
+            basis[ld] = _primitive(red, ld)
         add_pairs(lead)
 
     while pending or pair_heap:
         if pending:
-            red = _reduce_terms(pending.pop(), basis)
+            red, _ = _reduce_terms(pending.pop(), basis)
             if red:
                 insert(red)
             continue
@@ -393,12 +458,13 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             truncated_at = max_deg
             break
         s = _s_element(u, basis[u], v, basis[v], k)
-        red = _reduce_terms(s, basis)
+        red, _ = _reduce_terms(s, basis)
         if red:
             insert(red)
 
-    elems = [FreePoly(ngens, basis[ld]) for ld in sorted(basis, key=deglex_key)]
-    return GroebnerBasis(ngens, elems, truncated_at)
+    items = {ld: basis[ld] for ld in sorted(basis, key=deglex_key)}
+    elems = [FreePoly(ngens, _fractions(tm, tm[ld])) for ld, tm in items.items()]
+    return GroebnerBasis(ngens, elems, truncated_at, items)
 
 
 def audit_obstructions(gb):
@@ -407,7 +473,7 @@ def audit_obstructions(gb):
     for u, fu in items.items():
         for v, fv in items.items():
             for k in _proper_overlaps(u, v):
-                if _reduce_terms(_s_element(u, fu, v, fv, k), items):
+                if _reduce_terms(_s_element(u, fu, v, fv, k), items)[0]:
                     return False
     return True
 
@@ -522,11 +588,11 @@ class QuotientAlgebra:
         return words
 
     def nf_terms(self, terms):
-        return _reduce_terms(terms, self.gb._items)
+        return _reduce_fractions(terms, self.gb._items)
 
     def mul_words(self, u, v):
         """Product of two normal words, as a dict word -> coefficient."""
-        return self.nf_terms({u + v: Fraction(1)})
+        return self.nf_terms({u + v: 1})
 
 
 def ideal_to_json(names, polys, status=None):

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
 from rackalg.cocycle import constant_cocycle
+from rackalg.deform import DeformParams, build_deformed_ideal, sample_params
 from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
@@ -240,6 +243,24 @@ def test_integral_leads_other_than_one_are_made_monic():
     assert_fraction_coefficients(gb.elements + [nf])
 
 
+def test_interreduction_scales_the_kept_lead():
+    x = FreePoly.gen(2, 0)
+    y = FreePoly.gen(2, 1)
+    f = 2 * x * y - x * x
+    g = y * y - x * y
+    # g goes in first; then f's lead xy, with coefficient 2, rewrites the
+    # -xy of g's tail, so the tail comes back scaled by 2 and so must g's
+    # lead: yy - xy = yy - xx/2
+    gb = groebner([f, g])
+    half = F(1, 2)
+    assert gb.elements == [
+        x * y - half * x * x, y * y - half * x * x, x * x * x, y * x * x
+    ]
+    assert groebner([g, f]).elements == gb.elements
+    assert audit_obstructions(gb)
+    assert_fraction_coefficients(gb.elements)
+
+
 def test_empty_lead_reduces_every_word():
     gb = groebner([FreePoly.one(2)])
     assert normal_form(FreePoly.one(2, 5), gb).is_zero()
@@ -351,3 +372,134 @@ def test_counting_walk_matches_brute_force(ideal):
         words = [w for ws in by_degree for w in ws]
         assert quotient_dim(gb) == len(words)
         assert QuotientAlgebra(gb).words == words
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free engine against an independent Fraction reducer
+
+
+def reference_normal_form(terms, elements):
+    """Normal form over Q against a monic basis: rewrite the leftmost lead
+    occurrence in the deglex-largest reducible word until none is left.
+    On a complete basis any rewriting order gives the same answer."""
+    rules = {g.lead()[0]: g.terms for g in elements}
+    p = {w: F(c) for w, c in terms.items() if c}
+    while True:
+        reducible = [w for w in p if any(ld in w for ld in rules)]
+        if not reducible:
+            return p
+        w = max(reducible, key=lambda w: (len(w), w))
+        k, lead = min((w.find(ld), ld) for ld in rules if ld in w)
+        c = p.pop(w)
+        for u, d in rules[lead].items():
+            if u == lead:
+                continue
+            nw = w[:k] + u + w[k + len(lead):]
+            acc = p.get(nw, 0) - c * d
+            if acc:
+                p[nw] = acc
+            else:
+                p.pop(nw, None)
+
+
+def deformed_eminus4():
+    # the first sampled point: 25 of its 28 primitive elements have a
+    # lead coefficient other than 1
+    template = DeformParams.eminus(4, 1, 1, 1)
+    return build_deformed_ideal(sample_params(template, 3, 11)[0])
+
+
+def o24_chi_ideal():
+    rack, _ = builtin_rack("o24")
+    return quadratic_ideal(rack, builtin_cocycle("o24", "chi"), "V")
+
+
+REFERENCE_IDEALS = {
+    "fk3": fk3_ideal,
+    "o24-chi-V": o24_chi_ideal,
+    "Eminus-4-deformed": deformed_eminus4,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_basis(name):
+    gb = groebner(REFERENCE_IDEALS[name]())
+    assert gb.complete
+    return gb
+
+
+@st.composite
+def rational_polys(draw, ngens):
+    word = st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), max_size=5
+    ).map(bytes)
+    coeff = st.builds(
+        F,
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=1, max_value=9),
+    )
+    terms = draw(st.dictionaries(word, coeff, min_size=1, max_size=5))
+    return FreePoly(ngens, terms)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_IDEALS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_fraction_reference(name, data):
+    gb = reference_basis(name)
+    p = data.draw(rational_polys(gb.ngens))
+    nf = normal_form(p, gb)
+    assert nf.terms == reference_normal_form(p.terms, gb.elements)
+    assert_fraction_coefficients([nf])
+
+
+def test_deformed_point_keeps_the_engine_invariant():
+    gb = reference_basis("Eminus-4-deformed")
+    assert_fraction_coefficients(gb.elements)
+    assert [g.lead() for g in gb.elements] == [
+        (lead, 1) for lead in gb.leads()
+    ]
+    for lead, terms in gb._items.items():
+        assert all(type(c) is int for c in terms.values())
+        assert terms[lead] > 0
+        assert math.gcd(*terms.values()) == 1
+    assert any(terms[lead] != 1 for lead, terms in gb._items.items())
+    # the integer form a caller-built basis derives is the engine's own
+    rebuilt = GroebnerBasis(gb.ngens, gb.elements)
+    assert rebuilt._items == gb._items
+
+
+# sha256 of the monic reduced bases of sample_params(template, 3, 11),
+# recorded with the Fraction reducer before it became fraction-free
+DEFORMED_BASIS_DIGESTS = {
+    "Eminus-3": (
+        DeformParams.eminus(3, 1, 1, 1),
+        "f5e7b7abcdd03ddf5eddc5e63d548ec412cb6dbabea22878f53a9c4095df4249",
+    ),
+    "Eminus-4": (
+        DeformParams.eminus(4, 1, 1, 1),
+        "aebb145dff8ac61061a6a5d044a461fb05d4a15097850028a0e421428d4fa830",
+    ),
+    "Echi-3": (
+        DeformParams.echi(3, 1, 1),
+        "d8f8f6cd6caa6a4acaf4cd2b518c7cfae4a1fda6c4c14023bf8cd22c6206a093",
+    ),
+    "Echi-4": (
+        DeformParams.echi(4, 1, 1),
+        "f42817c560bcb10a858552ea41fe5ac2b15ad9211ad6dbce7780d1e440c3cc86",
+    ),
+    "Etilde": (
+        DeformParams.etilde(1, 1, 1),
+        "04da8fb5a0bbb17ed7557466f6aed969a062f8a4bc01a82d78a8bbd3ddea1c69",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEFORMED_BASIS_DIGESTS))
+def test_deformed_reduced_bases_are_pinned(label):
+    template, digest = DEFORMED_BASIS_DIGESTS[label]
+    bases = [
+        basis_json(groebner(build_deformed_ideal(p)))
+        for p in sample_params(template, 3, 11)
+    ]
+    assert hashlib.sha256(json.dumps(bases).encode()).hexdigest() == digest
