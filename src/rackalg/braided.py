@@ -72,6 +72,13 @@ def make_braiding(rack, cocycle, flavor):
     return BraidedSpace(n, flavor, pair_map)
 
 
+def _apply_slot(pairs, tensor, coeff, slot):
+    """Apply c on tensor slots (slot, slot+1) to a scaled basis tensor;
+    pairs maps (x, y) to ((a, b), scalar) as BraidedSpace.pair_map does."""
+    ab, q = pairs[tensor[slot], tensor[slot + 1]]
+    return tensor[:slot] + ab + tensor[slot + 2:], coeff * q
+
+
 def apply_word(space, word, tensor):
     """Apply c_{i_1} ... c_{i_k} to a basis tensor, rightmost letter first.
 
@@ -79,9 +86,7 @@ def apply_word(space, word, tensor):
     """
     coeff = Fraction(1)
     for slot in reversed(word):
-        ab, q = space.apply_pair(tensor[slot], tensor[slot + 1])
-        tensor = tensor[:slot] + ab + tensor[slot + 2:]
-        coeff *= q
+        tensor, coeff = _apply_slot(space.pair_map, tensor, coeff, slot)
     return tensor, coeff
 
 
@@ -123,9 +128,7 @@ def _symmetrizer_columns(space):
                 u = v + last
                 column[u] = column.get(u, 0) + coeff
                 for slot in range(m - 2, -1, -1):
-                    ab, q = pairs[u[slot], u[slot + 1]]
-                    u = u[:slot] + ab + u[slot + 2:]
-                    coeff *= q
+                    u, coeff = _apply_slot(pairs, u, coeff, slot)
                     column[u] = column.get(u, 0) + coeff
             cols.append({u: c for u, c in column.items() if c != 0})
 

@@ -306,21 +306,19 @@ class GroebnerBasis:
 
     ``elements`` are the monic FreePolys; ``_items`` maps each lead to the
     same element as primitive integer terms, the form the engine reduces
-    with.  It is derived from ``elements`` when not given.
+    with.
     """
 
     __slots__ = ("ngens", "elements", "truncated_at", "_items")
 
-    def __init__(self, ngens, elements, truncated_at=None, items=None):
+    def __init__(self, ngens, elements, truncated_at=None):
         self.ngens = ngens
         self.elements = elements  # list of FreePoly, sorted by lead
         self.truncated_at = truncated_at
-        if items is None:
-            items = {}
-            for p in elements:
-                lead = p.lead()[0]
-                items[lead] = _primitive(_integral(p.terms)[0], lead)
-        self._items = items
+        self._items = {}
+        for p in elements:
+            lead = p.lead()[0]
+            self._items[lead] = _primitive(_integral(p.terms)[0], lead)
 
     @property
     def complete(self):
@@ -462,9 +460,11 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         if red:
             insert(red)
 
-    items = {ld: basis[ld] for ld in sorted(basis, key=deglex_key)}
-    elems = [FreePoly(ngens, _fractions(tm, tm[ld])) for ld, tm in items.items()]
-    return GroebnerBasis(ngens, elems, truncated_at, items)
+    elems = [
+        FreePoly(ngens, _fractions(basis[ld], basis[ld][ld]))
+        for ld in sorted(basis, key=deglex_key)
+    ]
+    return GroebnerBasis(ngens, elems, truncated_at)
 
 
 def audit_obstructions(gb):
