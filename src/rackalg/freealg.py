@@ -231,9 +231,10 @@ def _primitive(terms, lead):
     return {w: c // g for w, c in terms.items()}
 
 
-def _reduce_terms(terms, basis):
+def _reduce_terms(terms, basis, lens):
     """Fraction-free normal form of an integer term dict against a basis,
-    a dict from lead to primitive integer terms.
+    a dict from lead to primitive integer terms, whose sorted distinct
+    lead lengths are ``lens``.
 
     Returns (out, scale): out is the normal form of scale * terms, with
     integer coefficients.  Pops the deglex-largest live word and rewrites
@@ -243,7 +244,6 @@ def _reduce_terms(terms, basis):
     divide the coefficient c being cancelled, the whole word being reduced
     is multiplied by a // gcd(a, c) first.
     """
-    lens = sorted({len(ld) for ld in basis})
     work = dict(terms)
     out = {}
     scale = 1
@@ -293,11 +293,12 @@ def _fractions(terms, den):
     return {w: Fraction(c, den) for w, c in terms.items()}
 
 
-def _reduce_fractions(terms, items):
-    """Normal form of a term dict with rational coefficients: cleared of
-    denominators once, reduced, and divided by den * scale once."""
+def _reduce_fractions(terms, gb):
+    """Normal form of a term dict with rational coefficients against a
+    GroebnerBasis: cleared of denominators once, reduced, and divided by
+    den * scale once."""
     ints, den = _integral(terms)
-    out, scale = _reduce_terms(ints, items)
+    out, scale = _reduce_terms(ints, gb._items, gb._lens)
     return _fractions(out, den * scale)
 
 
@@ -306,10 +307,10 @@ class GroebnerBasis:
 
     ``elements`` are the monic FreePolys; ``_items`` maps each lead to the
     same element as primitive integer terms, the form the engine reduces
-    with.
+    with, and ``_lens`` is the sorted list of distinct lead lengths.
     """
 
-    __slots__ = ("ngens", "elements", "truncated_at", "_items")
+    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_lens")
 
     def __init__(self, ngens, elements, truncated_at=None):
         self.ngens = ngens
@@ -319,6 +320,7 @@ class GroebnerBasis:
         for p in elements:
             lead = p.lead()[0]
             self._items[lead] = _primitive(_integral(p.terms)[0], lead)
+        self._lens = sorted({len(ld) for ld in self._items})
 
     @property
     def complete(self):
@@ -338,7 +340,7 @@ def normal_form(poly, gb):
     """Remainder of poly modulo the basis: no leading word divides any term."""
     if poly.ngens != gb.ngens:
         raise ValueError("mixed alphabets")
-    return FreePoly(poly.ngens, _reduce_fractions(poly.terms, gb._items))
+    return FreePoly(poly.ngens, _reduce_fractions(poly.terms, gb))
 
 
 def _proper_overlaps(u, v):
@@ -407,6 +409,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     # never comes back: a queued pair is live exactly when both of its
     # leads are still keys.
     basis = {}
+    lens = []  # sorted distinct lead lengths, changed only by insert
     pair_heap = []  # (common len, common word, u, v, k)
     pending = [_integral(g.terms)[0] for g in gens]
     truncated_at = None
@@ -428,6 +431,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         for ld in [ld for ld in basis if lead in ld]:
             pending.append(basis.pop(ld))
         basis[lead] = terms
+        lens[:] = sorted({len(ld) for ld in basis})
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
         # tail-reduce every other element against the refreshed basis;
@@ -438,14 +442,14 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             tail = {w: v for w, v in tm.items() if w != ld}
             if not any(lead in w for w in tail):
                 continue
-            red, scale = _reduce_terms(tail, basis)
+            red, scale = _reduce_terms(tail, basis, lens)
             red[ld] = scale * tm[ld]
             basis[ld] = _primitive(red, ld)
         add_pairs(lead)
 
     while pending or pair_heap:
         if pending:
-            red, _ = _reduce_terms(pending.pop(), basis)
+            red, _ = _reduce_terms(pending.pop(), basis, lens)
             if red:
                 insert(red)
             continue
@@ -456,7 +460,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             truncated_at = max_deg
             break
         s = _s_element(u, basis[u], v, basis[v], k)
-        red, _ = _reduce_terms(s, basis)
+        red, _ = _reduce_terms(s, basis, lens)
         if red:
             insert(red)
 
@@ -473,7 +477,7 @@ def audit_obstructions(gb):
     for u, fu in items.items():
         for v, fv in items.items():
             for k in _proper_overlaps(u, v):
-                if _reduce_terms(_s_element(u, fu, v, fv, k), items)[0]:
+                if _reduce_terms(_s_element(u, fu, v, fv, k), items, gb._lens)[0]:
                     return False
     return True
 
@@ -588,7 +592,7 @@ class QuotientAlgebra:
         return words
 
     def nf_terms(self, terms):
-        return _reduce_fractions(terms, self.gb._items)
+        return _reduce_fractions(terms, self.gb)
 
     def mul_words(self, u, v):
         """Product of two normal words, as a dict word -> coefficient."""

@@ -463,6 +463,7 @@ def test_deformed_point_keeps_the_engine_invariant():
         assert terms[lead] > 0
         assert math.gcd(*terms.values()) == 1
     assert any(terms[lead] != 1 for lead, terms in gb._items.items())
+    assert gb._lens == sorted({len(lead) for lead in gb._items})
 
 
 # sha256 of the monic reduced bases of sample_params(template, 3, 11),

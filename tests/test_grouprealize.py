@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import random
 import time
 from fractions import Fraction
 
@@ -393,6 +394,123 @@ def test_finite_dim_algebra_audits_catch_breakage():
     report = skew.associativity_audit()
     assert not report["ok"]
     assert report["witnesses"]
+
+
+def test_finite_dim_algebra_refuses_float_coefficients():
+    with pytest.raises(TypeError):
+        FiniteDimAlgebra(1, [[{0: 0.5}]], {0: 2.0})
+    with pytest.raises(TypeError):
+        FiniteDimAlgebra(1, [[{0: F(1)}]], {0: 1.0})
+
+
+def test_finite_dim_algebra_refuses_indices_outside_the_basis():
+    with pytest.raises(ValueError):
+        FiniteDimAlgebra(1, [[{3: 1}]], {0: 1})
+    with pytest.raises(ValueError):
+        FiniteDimAlgebra(1, [[{0: 1}]], {-1: 1})
+
+
+def _reference_associativity(alg):
+    """The per-triple Fraction loop: (a_i a_j) a_k against a_i (a_j a_k)
+    for every i, j, k in order, at most five witnesses."""
+    d = alg.dim
+    T = alg.table
+    report = {"ok": True, "checked": d * d * d, "witnesses": []}
+
+    def combine(coeffs, row):
+        out = {}
+        for m, c in coeffs.items():
+            for n, v in row[m].items():
+                out[n] = out.get(n, 0) + c * v
+        return {n: v for n, v in out.items() if v != 0}
+
+    for i, j, k in itertools.product(range(d), repeat=3):
+        lhs = combine(T[i][j], [T[m][k] for m in range(d)])
+        rhs = combine(T[j][k], T[i])
+        if lhs != rhs:
+            report["ok"] = False
+            if len(report["witnesses"]) < 5:
+                report["witnesses"].append((alg.label(i), alg.label(j), alg.label(k)))
+    return report
+
+
+def _group_algebra(n, shape):
+    """Structure constants of k[Z_n] (shape "cyclic"), k[Z_2 x Z_2]
+    ("klein") or the 2 x 2 matrices, basis E11 E12 E21 E22 ("matrix")."""
+    if shape == "cyclic":
+        return [[{(i + j) % n: F(1)} for j in range(n)] for i in range(n)]
+    if shape == "klein":
+        return [[{i ^ j: F(1)} for j in range(4)] for i in range(4)]
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return [
+        [{units.index((a, d)): F(1)} if b == c else {} for c, d in units]
+        for a, b in units
+    ]
+
+
+def _random_tables(rng, count):
+    """Seeded sparse tables of dimension 1-5: rescaled associative
+    algebras with explicit zeros, the same with one entry perturbed, and
+    random tables, all with denominators up to 4."""
+
+    def scalar():
+        return F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 4))
+
+    for _ in range(count):
+        kind = rng.choice(["associative", "perturbed", "random"])
+        if kind == "random":
+            d = rng.randint(1, 5)
+            table = [
+                [{rng.randrange(d): scalar() for _ in range(rng.randint(0, 2))}
+                 for _ in range(d)]
+                for _ in range(d)
+            ]
+        else:
+            shape = rng.choice(["cyclic", "klein", "matrix"])
+            d = rng.randint(1, 5) if shape == "cyclic" else 4
+            table = _group_algebra(d, shape)
+            # a'_i = s_i a_i gives a'_i a'_j = sum s_i s_j c_ijk / s_k a'_k
+            s = [F(rng.choice([-2, -1, 1, 2])) for _ in range(d)]
+            table = [
+                [{k: s[i] * s[j] * c / s[k] for k, c in table[i][j].items()}
+                 for j in range(d)]
+                for i in range(d)
+            ]
+            if kind == "perturbed":
+                i, j = rng.randrange(d), rng.randrange(d)
+                table[i][j][rng.randrange(d)] = scalar()
+        for _ in range(rng.randint(0, 3)):
+            cell = table[rng.randrange(d)][rng.randrange(d)]
+            k = rng.randrange(d)
+            if k not in cell:
+                cell[k] = F(0)
+        yield kind, FiniteDimAlgebra(d, table, {0: F(1)})
+
+
+def test_associativity_audit_matches_per_triple_reference():
+    rng = random.Random(20170301)
+    seen = {"associative": 0, "perturbed": 0, "random": 0}
+    failing = 0
+    for kind, alg in _random_tables(rng, 400):
+        want = _reference_associativity(alg)
+        assert alg.associativity_audit() == want, alg.table
+        seen[kind] += 1
+        failing += not want["ok"]
+        if kind == "associative":
+            assert want["ok"]
+    assert min(seen.values()) > 50
+    assert 100 < failing < 350
+
+
+def test_associativity_audit_witness_order_and_cap_inside_one_pair():
+    # k[Z_7] with a_0 a_0 = a_0 + a_1/3: the first failing pair (0, 0)
+    # fails for k = 1, ..., 6, so k = 1, ..., 5 are the witnesses
+    table = _group_algebra(7, "cyclic")
+    table[0][0] = {0: F(1), 1: F(1, 3)}
+    alg = FiniteDimAlgebra(7, table, {0: F(1)})
+    want = _reference_associativity(alg)
+    assert want["witnesses"] == [("0", "0", str(k)) for k in range(1, 6)]
+    assert alg.associativity_audit() == want
 
 
 # ---------------------------------------------------------------------------
