@@ -20,9 +20,8 @@ RACK_NAMES = ("o23", "o24", "o44")
 
 @lru_cache(maxsize=None)
 def symmetric_permgroup(n):
-    """S_n, generated by the adjacent transpositions; the one place S_n is built."""
-    gens = [perm.from_cycles(n, [(i + 1, i + 2)]) for i in range(n - 1)]
-    return perm.Group(n, perm.symmetric_group(n), gens)
+    """S_n; the one place it is built."""
+    return perm.Group(n, perm.symmetric_group(n))
 
 
 @lru_cache(maxsize=None)

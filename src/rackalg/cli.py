@@ -76,10 +76,18 @@ def _jsonable(value):
     return value
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refused when it names a key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("an object names one key twice")
+    return obj
+
+
 def _load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc), EXIT_INVALID)
     except UnicodeDecodeError as exc:

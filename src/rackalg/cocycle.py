@@ -11,7 +11,7 @@ otherwise (i < j); its diagonal is identically -1.
 
 from fractions import Fraction
 
-from .exactnum import rational
+from .exactnum import exact, rational
 
 
 class ZeroEntry(ValueError):
@@ -31,7 +31,7 @@ class Cocycle2:
 
     def __init__(self, rack, q):
         self.rack = rack
-        self.q = tuple(tuple(Fraction(v) for v in row) for row in q)
+        self.q = tuple(tuple(exact(v) for v in row) for row in q)
 
     def __call__(self, x, y):
         return self.q[x][y]
@@ -64,7 +64,7 @@ def validate_cocycle(rack, values):
     n = rack.n
     if len(values) != n or any(len(row) != n for row in values):
         raise ValueError("q must be %d x %d" % (n, n))
-    q = [[Fraction(v) for v in row] for row in values]
+    q = [[exact(v) for v in row] for row in values]
     for x in range(n):
         for y in range(n):
             if q[x][y] == 0:
@@ -80,7 +80,7 @@ def validate_cocycle(rack, values):
 
 def constant_cocycle(rack, omega):
     """q == omega; a cocycle for every nonzero rational omega."""
-    omega = Fraction(omega)
+    omega = exact(omega)
     if omega == 0:
         raise ZeroEntry("constant 0")
     return Cocycle2(rack, [[omega] * rack.n for _ in range(rack.n)])

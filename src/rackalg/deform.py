@@ -19,12 +19,13 @@ realization.
 """
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 from . import catalog, grouprealize, perm, quadrel
 from .braided import DegreeBudgetExceeded
-from .exactnum import integer, rational
+from .exactnum import exact, integer, rational
 from .freealg import (
     FreePoly,
     groebner,
@@ -79,7 +80,7 @@ def _normalize_scalars(raw, labels, what):
         for key, v in raw.items():
             if key not in label_index:
                 raise IndexMismatch(f"unknown {what} label {key!r}")
-            vals[label_index[key]] = Fraction(v)
+            vals[label_index[key]] = exact(v)
         if any(v is None for v in vals):
             missing = [labels[i] for i, v in enumerate(vals) if v is None]
             raise IndexMismatch(f"missing {what} values for {missing}")
@@ -87,8 +88,8 @@ def _normalize_scalars(raw, labels, what):
     if isinstance(raw, (list, tuple)):
         if len(raw) != m:
             raise IndexMismatch(f"{what} needs {m} values, got {len(raw)}")
-        return tuple(Fraction(v) for v in raw)
-    return (Fraction(raw),) * m
+        return tuple(exact(v) for v in raw)
+    return (exact(raw),) * m
 
 
 @lru_cache(maxsize=None)
@@ -155,11 +156,11 @@ class DeformParams:
         roots = {c.base_pair: 0 for c in pointed.free_classes()}
         for (_, root, sign), v in zip(chart_mus, mus):
             if root is not None:
-                roots[root] = sign * Fraction(v)
+                roots[root] = sign * exact(v)
         lam = pointed.value_map(roots)
         fixed = {}
         for pair, v in zip(labels, scalars):
-            if fixed.setdefault(pair, Fraction(v)) != v:
+            if fixed.setdefault(pair, exact(v)) != v:
                 raise IndexMismatch(
                     f"{PRESETS[family][2]} must agree on labels sharing "
                     "a relation class"
@@ -194,7 +195,7 @@ class DeformParams:
     @classmethod
     def generic(cls, rack_name, cocycle_spec, lam):
         _, relations, _, _ = _model(rack_name, cocycle_spec)
-        lam = {tuple(k): Fraction(v) for k, v in lam.items()}
+        lam = {tuple(k): exact(v) for k, v in lam.items()}
         if set(lam) != {pair for pair, _ in relations}:
             raise IndexMismatch(
                 "lambda must be keyed by the base pairs of R'"
@@ -271,8 +272,11 @@ class DeformParams:
             )
         lam = {}
         for key, v in p["lambda"].items():
-            a, b = key.split(",")
-            lam[(int(a), int(b))] = rational(v)
+            if not re.fullmatch(r"\d+,\d+", key, re.ASCII):
+                raise ValueError(f"lambda key {key!r} is not 'a,b'")
+            lam[tuple(map(int, key.split(",")))] = rational(v)
+        if len(lam) < len(p["lambda"]):
+            raise ValueError("lambda names one base pair twice")
         return cls.generic(doc["rack"], doc["cocycle"], lam)
 
 
@@ -412,7 +416,7 @@ def appendix_printed_elements(alpha, mu1, mu2):
     """
     rack, _ = catalog.transposition_rack(4)
     a = _normalize_scalars(alpha, rack.labels, "alpha")
-    m1, m2 = Fraction(mu1), Fraction(mu2)
+    m1, m2 = exact(mu1), exact(mu2)
     ids = [rack.labels.index(f"({p})") for p in ("12", "13", "14", "23", "24", "34")]
     i12, i13, i14, i23, i24, i34 = ids
     a12, a13, a14, a23, a24, a34 = (a[i] for i in ids)
@@ -578,7 +582,7 @@ def pointed_lifting_generators(realization, lam_free):
     rack = realization.rack
     q = realization.induced_cocycle()
     space = quadrel.pointed_lambda_space(rack, q)
-    lam_free = {tuple(k): Fraction(v) for k, v in lam_free.items()}
+    lam_free = {tuple(k): exact(v) for k, v in lam_free.items()}
     free_pairs = {c.base_pair for c in space.free_classes()}
     if set(lam_free) != free_pairs:
         raise IndexMismatch(
@@ -706,8 +710,8 @@ def iso_class_equal(lam_a, lam_b, family):
     t relabels lambda through the realization's action, in the group's
     element order, and scaling is settled by ratio normalization.
     """
-    a = [Fraction(v) for v in lam_a]
-    b = [Fraction(v) for v in lam_b]
+    a = [exact(v) for v in lam_a]
+    b = [exact(v) for v in lam_b]
     if family == "pointed":
         if len(a) != len(b):
             raise IndexMismatch("length mismatch")

@@ -5,7 +5,8 @@ a string that Fraction parses, with a decimal exponent of at most
 MAX_EXPONENT in absolute value; the interpreter's limit on the digits of
 an int read from a string already bounds the mantissa.  Floats are
 refused, because the binary value JSON reads is not the decimal the file
-shows, and so are bools.  A refused value raises BadNumber.
+shows, and so are bools.  A refused value raises BadNumber.  Numbers
+passed in code go through :func:`exact`, which refuses floats alone.
 """
 
 import re
@@ -20,6 +21,15 @@ class BadNumber(TypeError, ValueError):
     """A value that is not an exact integer or rational.  It is both a
     TypeError and a ValueError, so callers that take either as malformed
     input catch it."""
+
+
+def exact(value):
+    """Fraction(value), refusing a float with TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError("float %r: values are exact" % (value,))
+    return Fraction(value)
 
 
 def integer(value):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .braided import DegreeBudgetExceeded  # shared budget error
-from .exactnum import integer, rational
+from .exactnum import exact, integer, rational
 
 __all__ = [
     "FreePoly",
@@ -72,9 +72,7 @@ class FreePoly:
         if terms:
             for w, c in terms.items():
                 if type(c) is not Fraction:
-                    if isinstance(c, float):
-                        raise TypeError(f"float coefficient {c!r}: coefficients are exact")
-                    c = Fraction(c)
+                    c = exact(c)
                 if c != 0:
                     self.terms[bytes(w)] = c
 

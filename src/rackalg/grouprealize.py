@@ -21,8 +21,6 @@ groups of the one type :class:`rackalg.perm.Group`, scalars are
 Fractions, and audits enumerate their whole domain rather than sampling.
 The associativity audit of a structure-constant algebra clears the
 table's denominators once and then runs in int arithmetic.
-A generated group is trusted; a group read from a realization document is
-checked by :func:`read_group`.
 """
 
 import itertools
@@ -35,7 +33,7 @@ from . import perm
 from .braided import make_braiding
 from .catalog import builtin_rack, symmetric_permgroup
 from .cocycle import chi_character_value, validate_cocycle
-from .exactnum import integer, rational
+from .exactnum import exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,9 +59,9 @@ class PrincipalRealization:
     :func:`validate_principal` to certify them.
     """
 
-    __slots__ = ("group", "rack", "gmap", "chi_name", "_chi", "_act")
+    __slots__ = ("group", "rack", "gmap", "_chi", "_act")
 
-    def __init__(self, group, rack, gmap, chi_table, act_table, chi_name=None):
+    def __init__(self, group, rack, gmap, chi_table, act_table):
         if len(gmap) != rack.n:
             raise RealizationError("gmap must list one group element per rack element")
         for p in gmap:
@@ -74,13 +72,12 @@ class PrincipalRealization:
         self.group = group
         self.rack = rack
         self.gmap = tuple(gmap)
-        self.chi_name = chi_name
         self._chi = tuple(dict(row) for row in chi_table)
         self._act = {t: tuple(row) for t, row in act_table.items()}
         if len(self._chi) != rack.n:
             raise RealizationError("chi needs one row per rack element")
         for row in self._chi:
-            if len(row) != len(group):
+            if row.keys() != group.index.keys():
                 raise RealizationError("chi rows must cover the whole group")
         if set(self._act) != set(group.elements):
             raise RealizationError("action must cover the whole group")
@@ -98,88 +95,6 @@ class PrincipalRealization:
         n = self.rack.n
         q = [[self.chi(y, self.gmap[x]) for y in range(n)] for x in range(n)]
         return validate_cocycle(self.rack, q)
-
-    def to_json(self):
-        group = self.group
-        if len(group) == math.factorial(group.degree):
-            gdoc = "S%d" % group.degree
-        else:
-            gdoc = {
-                "degree": group.degree,
-                "elements": [list(p) for p in group.elements],
-            }
-        doc = {
-            "group": gdoc,
-            "rack": self.rack.to_json(),
-            "g": [list(p) for p in self.gmap],
-        }
-        if self.chi_name is not None:
-            doc["chi"] = self.chi_name
-        else:
-            doc["chi"] = [
-                [str(self._chi[x][t]) for t in group.elements]
-                for x in range(self.rack.n)
-            ]
-        return doc
-
-    @classmethod
-    def from_json(cls, doc):
-        from .rack import Rack
-
-        group = read_group(doc["group"])
-        rack = Rack.from_json(doc["rack"])
-        gmap = [tuple(map(integer, p)) for p in doc["g"]]
-        chi = doc["chi"]
-        if isinstance(chi, str):
-            return principal_realization(rack, gmap, chi, group)
-        table = [
-            {t: rational(chi[x][i]) for i, t in enumerate(group.elements)}
-            for x in range(rack.n)
-        ]
-        return principal_realization(rack, gmap, table, group)
-
-
-# the largest S_k a document may name: S6 has 720 elements, and the audits
-# run over |G|^2 pairs
-MAX_NAMED_DEGREE = 6
-_NAMED_GROUPS = {"S%d" % k: k for k in range(1, MAX_NAMED_DEGREE + 1)}
-
-
-def read_group(gdoc):
-    """The group of a realization document, checked.
-
-    A string names S_k ("S1" to "S6"); otherwise the document lists the
-    degree and at most 6! distinct elements, which must be permutations
-    of that degree holding the identity and every product.  Inverses then
-    come for free (the inverse of p is a power of p), and associativity
-    holds for any composition of maps.
-    """
-    if isinstance(gdoc, str):
-        if gdoc not in _NAMED_GROUPS:
-            raise RealizationError("unknown group name %r" % gdoc)
-        return symmetric_permgroup(_NAMED_GROUPS[gdoc])
-    degree = integer(gdoc["degree"])
-    els = {tuple(map(integer, p)) for p in gdoc["elements"]}
-    if len(els) > math.factorial(MAX_NAMED_DEGREE):
-        raise RealizationError(
-            "a listed group has at most %d elements, got %d"
-            % (math.factorial(MAX_NAMED_DEGREE), len(els))
-        )
-    for p in els:
-        if len(p) != degree or sorted(p) != list(range(degree)):
-            raise RealizationError(
-                "not a permutation of degree %d: %r" % (degree, p)
-            )
-    if not els or perm.identity(degree) not in els:
-        raise RealizationError("identity is missing")
-    for p in els:
-        for q in els:
-            if perm.compose(p, q) not in els:
-                raise RealizationError(
-                    "product %s * %s escapes the set"
-                    % (perm.cycle_notation(p), perm.cycle_notation(q))
-                )
-    return perm.Group(degree, els)
 
 
 def _conjugation_action(group, gmap):
@@ -214,10 +129,7 @@ def _conjugation_action(group, gmap):
 def _chi_rows(group, gmap, chi):
     """Expand a chi specification into one dict per rack element."""
     if chi == "sgn":
-        rows = []
-        for _ in gmap:
-            rows.append({t: Fraction(perm.sign(t)) for t in group.elements})
-        return rows, "sgn"
+        return [{t: Fraction(perm.sign(t)) for t in group.elements} for _ in gmap]
     if chi == "ms-chi":
         rows = []
         for p in gmap:
@@ -229,32 +141,22 @@ def _chi_rows(group, gmap, chi):
             rows.append(
                 {t: chi_character_value(t, support) for t in group.elements}
             )
-        return rows, "ms-chi"
-    rows = []
-    for raw in chi:
-        row = {}
-        for t, v in raw.items():
-            row[t] = Fraction(v)
-        if set(row) != set(group.elements):
-            raise RealizationError("explicit chi row must cover the group")
-        rows.append(row)
-    return rows, None
+        return rows
+    return [{t: exact(v) for t, v in raw.items()} for raw in chi]
 
 
-def principal_realization(rack, gmap, chi="sgn", group=None):
-    """Build a realization whose action is conjugation along gmap.
+def principal_realization(rack, gmap, chi="sgn"):
+    """Build a realization over S_n whose action is conjugation along gmap.
 
     ``chi`` is "sgn", "ms-chi" (the order character on transpositions),
     or an explicit list of dicts mapping group elements to scalars.
     """
     gmap = tuple(tuple(p) for p in gmap)
-    if group is None:
-        if not gmap:
-            raise RealizationError("empty gmap")
-        group = symmetric_permgroup(len(gmap[0]))
+    if not gmap:
+        raise RealizationError("empty gmap")
+    group = symmetric_permgroup(len(gmap[0]))
     act = _conjugation_action(group, gmap)
-    rows, name = _chi_rows(group, gmap, chi)
-    return PrincipalRealization(group, rack, gmap, rows, act, chi_name=name)
+    return PrincipalRealization(group, rack, gmap, _chi_rows(group, gmap, chi), act)
 
 
 @lru_cache(maxsize=None)
@@ -754,8 +656,7 @@ class FiniteDimAlgebra:
             raise ValueError("table must be dim x dim")
         for elt in itertools.chain((unit,), *table):
             for i, c in elt.items():
-                if isinstance(c, float):
-                    raise TypeError(f"float coefficient {c!r}: coefficients are exact")
+                exact(c)  # refuses a float
                 if i not in range(dim):
                     raise ValueError(f"basis index {i!r} outside range({dim})")
         self.dim = dim

@@ -12,11 +12,7 @@ the benchmark harness calls and traces it.  Float entries raise TypeError.
 from fractions import Fraction
 from math import gcd, lcm
 
-
-def _exact(v):
-    if isinstance(v, float):
-        raise TypeError(f"float entry {v!r}: entries are exact")
-    return Fraction(v)
+from .exactnum import exact
 
 
 class RatMatrix:
@@ -30,7 +26,7 @@ class RatMatrix:
         self.entries = {}
         if entries:
             for (i, j), v in entries.items():
-                v = _exact(v)
+                v = exact(v)
                 if v != 0:
                     assert 0 <= i < rows and 0 <= j < cols
                     self.entries[(i, j)] = v
@@ -57,7 +53,7 @@ def _rows(matrix):
         for (i, j), v in matrix.entries.items():
             rows[i][j] = v
         return matrix.cols, rows
-    rows = [{j: v for j, v in enumerate(map(_exact, r)) if v} for r in matrix]
+    rows = [{j: v for j, v in enumerate(map(exact, r)) if v} for r in matrix]
     return (len(matrix[0]) if matrix else 0), rows
 
 

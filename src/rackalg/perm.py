@@ -4,8 +4,8 @@ one permutation-group type.
 A permutation of degree n is a tuple p of length n with p[i] = image of i
 (0-based everywhere).  Tuples are hashable, comparable and cheap, which is
 all the group machinery here needs.  A :class:`Group` trusts its elements,
-as a rack trusts its table: the groups generated here are closed by
-construction, and a group read from a document is checked by its reader.
+as a rack trusts its table: every group here is S_n or the closure of a
+generating set, so it is closed by construction.
 """
 
 from itertools import permutations as _all_perms
@@ -122,13 +122,12 @@ class Group:
     trusted to form a group of the given degree; nothing is checked here.
     """
 
-    __slots__ = ("degree", "elements", "index", "generators")
+    __slots__ = ("degree", "elements", "index")
 
-    def __init__(self, degree, elements, generators=()):
+    def __init__(self, degree, elements):
         self.degree = degree
         self.elements = tuple(sorted(set(elements)))
         self.index = {p: i for i, p in enumerate(self.elements)}
-        self.generators = tuple(generators)
 
     @property
     def identity(self):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .freealg import FreePoly
 from . import braided, linalg
+from .exactnum import exact
 
 
 class RelClass:
@@ -233,7 +234,7 @@ class ParamSpace:
                 out[c.base_pair] = Fraction(0)
             else:
                 key = self.classes[root].base_pair
-                out[c.base_pair] = ratio * Fraction(root_values[key])
+                out[c.base_pair] = ratio * exact(root_values[key])
         return out
 
     def to_json(self):

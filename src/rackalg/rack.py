@@ -90,7 +90,7 @@ class Rack:
             els = perm.mulclose([self.phi(x) for x in range(self.n)], cap=cap)
         except RuntimeError as e:
             raise ClosureBudgetExceeded(str(e))
-        return perm.Group(self.n, els, [self.phi(x) for x in range(self.n)])
+        return perm.Group(self.n, els)
 
     def is_indecomposable(self):
         """Transitivity of the inner group on X.

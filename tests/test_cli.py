@@ -449,6 +449,28 @@ def test_inexact_json_values_are_invalid_usage(capsys, tmp_path, argv, doc):
     assert doc["ok"] is False
 
 
+GENERIC_O23 = ('{"family": "GenericLambda", "rack": "o23", "cocycle": "chi", '
+               '"params": {"lambda": {%s, "0,1": "-1", "0,2": "1", '
+               '"1,1": "1", "2,2": "1"}}}')
+
+
+@pytest.mark.parametrize("lam00, want", [
+    ('"0,0": "1"', 0),
+    ('"0,0": "1", "0,0": "7"', 2),
+    ('"0,0": "1", " 0, 0": "7"', 2),
+    ('"0,0": "1", "00,0": "7"', 2),
+    ('"0_0,0": "1"', 2),
+    ('"\\u0660,0": "1"', 2),
+], ids=["one-key-per-pair", "repeated-key", "padded-key", "zero-padded-pair",
+        "underscore-key", "arabic-digit-key"])
+def test_a_lambda_pair_is_named_once_in_ascii_digits(capsys, tmp_path, lam00, want):
+    src = tmp_path / "params.json"
+    src.write_text(GENERIC_O23 % lam00)
+    code, out, _ = run(capsys, "deform", "verify", "--file", str(src))
+    assert code == want
+    assert payload(out)["ok"] is (want == 0)
+
+
 def test_integer_over_the_digit_limit_is_invalid_usage(capsys, tmp_path):
     src = tmp_path / "huge.json"
     src.write_text('{"n": %s, "table": []}' % ("1" * 5000))

@@ -3,8 +3,9 @@
 Hypothesis starts from well-formed rack, cocycle, parameter and ideal
 documents of small size and breaks up to three of their nodes: a node
 becomes a wrong type (a float, a bool, a huge exponent or integer, a
-list, a dict), a key or a list entry goes missing, or a list entry is
-repeated, which makes a table ragged.  Every run of ``cli.main`` must
+list, a dict), a key or a list entry goes missing, or a node is repeated:
+a list entry, which makes a table ragged, or an object key, which the
+JSON text then holds twice.  Every run of ``cli.main`` must
 print exactly one JSON document on stdout and exit with 0, 1, 2 or 3.
 The argv half draws a command from ``cli._COMMANDS``, a subset of its
 flags with valid or invalid values, and sometimes one flag the command
@@ -15,6 +16,7 @@ bounded, so the tests are deterministic and take a few seconds.
 import copy
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +31,7 @@ from rackalg.quadrel import quadratic_ideal
 from rackalg.rack import dihedral_rack, trivial_rack
 
 HUGE_INT = "__huge_int__"  # written as a 5000-digit integer literal
+REPEAT = "__repeat__"  # a key with this prefix is written as the bare key
 
 JUNK = st.one_of(
     st.none(),
@@ -96,6 +99,8 @@ def cases(draw):
             del parent[key]
         elif isinstance(parent, list):
             parent.append(copy.deepcopy(parent[key]))
+        else:
+            parent[REPEAT + key] = copy.deepcopy(parent[key])
     if draw(st.integers(min_value=0, max_value=9)) == 0:
         doc = draw(JUNK)
     return list(command), doc
@@ -111,7 +116,8 @@ def cases(draw):
 def test_file_input_yields_one_document_and_a_documented_exit(tmp_path, case):
     argv, doc = case
     src = tmp_path / "doc.json"
-    src.write_text(json.dumps(doc).replace(json.dumps(HUGE_INT), "1" * 5000))
+    text = json.dumps(doc).replace(json.dumps(HUGE_INT), "1" * 5000)
+    src.write_text(re.sub('"(%s)+' % REPEAT, '"', text))
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--file", str(src)])

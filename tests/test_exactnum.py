@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from rackalg.exactnum import MAX_EXPONENT, BadNumber, integer, rational
+from rackalg import deform, grouprealize
+from rackalg.catalog import builtin_cocycle, builtin_rack
+from rackalg.cocycle import Cocycle2, constant_cocycle, validate_cocycle
+from rackalg.exactnum import MAX_EXPONENT, BadNumber, exact, integer, rational
+from rackalg.quadrel import pointed_lambda_space
 
 
 @pytest.mark.parametrize("value, want", [
@@ -42,3 +46,64 @@ def test_integer_takes_only_ints():
     for value in (True, False, 1.0, 1.9, "0", None):
         with pytest.raises(BadNumber):
             integer(value)
+
+
+def _o23():
+    return builtin_rack("o23")[0]
+
+
+def _o24_free_pairs():
+    rack, _ = builtin_rack("o24")
+    space = pointed_lambda_space(rack, builtin_cocycle("o24", "const:-1"))
+    return space, [c.base_pair for c in space.free_classes()]
+
+
+def _generic_o23(value):
+    rack, _ = builtin_rack("o23")
+    space = pointed_lambda_space(rack, builtin_cocycle("o23", "const:-1"))
+    lam = {c.base_pair: 1 for c in space.classes}
+    lam[space.classes[0].base_pair] = value
+    return deform.DeformParams.generic("o23", "const:-1", lam)
+
+
+def _value_map(value):
+    space, pairs = _o24_free_pairs()
+    return space.value_map({p: value for p in pairs})
+
+
+def _pointed_lifting(value):
+    _, pairs = _o24_free_pairs()
+    real = grouprealize.builtin_realization("o24", "const:-1")
+    return deform.pointed_lifting_generators(real, {p: value for p in pairs})
+
+
+def _explicit_chi(value):
+    rack, class_perms = builtin_rack("o23")
+    group = grouprealize.builtin_realization("o23", "const:-1").group
+    rows = [{t: value for t in group} for _ in class_perms]
+    return grouprealize.principal_realization(rack, class_perms, rows)
+
+
+# constructors that turn a number passed in code into a Fraction; each must
+# refuse the float 0.1 rather than read its binary value.  FreePoly,
+# RatMatrix, rank_bareiss and FiniteDimAlgebra are checked in their modules.
+FLOAT_ENTRY_POINTS = {
+    "exact": exact,
+    "constant_cocycle": lambda v: constant_cocycle(_o23(), v),
+    "Cocycle2": lambda v: Cocycle2(_o23(), [[v] * 3] * 3),
+    "validate_cocycle": lambda v: validate_cocycle(_o23(), [[v] * 3] * 3),
+    "DeformParams.eminus": lambda v: deform.DeformParams.eminus(4, v),
+    "DeformParams.eminus mu": lambda v: deform.DeformParams.eminus(4, 1, v),
+    "DeformParams.generic": _generic_o23,
+    "ParamSpace.value_map": _value_map,
+    "pointed_lifting_generators": _pointed_lifting,
+    "iso_class_equal": lambda v: deform.iso_class_equal([v], [1], "pointed"),
+    "principal_realization chi rows": _explicit_chi,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRY_POINTS))
+def test_entry_points_refuse_floats(name):
+    FLOAT_ENTRY_POINTS[name](1)  # the same call with an int goes through
+    with pytest.raises(TypeError, match="float"):
+        FLOAT_ENTRY_POINTS[name](0.1)

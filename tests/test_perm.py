@@ -2,6 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rackalg import perm
+from rackalg.catalog import symmetric_permgroup
 
 perms5 = st.permutations(range(5)).map(tuple)
 
@@ -45,6 +46,17 @@ def test_mulclose_transpositions_generate():
     gens = [perm.from_cycles(4, [(1, 2)]), perm.from_cycles(4, [(1, 2, 3, 4)])]
     assert len(perm.mulclose(gens)) == 24
     assert len(perm.mulclose([perm.from_cycles(4, [(1, 2), (3, 4)])])) == 2
+
+
+def test_symmetric_permgroup_of_degree_three():
+    g = symmetric_permgroup(3)
+    assert len(g) == 6
+    assert g.identity == (0, 1, 2)
+    a = perm.from_cycles(3, [(1, 2)])
+    b = perm.from_cycles(3, [(1, 2, 3)])
+    assert g.mul(a, a) == g.identity
+    assert g.inv(b) == perm.inverse(b)
+    assert a in g and (0, 1) not in g
 
 
 def test_conjugate_is_group_conjugation():
