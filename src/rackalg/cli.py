@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import __version__, deform, grouprealize, perm
 from .braided import DegreeBudgetExceeded, check_braid_equation, make_braiding
 from .catalog import RACK_NAMES, builtin_cocycle, builtin_rack
-from .cocycle import Cocycle2, constant_cocycle
+from .cocycle import CocycleLawFails, Cocycle2, ZeroEntry, constant_cocycle
 from .exactnum import rational
 from .freealg import (
     ResourceBudgetExceeded,
@@ -39,7 +39,7 @@ from .quadrel import (
     quadratic_ideal,
     spans_kernel,
 )
-from .rack import Rack
+from .rack import NotBijective, NotSelfDistributive, Rack
 
 SCHEMA = "rackalg-report/1"
 
@@ -98,16 +98,21 @@ def _load_json_file(path):
         raise CliError("JSON in %s is nested too deeply" % path, EXIT_INVALID)
 
 
+def _read_doc(read, doc, what):
+    """read(doc); a failed rack or cocycle axiom exits 1, a document of
+    the wrong shape 2."""
+    try:
+        return read(doc)
+    except (NotBijective, NotSelfDistributive, ZeroEntry, CocycleLawFails) as exc:
+        raise CliError("invalid %s: %s" % (what, exc), EXIT_ASSERTION)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError("malformed %s document: %s" % (what, exc), EXIT_INVALID)
+
+
 def _load_rack(args):
     """Return (rack, rack_name or None).  --file wins over --rack."""
     if args.file:
-        doc = _load_json_file(args.file)
-        try:
-            return Rack.from_json(doc), None
-        except (KeyError, TypeError) as exc:
-            raise CliError("malformed rack document: %s" % exc, EXIT_INVALID)
-        except ValueError as exc:
-            raise CliError("invalid rack: %s" % exc, EXIT_ASSERTION)
+        return _read_doc(Rack.from_json, _load_json_file(args.file), "rack"), None
     if args.rack:
         try:
             rack, _ = builtin_rack(args.rack)
@@ -160,12 +165,7 @@ def _cmd_cocycle_check(args):
         doc = _load_json_file(args.file)
         if "q" not in doc:
             raise CliError("file has no cocycle values", EXIT_INVALID)
-        try:
-            q = Cocycle2.from_json(doc, rack=rack)
-        except (KeyError, TypeError) as exc:
-            raise CliError("malformed cocycle document: %s" % exc, EXIT_INVALID)
-        except ValueError as exc:
-            raise CliError("invalid cocycle: %s" % exc, EXIT_ASSERTION)
+        q = _read_doc(lambda d: Cocycle2.from_json(d, rack=rack), doc, "cocycle")
     else:
         q = _load_cocycle(args, rack, name)
     payload = {

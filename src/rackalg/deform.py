@@ -258,18 +258,24 @@ class DeformParams:
 
     @classmethod
     def from_json(cls, doc):
+        """The point of a parameter document; a key the family does not
+        read raises ValueError, and a mu left out reads as 0."""
         family = doc["family"]
         p = doc.get("params", {})
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if family in PRESETS:
             racks, _, key, mus = PRESETS[family]
+            _refuse_unread(doc, ("family", "params", "n"))
+            _refuse_unread(p, (key, *(name for name, _, _ in mus)))
             return cls._preset(
                 family,
-                integer(doc["n"]) if len(racks) > 1 else 4,
+                integer(doc["n"] if len(racks) > 1 else doc.get("n", 4)),
                 {k: rational(v) for k, v in p[key].items()},
                 *(rational(p.get(name, 0)) for name, _, _ in mus),
             )
+        _refuse_unread(doc, ("family", "rack", "cocycle", "params"))
+        _refuse_unread(p, ("lambda",))
         lam = {}
         for key, v in p["lambda"].items():
             if not re.fullmatch(r"\d+,\d+", key, re.ASCII):
@@ -278,6 +284,12 @@ class DeformParams:
         if len(lam) < len(p["lambda"]):
             raise ValueError("lambda names one base pair twice")
         return cls.generic(doc["rack"], doc["cocycle"], lam)
+
+
+def _refuse_unread(doc, keys):
+    unread = sorted(set(doc) - set(keys))
+    if unread:
+        raise ValueError(f"keys {unread} are not read (want {list(keys)})")
 
 
 def build_deformed_ideal(params):

@@ -11,7 +11,9 @@ it is (-1)^L; then it carries the relation
 with eta_1 = 1 and eta_h = -eta_{h-1} q_{i_h i_{h-1}}.  ``enumerate_classes``
 lists the cycles and ``select_Rprime`` turns the ones in R' into complete
 ``RelClass`` objects.  This module also solves the two parameter-space
-constraint systems that decide which deformation scalars survive.
+constraint systems that decide which deformation scalars survive.  The
+copointed space and the Hom-vanishing check both read ``_composed``: the
+translation phi_{i2} phi_{i1} of a class's base pair, with its scalars.
 """
 
 from fractions import Fraction
@@ -175,26 +177,20 @@ class RatioUnionFind:
             self.zero_roots.discard(ra)
             self.zero_roots.add(rb)
 
-    def force_zero(self, i):
-        root, _ = self.find(i)
-        self.zero_roots.add(root)
-
     def is_zero(self, i):
         root, _ = self.find(i)
         return root in self.zero_roots
 
-    def roots(self):
-        return [i for i in range(len(self.parent)) if self.parent[i] == i]
-
 
 class ParamSpace:
-    """Solved parameter constraints over the relation classes."""
+    """Solved parameter constraints over the relation classes: ``solved[i]``
+    is (root index, lam_i / lam_root, zero) for class i."""
 
-    __slots__ = ("classes", "uf")
+    __slots__ = ("classes", "solved")
 
-    def __init__(self, classes, uf):
+    def __init__(self, classes, solved):
         self.classes = classes
-        self.uf = uf
+        self.solved = tuple(solved)
 
     @property
     def free_dim(self):
@@ -202,22 +198,18 @@ class ParamSpace:
 
     def free_classes(self):
         return [
-            self.classes[r]
-            for r in self.uf.roots()
-            if r not in self.uf.zero_roots
+            c for i, (c, (root, _, zero)) in enumerate(zip(self.classes, self.solved))
+            if root == i and not zero
         ]
 
     def zero_classes(self):
-        return [c for i, c in enumerate(self.classes) if self.uf.is_zero(i)]
+        return [c for c, (_, _, zero) in zip(self.classes, self.solved) if zero]
 
     def contains(self, lam):
         """Whether class scalars (base pair -> value) meet every zero and tie."""
-        for i, c in enumerate(self.classes):
-            root, ratio = self.uf.find(i)
-            if root in self.uf.zero_roots:
-                want = 0
-            else:
-                want = ratio * lam[self.classes[root].base_pair]
+        classes = self.classes
+        for c, (root, ratio, zero) in zip(classes, self.solved):
+            want = 0 if zero else ratio * lam[classes[root].base_pair]
             if lam[c.base_pair] != want:
                 return False
         return True
@@ -228,113 +220,82 @@ class ParamSpace:
         root_values: dict base_pair -> Fraction for the free classes.
         """
         out = {}
-        for i, c in enumerate(self.classes):
-            root, ratio = self.uf.find(i)
-            if root in self.uf.zero_roots:
-                out[c.base_pair] = Fraction(0)
-            else:
-                key = self.classes[root].base_pair
-                out[c.base_pair] = ratio * exact(root_values[key])
+        for c, (root, ratio, zero) in zip(self.classes, self.solved):
+            v = 0 if zero else exact(root_values[self.classes[root].base_pair])
+            out[c.base_pair] = ratio * v
         return out
 
     def to_json(self):
-        recs = []
-        for i, c in enumerate(self.classes):
-            root, ratio = self.uf.find(i)
-            zero = root in self.uf.zero_roots
-            recs.append(
+        classes = self.classes
+        return {
+            "free_dim": self.free_dim,
+            "free_pairs": [list(c.base_pair) for c in self.free_classes()],
+            "classes": [
                 {
                     "pair": list(c.base_pair),
                     "size": c.size,
                     "eta": [str(e) for e in c.eta],
-                    "status": (
-                        "zero" if zero else ("free" if root == i else "tied")
-                    ),
-                    "root_pair": list(self.classes[root].base_pair),
+                    "status": "zero" if zero else ("free" if root == i else "tied"),
+                    "root_pair": list(classes[root].base_pair),
                     "ratio_to_root": str(ratio),
                 }
-            )
-        return {
-            "free_dim": self.free_dim,
-            "free_pairs": [list(c.base_pair) for c in self.free_classes()],
-            "classes": recs,
+                for i, (c, (root, ratio, zero)) in enumerate(zip(classes, self.solved))
+            ],
         }
 
 
 def pointed_lambda_space(rack, cocycle):
     """Tie the class scalars under the rack action.
 
-    For x in X the automorphism x > (-) carries class C to a class D; if
-    applying it to the h-th pair of C lands on the base pair of D, the
-    scalars satisfy lam_C = q_{x,i_{h+1}} q_{x,i_h} eta_h(C) lam_D.
+    For x in X the automorphism x > (-) carries class C onto a class D; if
+    it carries the h-th pair of C to the base pair of D, the scalars
+    satisfy lam_C = q_{x,i_{h+1}} q_{x,i_h} eta_h(C) lam_D.
     """
     rprime = select_Rprime(enumerate_classes(rack), cocycle)
-    pair_to_class = {}
-    for i, c in enumerate(rprime):
-        for p in c.pairs():
-            pair_to_class[p] = i
+    pair_to_class = {p: i for i, c in enumerate(rprime) for p in c.pairs()}
     uf = RatioUnionFind(len(rprime))
     for ci, c in enumerate(rprime):
+        pairs = c.pairs()
         for x in range(rack.n):
-            target = None
-            for h, (a, b) in enumerate(c.pairs()):
-                moved = (rack.act(x, a), rack.act(x, b))
-                di = pair_to_class.get(moved)
-                assert di is not None, "rack action left the class system"
-                if rprime[di].base_pair == moved:
-                    target = (h, a, b, di)
-                    break
-            assert target is not None, "no rotation hit a base pair"
-            h, a, b, di = target
-            rho = cocycle(x, a) * cocycle(x, b) * c.eta[h]
-            uf.tie(ci, di, rho)
-    return ParamSpace(rprime, uf)
+            moved = [(rack.act(x, a), rack.act(x, b)) for a, b in pairs]
+            di = pair_to_class[moved[0]]
+            h = moved.index(rprime[di].base_pair)
+            a, b = pairs[h]
+            uf.tie(ci, di, cocycle(x, a) * cocycle(x, b) * c.eta[h])
+    solved = [uf.find(i) + (uf.is_zero(i),) for i in range(len(rprime))]
+    return ParamSpace(rprime, solved)
 
 
-def copointed_condition(cls, rack, cocycle):
-    """Both pointwise conditions that let the class scalar survive."""
-    s = cls.seq
-    i1, i2 = s[0], s[1 % len(s)]
-    for x in range(rack.n):
-        y = rack.act(i1, x)
-        if rack.act(i2, y) != x:
-            return False
-        if cocycle(i1, x) * cocycle(i2, y) != 1:
-            return False
-    return True
+def _composed(cls, rack, cocycle):
+    """(phi_{i2} phi_{i1}, (q_{i1,x} q_{i2,i1>x}) for x in X) for the base
+    pair (i2, i1) of the class."""
+    i2, i1 = cls.base_pair
+    ys = [rack.act(i1, x) for x in range(rack.n)]
+    return (
+        tuple(rack.act(i2, y) for y in ys),
+        tuple(cocycle(i1, x) * cocycle(i2, y) for x, y in enumerate(ys)),
+    )
 
 
 def copointed_lambda_space(rack, cocycle):
+    """A class scalar survives, free and untied, when the composed
+    translation of its base pair is the identity with every scalar 1."""
     rprime = select_Rprime(enumerate_classes(rack), cocycle)
-    uf = RatioUnionFind(len(rprime))
-    for i, c in enumerate(rprime):
-        if not copointed_condition(c, rack, cocycle):
-            uf.force_zero(i)
-    return ParamSpace(rprime, uf)
+    unit = (tuple(range(rack.n)), (1,) * rack.n)
+    return ParamSpace(rprime, [
+        (i, Fraction(1), _composed(c, rack, cocycle) != unit)
+        for i, c in enumerate(rprime)
+    ])
 
 
 def hom_vanishing_check(rack, cocycle):
-    """Search for a generator matching the composed translation of a class.
-
-    A class admits a nonzero equivariant map exactly when some j in X has
-    phi_j = phi_{i2} phi_{i1} together with the matching scalar products;
-    all=true means no class does.
-    """
-    rprime = select_Rprime(enumerate_classes(rack), cocycle)
-    per_class = {}
-    for c in rprime:
-        s = c.seq
-        i1, i2 = s[0], s[1 % len(s)]
-        composed = tuple(rack.act(i2, rack.act(i1, x)) for x in range(rack.n))
-        admits = False
-        for j in range(rack.n):
-            if rack.phi(j) != composed:
-                continue
-            if all(
-                cocycle(j, x) == cocycle(i1, x) * cocycle(i2, rack.act(i1, x))
-                for x in range(rack.n)
-            ):
-                admits = True
-                break
-        per_class[c.base_pair] = admits
+    """Search for a generator matching the composed translation of a class:
+    a class admits a nonzero equivariant map exactly when some j in X has
+    (phi_j, q_{j,-}) equal to it.  all=true means no class does."""
+    xs = range(rack.n)
+    gens = {(rack.phi(j), tuple(cocycle(j, x) for x in xs)) for j in xs}
+    per_class = {
+        c.base_pair: _composed(c, rack, cocycle) in gens
+        for c in select_Rprime(enumerate_classes(rack), cocycle)
+    }
     return {"per_class": per_class, "all": not any(per_class.values())}

@@ -34,7 +34,7 @@ class Rack:
     """Immutable rack on {0..n-1} with optional display labels.
 
     Use validate_rack / conjugacy_rack to construct; the constructor itself
-    assumes the axioms (it asserts them cheaply in debug runs).
+    assumes the axioms and checks only the number of labels.
     """
 
     __slots__ = ("n", "table", "labels")

@@ -420,6 +420,13 @@ def test_deeply_nested_file_is_invalid_usage(capsys, tmp_path):
     assert str(src) in doc["report"]["error"]
 
 
+O24_ALPHA = dict.fromkeys(("(34)", "(23)", "(24)", "(12)", "(13)", "(14)"), "1")
+O23_ALPHA = dict.fromkeys(("(23)", "(12)", "(13)"), "1")
+O44_BETA = dict.fromkeys(
+    ("(1234)", "(1243)", "(1342)", "(1324)", "(1432)", "(1423)"), "1"
+)
+
+
 @pytest.mark.parametrize("argv, doc", [
     (("cocycle", "check"),
      {"n": 2, "table": [[0, 1], [0, 1]], "q": [[0.1, "1"], ["1", "1"]]}),
@@ -436,9 +443,25 @@ def test_deeply_nested_file_is_invalid_usage(capsys, tmp_path):
     (("deform", "verify"),
      {"family": "Echi", "n": 3.0,
       "params": {"alpha": {"(12)": "1", "(13)": "1", "(23)": "1"}}}),
+    (("rack", "check"), {"n": 2, "table": [[0, 1, 0], [1, 0]]}),
+    (("rack", "check"), {"n": 2, "table": [[0, 1], [0, 1]], "labels": ["a"]}),
+    (("cocycle", "check"), {"n": 2, "table": [[0, 1], [0, 1]], "q": [["1", "1"]]}),
+    (("deform", "verify"),
+     {"family": "Eminus", "n": 4,
+      "params": {"alpha": O24_ALPHA, "mu_1": "5", "mu2": "1"}}),
+    (("deform", "verify"),
+     {"family": "Echi", "n": 3, "params": {"alpha": O23_ALPHA, "mu": "1"},
+      "extra": 1}),
+    (("deform", "verify"), {"family": "Etilde", "n": 3, "params": {"beta": O44_BETA}}),
+    (("deform", "verify"),
+     {"family": "GenericLambda", "rack": "o44", "cocycle": "const:2", "n": 4,
+      "params": {"lambda": {}}}),
 ], ids=["float-q", "bool-table", "float-word", "bool-word", "huge-exponent",
-        "float-alpha", "float-n"])
+        "float-alpha", "float-n", "ragged-table", "short-labels", "short-q",
+        "misspelt-mu", "extra-key", "etilde-n3", "generic-n"])
 def test_inexact_json_values_are_invalid_usage(capsys, tmp_path, argv, doc):
+    """An inexact value, a rack or cocycle document of the wrong shape, or a
+    key a parameter document does not read: exit 2 with one document."""
     src = tmp_path / "doc.json"
     src.write_text(json.dumps(doc))
     started = time.perf_counter()

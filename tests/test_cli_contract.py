@@ -3,9 +3,11 @@
 Hypothesis starts from well-formed rack, cocycle, parameter and ideal
 documents of small size and breaks up to three of their nodes: a node
 becomes a wrong type (a float, a bool, a huge exponent or integer, a
-list, a dict), a key or a list entry goes missing, or a node is repeated:
-a list entry, which makes a table ragged, or an object key, which the
-JSON text then holds twice.  Every run of ``cli.main`` must
+list, a dict), a key or a list entry goes missing, a node is repeated
+(a list entry, which makes a table ragged, or an object key, which the
+JSON text then holds twice), or an object key is misspelt by a trailing
+``_`` (a list entry drawn for that is repeated).  Every run of
+``cli.main`` must
 print exactly one JSON document on stdout and exit with 0, 1, 2 or 3.
 The argv half draws a command from ``cli._COMMANDS``, a subset of its
 flags with valid or invalid values, and sometimes one flag the command
@@ -92,13 +94,15 @@ def cases(draw):
         if not nodes:
             break
         parent, key = draw(st.sampled_from(nodes))
-        how = draw(st.sampled_from(["junk", "drop", "repeat"]))
+        how = draw(st.sampled_from(["junk", "drop", "repeat", "rename"]))
         if how == "junk":
             parent[key] = draw(JUNK)
         elif how == "drop":
             del parent[key]
         elif isinstance(parent, list):
             parent.append(copy.deepcopy(parent[key]))
+        elif how == "rename":
+            parent[key + "_"] = parent.pop(key)
         else:
             parent[REPEAT + key] = copy.deepcopy(parent[key])
     if draw(st.integers(min_value=0, max_value=9)) == 0:

@@ -359,6 +359,17 @@ def test_params_json_values_are_exact():
             DeformParams.from_json(bad)
 
 
+def test_params_json_reads_a_missing_mu_as_zero():
+    doc = DeformParams.etilde(1, 2, 3).to_json()
+    del doc["params"]["mu1"], doc["params"]["mu2"]
+    assert DeformParams.from_json(doc).coordinates()[1] == {"mu1": 0, "mu2": 0}
+    doc["n"] = 4
+    assert DeformParams.from_json(doc).to_json() == DeformParams.etilde(1).to_json()
+    doc = DeformParams.eminus(4, 1, 2, 3).to_json()
+    del doc["params"]["mu1"]
+    assert DeformParams.from_json(doc).coordinates()[1] == {"mu1": 0, "mu2": 3}
+
+
 def test_printed_elements_reduce_to_zero():
     for alpha, mu1, mu2 in [
         (F(1), F(0), F(0)),

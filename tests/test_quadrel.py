@@ -1,7 +1,11 @@
+import json
+import pathlib
 from fractions import Fraction
 
+import pytest
+
 from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
-from rackalg.cocycle import constant_cocycle
+from rackalg.cocycle import constant_cocycle, validate_cocycle
 from rackalg.quadrel import (
     RatioUnionFind,
     copointed_lambda_space,
@@ -13,9 +17,10 @@ from rackalg.quadrel import (
     select_Rprime,
     verify_J2,
 )
-from rackalg.rack import dihedral_rack, trivial_rack
+from rackalg.rack import cyclic_affine_rack, dihedral_rack, trivial_rack
 
 F = Fraction
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_rprime_has_17_classes_for_each_family(s4_families):
@@ -161,8 +166,6 @@ def test_ratio_union_find_behaviour():
     uf.tie(0, 2, F(5))
     assert uf.is_zero(0) and uf.is_zero(1) and uf.is_zero(2)
     assert not uf.is_zero(3)
-    uf.force_zero(3)
-    assert uf.is_zero(3)
 
 
 def test_ratio_union_find_consistent_cycle_stays_free():
@@ -171,7 +174,7 @@ def test_ratio_union_find_consistent_cycle_stays_free():
     uf.tie(1, 2, F(3))
     uf.tie(0, 2, F(6))  # consistent with the composite
     assert not uf.is_zero(0)
-    assert len([r for r in uf.roots() if r not in uf.zero_roots]) == 1
+    assert len({uf.find(i)[0] for i in range(3) if not uf.is_zero(i)}) == 1
 
 
 def test_param_space_json_shape():
@@ -191,3 +194,97 @@ def test_param_space_json_shape():
             "root_pair",
             "ratio_to_root",
         }
+
+
+BUILTIN_PAIRS = [
+    ("o23", "const:-1"), ("o23", "chi"), ("o24", "const:-1"), ("o24", "chi"),
+    ("o44", "const:-1"),
+]
+
+
+def test_param_spaces_match_recorded():
+    """Both spaces and the Hom report of the five builtin pairs, root
+    choice and ratios included, as recorded before the spaces became
+    fixed tables."""
+    recorded = json.loads((DATA / "param_spaces.json").read_text())
+    assert set(recorded) == {f"{name}/{spec}" for name, spec in BUILTIN_PAIRS}
+    for name, spec in BUILTIN_PAIRS:
+        rack, _ = builtin_rack(name)
+        q = builtin_cocycle(name, spec)
+        hom = hom_vanishing_check(rack, q)
+        assert recorded[f"{name}/{spec}"] == {
+            "pointed": pointed_lambda_space(rack, q).to_json(),
+            "copointed": copointed_lambda_space(rack, q).to_json(),
+            "hom_vanishing": {
+                "per_class": {"%d,%d" % k: v for k, v in hom["per_class"].items()},
+                "all": hom["all"],
+            },
+        }, (name, spec)
+
+
+def _reference_copointed(cls, rack, q):
+    """The class scalar survives when phi_{i2} phi_{i1} fixes every x and
+    q_{i1,x} q_{i2,i1>x} = 1, checked x by x."""
+    s = cls.seq
+    i1, i2 = s[0], s[1 % len(s)]
+    for x in range(rack.n):
+        y = rack.act(i1, x)
+        if rack.act(i2, y) != x:
+            return False
+        if q(i1, x) * q(i2, y) != 1:
+            return False
+    return True
+
+
+def _reference_admits(cls, rack, q):
+    """Some generator j has phi_j = phi_{i2} phi_{i1} and the matching
+    scalars, searched j by j and x by x."""
+    s = cls.seq
+    i1, i2 = s[0], s[1 % len(s)]
+    composed = tuple(rack.act(i2, rack.act(i1, x)) for x in range(rack.n))
+    for j in range(rack.n):
+        if rack.phi(j) != composed:
+            continue
+        if all(
+            q(j, x) == q(i1, x) * q(i2, rack.act(i1, x)) for x in range(rack.n)
+        ):
+            return True
+    return False
+
+
+def _reference_pool():
+    for name, specs in (
+        ("o23", ("const:1", "const:-1", "chi")),
+        ("o24", ("const:1", "const:-1", "chi")),
+        ("o44", ("const:1", "const:-1")),
+    ):
+        for spec in specs:
+            yield f"{name}/{spec}", builtin_rack(name)[0], builtin_cocycle(name, spec)
+    racks = [(f"D{n}", dihedral_rack(n)) for n in range(3, 7)]
+    racks += [(f"trivial{n}", trivial_rack(n)) for n in range(1, 5)]
+    for label, rack in racks:
+        for w in (1, -1):
+            yield f"{label}/{w}", rack, constant_cocycle(rack, w)
+    aff = cyclic_affine_rack(5, 2)
+    for w in (1, -1):
+        yield f"aff(5,2)/{w}", aff, constant_cocycle(aff, w)
+    # two non-constant cocycles: on trivial3 the scalars alone decide both
+    # conditions, and on D4 q_{i2,i1>x} differs from q_{i2,x}
+    t3, d4 = trivial_rack(3), dihedral_rack(4)
+    yield "trivial3/q", t3, validate_cocycle(t3, [[1, 1, 1], [1, 1, -1], [1, -1, -1]])
+    yield "D4/q", d4, validate_cocycle(d4, [[1, 1, 1, 1], [1, 1, -1, 1]] * 2)
+
+
+@pytest.mark.parametrize(
+    "rack, q", [pytest.param(rack, q, id=label) for label, rack, q in _reference_pool()]
+)
+def test_composed_translation_agrees_with_per_x_loops(rack, q):
+    """The copointed zero status and the Hom report, read off one composed
+    translation per class, agree class by class with per-x loops."""
+    copointed = copointed_lambda_space(rack, q)
+    per_class = hom_vanishing_check(rack, q)["per_class"]
+    zero = set(copointed.zero_classes())
+    assert list(per_class) == [c.base_pair for c in copointed.classes]
+    for c in copointed.classes:
+        assert (c not in zero) == _reference_copointed(c, rack, q), c
+        assert per_class[c.base_pair] == _reference_admits(c, rack, q), c
