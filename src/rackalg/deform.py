@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import catalog, grouprealize, perm, quadrel
 from .braided import DegreeBudgetExceeded
-from .exactnum import exact, integer, rational
+from .exactnum import exact, integer, rational, refuse_unread
 from .freealg import (
     FreePoly,
     groebner,
@@ -266,16 +266,16 @@ class DeformParams:
             raise ValueError(f"unknown family {family!r}")
         if family in PRESETS:
             racks, _, key, mus = PRESETS[family]
-            _refuse_unread(doc, ("family", "params", "n"))
-            _refuse_unread(p, (key, *(name for name, _, _ in mus)))
+            refuse_unread(doc, ("family", "params", "n"))
+            refuse_unread(p, (key, *(name for name, _, _ in mus)))
             return cls._preset(
                 family,
                 integer(doc["n"] if len(racks) > 1 else doc.get("n", 4)),
                 {k: rational(v) for k, v in p[key].items()},
                 *(rational(p.get(name, 0)) for name, _, _ in mus),
             )
-        _refuse_unread(doc, ("family", "rack", "cocycle", "params"))
-        _refuse_unread(p, ("lambda",))
+        refuse_unread(doc, ("family", "rack", "cocycle", "params"))
+        refuse_unread(p, ("lambda",))
         lam = {}
         for key, v in p["lambda"].items():
             if not re.fullmatch(r"\d+,\d+", key, re.ASCII):
@@ -284,12 +284,6 @@ class DeformParams:
         if len(lam) < len(p["lambda"]):
             raise ValueError("lambda names one base pair twice")
         return cls.generic(doc["rack"], doc["cocycle"], lam)
-
-
-def _refuse_unread(doc, keys):
-    unread = sorted(set(doc) - set(keys))
-    if unread:
-        raise ValueError(f"keys {unread} are not read (want {list(keys)})")
 
 
 def build_deformed_ideal(params):
@@ -306,19 +300,17 @@ def is_admissible(params):
     return pointed.contains(params.lam) or copointed.contains(params.lam)
 
 
-def zero_parameter_dim(params, max_deg=16, max_basis=20000):
+def zero_parameter_dim(params, max_deg=16):
     """Quotient dimension at lambda = 0, the quadratic algebra (flavour V)
     of the point's rack and cocycle."""
-    return _zero_fibre_dim(
-        params.rack_name, params.cocycle_spec, max_deg, max_basis
-    )
+    return _zero_fibre_dim(params.rack_name, params.cocycle_spec, max_deg)
 
 
 @lru_cache(maxsize=None)
-def _zero_fibre_dim(rack_name, cocycle_spec, max_deg, max_basis):
+def _zero_fibre_dim(rack_name, cocycle_spec, max_deg):
     rack, relations, _, _ = _model(rack_name, cocycle_spec)
     return quotient_dim(
-        groebner([b for _, b in relations], max_deg, max_basis, ngens=rack.n)
+        groebner([b for _, b in relations], max_deg, ngens=rack.n)
     )
 
 
@@ -358,7 +350,7 @@ def sample_params(template, count, seed):
     return out
 
 
-def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
+def verify_nonzero(params, samples=0, seed=0, max_deg=16):
     """Nontriviality (and flatness on admissible points) by sampling.
 
     Runs the given point plus `samples` seeded ones.  A trivial quotient,
@@ -368,7 +360,7 @@ def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
     flatness cannot be read off it; anything else is reported.
     """
     runs = [params] + sample_params(params, samples, seed)
-    expected = zero_parameter_dim(params, max_deg, max_basis)
+    expected = zero_parameter_dim(params, max_deg)
     if expected == "unknown":
         raise DegreeBudgetExceeded(
             f"zero-fibre completion truncated at degree {max_deg}"
@@ -385,7 +377,7 @@ def verify_nonzero(params, samples=0, seed=0, max_deg=16, max_basis=20000):
         report["n"] = doc["n"]
     ngens = _model(params.rack_name, params.cocycle_spec)[0].n
     for p in runs:
-        gb = groebner(build_deformed_ideal(p), max_deg, max_basis, ngens=ngens)
+        gb = groebner(build_deformed_ideal(p), max_deg, ngens=ngens)
         trivial = is_trivial_quotient(gb)
         if trivial:
             raise NonzeroCheckFailed(
@@ -561,12 +553,12 @@ def appendix_printed_elements(alpha, mu1, mu2):
     return els
 
 
-def appendix_membership_audit(params, gb=None, max_deg=16, max_basis=20000):
+def appendix_membership_audit(params, gb=None, max_deg=16):
     """normal_form == 0 for every printed extra basis element."""
     if params.family != EMINUS or params.rack_name != "o24":
         raise ValueError("the printed basis belongs to the n=4 minus family")
     if gb is None:
-        gb = groebner(build_deformed_ideal(params), max_deg, max_basis)
+        gb = groebner(build_deformed_ideal(params), max_deg)
     alpha, mus = params.coordinates()
     els = appendix_printed_elements(alpha, mus["mu1"], mus["mu2"])
     out = []

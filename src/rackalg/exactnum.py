@@ -7,6 +7,8 @@ an int read from a string already bounds the mantissa.  Floats are
 refused, because the binary value JSON reads is not the decimal the file
 shows, and so are bools.  A refused value raises BadNumber.  Numbers
 passed in code go through :func:`exact`, which refuses floats alone.
+An input document that names a key its reader does not read is refused
+by :func:`refuse_unread`, so a misspelt key is never silently dropped.
 """
 
 import re
@@ -50,3 +52,13 @@ def rational(value):
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise BadNumber("not an exact rational: %.40r" % (value,)) from None
+
+
+def refuse_unread(doc, keys):
+    """Raise ValueError when the object doc names a key outside keys, and
+    TypeError when doc is not an object."""
+    if not isinstance(doc, dict):
+        raise TypeError("expected an object, got %.40r" % (doc,))
+    unread = sorted(set(doc) - set(keys))
+    if unread:
+        raise ValueError(f"keys {unread} are not read (want {list(keys)})")

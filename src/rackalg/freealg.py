@@ -18,16 +18,18 @@ The completion is Buchberger-style for two-sided ideals: the obstruction
 queue holds proper overlaps of leading words (lowest common degree first),
 the basis is kept fully interreduced after every insertion, so a
 completed run yields the unique reduced Groebner basis for the order.
-Reduction finds a lead in a word by looking up the word's subwords in the
-dict of leads.
+One Aho-Corasick automaton over the leads (Aho & Corasick 1975) serves
+reduction, which walks a word to its first lead, and counting and listing
+the normal words, which are the walks that meet no lead.
 """
 
 import heapq
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
 from .braided import DegreeBudgetExceeded  # shared budget error
-from .exactnum import exact, integer, rational
+from .exactnum import exact, integer, rational, refuse_unread
 
 __all__ = [
     "FreePoly",
@@ -195,22 +197,6 @@ class ResourceBudgetExceeded(Exception):
     """Basis grew past the configured size budget."""
 
 
-def _first_lead(w, lens, basis):
-    """Leftmost occurrence in w of a lead of basis, the shortest lead at
-    that start, as (start, lead); None when w is irreducible.  ``lens`` is
-    the sorted list of lead lengths.  Start and length both run up to
-    len(w), so the empty lead of a trivial quotient matches every word."""
-    n = len(w)
-    for k in range(n + 1):
-        for m in lens:
-            if k + m > n:
-                break
-            sub = w[k:k + m]
-            if sub in basis:
-                return k, sub
-    return None
-
-
 def _integral(terms):
     """(int terms, den): the terms times den, the lcm of their
     denominators."""
@@ -229,19 +215,23 @@ def _primitive(terms, lead):
     return {w: c // g for w, c in terms.items()}
 
 
-def _reduce_terms(terms, basis, lens):
+def _reduce_terms(terms, basis, trans):
     """Fraction-free normal form of an integer term dict against a basis,
-    a dict from lead to primitive integer terms, whose sorted distinct
-    lead lengths are ``lens``.
+    a dict from lead to primitive integer terms, whose lead automaton is
+    ``trans``.
 
     Returns (out, scale): out is the normal form of scale * terms, with
     integer coefficients.  Pops the deglex-largest live word and rewrites
-    the lead occurrence that `_first_lead` finds in it; every replacement
-    word is strictly smaller, so each word is handled once and irreducible
-    words are final.  When the reducer's lead coefficient a does not
-    divide the coefficient c being cancelled, the whole word being reduced
-    is multiplied by a // gcd(a, c) first.
+    the lead occurrence that ends first, which is also the leftmost, since
+    no lead contains another; every replacement word is strictly smaller,
+    so each word is handled once and irreducible words are final.  When
+    the reducer's lead coefficient a does not divide the coefficient c
+    being cancelled, the whole word being reduced is multiplied by
+    a // gcd(a, c) first.  The empty lead of a trivial quotient reduces
+    every word to zero.
     """
+    if b"" in basis:
+        return {}, 1
     work = dict(terms)
     out = {}
     scale = 1
@@ -253,13 +243,18 @@ def _reduce_terms(terms, basis, lens):
         c = work.pop(w, 0)
         if not c:
             continue
-        found = _first_lead(w, lens, basis)
-        if found is None:
+        state = 0
+        for end, letter in enumerate(w, 1):
+            state = trans[state][letter]
+            if state < 0:
+                break
+        else:
             out[w] = c
             continue
-        k, lead = found
+        k = end + state  # a lead of length m ends at -m
+        lead = w[k:end]
         left = w[:k]
-        right = w[k + len(lead):]
+        right = w[end:]
         poly = basis[lead]
         a = poly[lead]
         if a != 1:
@@ -296,7 +291,7 @@ def _reduce_fractions(terms, gb):
     GroebnerBasis: cleared of denominators once, reduced, and divided by
     den * scale once."""
     ints, den = _integral(terms)
-    out, scale = _reduce_terms(ints, gb._items, gb._lens)
+    out, scale = _reduce_terms(ints, gb._items, gb._trans)
     return _fractions(out, den * scale)
 
 
@@ -305,10 +300,10 @@ class GroebnerBasis:
 
     ``elements`` are the monic FreePolys; ``_items`` maps each lead to the
     same element as primitive integer terms, the form the engine reduces
-    with, and ``_lens`` is the sorted list of distinct lead lengths.
+    with, and ``_trans`` is the lead automaton of those leads.
     """
 
-    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_lens")
+    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_trans")
 
     def __init__(self, ngens, elements, truncated_at=None):
         self.ngens = ngens
@@ -318,7 +313,7 @@ class GroebnerBasis:
         for p in elements:
             lead = p.lead()[0]
             self._items[lead] = _primitive(_integral(p.terms)[0], lead)
-        self._lens = sorted({len(ld) for ld in self._items})
+        self._trans = _lead_automaton(self._items, ngens)
 
     @property
     def complete(self):
@@ -407,7 +402,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     # never comes back: a queued pair is live exactly when both of its
     # leads are still keys.
     basis = {}
-    lens = []  # sorted distinct lead lengths, changed only by insert
+    trans = _lead_automaton(basis, ngens)  # rebuilt only by insert
     pair_heap = []  # (common len, common word, u, v, k)
     pending = [_integral(g.terms)[0] for g in gens]
     truncated_at = None
@@ -423,13 +418,14 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
                     heapq.heappush(pair_heap, (len(w), w, v, u, k))
 
     def insert(terms):
+        nonlocal trans
         lead = _lead_word(terms)
         terms = _primitive(terms, lead)
         # retire basis elements whose lead contains the new lead
         for ld in [ld for ld in basis if lead in ld]:
             pending.append(basis.pop(ld))
         basis[lead] = terms
-        lens[:] = sorted({len(ld) for ld in basis})
+        trans = _lead_automaton(basis, ngens)
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
         # tail-reduce every other element against the refreshed basis;
@@ -440,14 +436,14 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             tail = {w: v for w, v in tm.items() if w != ld}
             if not any(lead in w for w in tail):
                 continue
-            red, scale = _reduce_terms(tail, basis, lens)
+            red, scale = _reduce_terms(tail, basis, trans)
             red[ld] = scale * tm[ld]
             basis[ld] = _primitive(red, ld)
         add_pairs(lead)
 
     while pending or pair_heap:
         if pending:
-            red, _ = _reduce_terms(pending.pop(), basis, lens)
+            red, _ = _reduce_terms(pending.pop(), basis, trans)
             if red:
                 insert(red)
             continue
@@ -458,7 +454,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             truncated_at = max_deg
             break
         s = _s_element(u, basis[u], v, basis[v], k)
-        red, _ = _reduce_terms(s, basis, lens)
+        red, _ = _reduce_terms(s, basis, trans)
         if red:
             insert(red)
 
@@ -475,7 +471,7 @@ def audit_obstructions(gb):
     for u, fu in items.items():
         for v, fv in items.items():
             for k in _proper_overlaps(u, v):
-                if _reduce_terms(_s_element(u, fu, v, fv, k), items, gb._lens)[0]:
+                if _reduce_terms(_s_element(u, fu, v, fv, k), items, gb._trans)[0]:
                     return False
     return True
 
@@ -486,30 +482,31 @@ def is_trivial_quotient(gb):
 
 
 def _lead_automaton(leads, ngens):
-    """Deterministic automaton of words avoiding every lead as a subword.
+    """Aho-Corasick automaton of a set of leads, no one of which contains
+    another, as one row of next states per state.
 
-    States are proper prefixes of the leads (plus the empty word); a
-    missing transition means the extended word picked up a lead.
+    States are the proper prefixes of the leads, shortest first, so state
+    0 is the empty word.  A letter goes to the longest suffix of the
+    extended word that is a state, or to -m when the extended word ends in
+    a lead of length m.  So each row is its failure state's row with the
+    letters that extend the prefix or complete a lead written over it.
     """
-    prefixes = {b""}
+    edges = defaultdict(dict)  # state -> {letter: next state, or -m}
     for ld in leads:
-        for k in range(1, len(ld)):
-            prefixes.add(ld[:k])
-    states = sorted(prefixes, key=deglex_key)
-    index = {s: i for i, s in enumerate(states)}
-    leadset = set(leads)
+        if ld:
+            edges[ld[:-1]][ld[-1]] = -len(ld)
+    states = sorted({st[:k] for st in edges for k in range(len(st) + 1)} | {b""},
+                    key=deglex_key)
+    for i, st in enumerate(states[1:], 1):
+        edges[st[:-1]][st[-1]] = i
+    fail = [0] * len(states)
     trans = []
-    for s in states:
-        row = [-1] * ngens
-        for a in range(ngens):
-            t = s + bytes([a])
-            if any(t[len(t) - k:] in leadset for k in range(1, len(t) + 1)):
-                continue
-            for k in range(len(t), -1, -1):
-                suf = t[len(t) - k:]
-                if suf in prefixes:
-                    row[a] = index[suf]
-                    break
+    for i, st in enumerate(states):
+        row = list(trans[fail[i]]) if i else [0] * ngens
+        for a, t in edges[st].items():
+            if t > 0:
+                fail[t] = row[a]
+            row[a] = t
         trans.append(row)
     return trans
 
@@ -542,10 +539,9 @@ def quotient_dim(gb):
         return 0
     if not gb.complete:
         return "unknown"
-    trans = _lead_automaton(gb.leads(), gb.ngens)
     # a normal word with as many letters as there are states revisits a
     # state: the walk can loop there, so the normal words never run out
-    counts = _word_counts(trans, len(trans))
+    counts = _word_counts(gb._trans, len(gb._trans))
     return "infinite" if counts[-1] else sum(counts)
 
 
@@ -553,7 +549,7 @@ def hilbert_series(gb, up_to):
     """Number of normal words in each degree 0..up_to."""
     if is_trivial_quotient(gb):
         return [0] * (up_to + 1)
-    return _word_counts(_lead_automaton(gb.leads(), gb.ngens), up_to)
+    return _word_counts(gb._trans, up_to)
 
 
 class QuotientAlgebra:
@@ -575,7 +571,7 @@ class QuotientAlgebra:
     def _normal_words(self):
         """Normal words in deglex order, one degree at a time: extending a
         lex-sorted degree letter by letter keeps the next one sorted."""
-        trans = _lead_automaton(self.gb.leads(), self.gb.ngens)
+        trans = self.gb._trans
         letters = [bytes([a]) for a in range(self.gb.ngens)]
         level = [(0, b"")]
         words = [b""]
@@ -608,12 +604,19 @@ def ideal_to_json(names, polys, status=None):
 
 
 def ideal_from_json(doc):
+    """(names, polys) of an ideal document; a key it does not read raises
+    ValueError.  ``status`` is let through, since a completed basis is
+    written as an ideal document with its status."""
+    refuse_unread(doc, ("alphabet", "polys", "status"))
     names = [str(x) for x in doc["alphabet"]]
     ngens = len(names)
+    if ngens > 256:
+        raise ValueError("an alphabet of more than 256 letters (words are bytes)")
     polys = []
     for rec in doc["polys"]:
         terms = {}
         for t in rec:
+            refuse_unread(t, ("word", "coeff"))
             w = bytes(integer(i) for i in t["word"])
             if any(i >= ngens for i in w):
                 raise ValueError("word index out of alphabet range")

@@ -11,7 +11,7 @@ a group are the motivating example: x |> y = x y x^{-1}.
 """
 
 from . import perm
-from .exactnum import integer
+from .exactnum import integer, refuse_unread
 
 
 class NotBijective(ValueError):
@@ -129,11 +129,16 @@ class Rack:
 
     @classmethod
     def from_json(cls, obj):
+        """The rack of a document; a cocycle document is a rack document
+        plus its ``q``, so that key is let through too."""
+        refuse_unread(obj, ("n", "table", "labels", "q"))
         r = validate_rack(integer(obj["n"]), obj["table"])
-        labels = obj.get("labels")
-        if labels:
-            return cls(r.table, labels)
-        return r
+        if "labels" not in obj:
+            return r
+        labels = obj["labels"]
+        if type(labels) is not list or not all(type(l) is str for l in labels):
+            raise TypeError("labels must be a list of strings")
+        return cls(r.table, labels)
 
 
 def validate_rack(n, table):

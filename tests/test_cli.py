@@ -420,6 +420,8 @@ def test_deeply_nested_file_is_invalid_usage(capsys, tmp_path):
     assert str(src) in doc["report"]["error"]
 
 
+RACK2 = {"n": 2, "table": [[0, 1], [0, 1]]}
+IDEAL2 = {"alphabet": ["a", "b"], "polys": [[{"word": [0, 1], "coeff": "1"}]]}
 O24_ALPHA = dict.fromkeys(("(34)", "(23)", "(24)", "(12)", "(13)", "(14)"), "1")
 O23_ALPHA = dict.fromkeys(("(23)", "(12)", "(13)"), "1")
 O44_BETA = dict.fromkeys(
@@ -456,12 +458,23 @@ O44_BETA = dict.fromkeys(
     (("deform", "verify"),
      {"family": "GenericLambda", "rack": "o44", "cocycle": "const:2", "n": 4,
       "params": {"lambda": {}}}),
+    (("rack", "check"), {**RACK2, "labels": "ab"}),
+    (("rack", "check"), {**RACK2, "labels": []}),
+    (("rack", "check"), {**RACK2, "extra": 1}),
+    (("cocycle", "check"), {**RACK2, "q": [["1", "1"], ["1", "1"]], "extra": 1}),
+    (("gb", "run"), {**IDEAL2, "extra": 1}),
+    (("gb", "run"),
+     {"alphabet": ["a", "b"],
+      "polys": [[{"word": [0, 1], "coeff": "1", "extra": 1}]]}),
+    (("gb", "run"), {**IDEAL2, "alphabet": ["x%d" % i for i in range(300)]}),
 ], ids=["float-q", "bool-table", "float-word", "bool-word", "huge-exponent",
         "float-alpha", "float-n", "ragged-table", "short-labels", "short-q",
-        "misspelt-mu", "extra-key", "etilde-n3", "generic-n"])
+        "misspelt-mu", "extra-key", "etilde-n3", "generic-n", "string-labels",
+        "empty-labels", "rack-extra-key", "cocycle-extra-key",
+        "ideal-extra-key", "term-extra-key", "alphabet-over-256"])
 def test_inexact_json_values_are_invalid_usage(capsys, tmp_path, argv, doc):
-    """An inexact value, a rack or cocycle document of the wrong shape, or a
-    key a parameter document does not read: exit 2 with one document."""
+    """An inexact value, a document of the wrong shape, or a key the
+    document's reader does not read: exit 2 with one document."""
     src = tmp_path / "doc.json"
     src.write_text(json.dumps(doc))
     started = time.perf_counter()
@@ -500,6 +513,24 @@ def test_integer_over_the_digit_limit_is_invalid_usage(capsys, tmp_path):
     code, out, _ = run(capsys, "rack", "check", "--file", str(src))
     assert code == 2
     assert "bad JSON" in payload(out)["report"]["error"]
+
+
+def test_documents_the_commands_write_are_read_back(capsys, tmp_path):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps({**RACK2, "labels": ["a", "b"], "q": [[1, 1], [1, 1]]}))
+    for argv in (("rack", "check"), ("cocycle", "check")):
+        code, out, _ = run(capsys, *argv, "--file", str(src))
+        assert code == 0
+        assert payload(out)["ok"]
+    src.write_text(json.dumps(IDEAL2))
+    code, out, _ = run(capsys, "gb", "run", "--file", str(src))
+    assert code == 0
+    basis = payload(out)["report"]["basis"]
+    assert basis["status"] == "complete"
+    src.write_text(json.dumps(basis))
+    code, out, _ = run(capsys, "gb", "run", "--file", str(src))
+    assert code == 0
+    assert payload(out)["report"]["basis"] == basis
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,6 +17,7 @@ from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
     QuotientAlgebra,
+    _word_counts,
     audit_obstructions,
     groebner,
     hilbert_series,
@@ -26,6 +27,8 @@ from rackalg.freealg import (
     normal_form,
     quotient_dim,
 )
+from rackalg.grouprealize import builtin_realization
+from rackalg.perm import compose
 from rackalg.quadrel import quadratic_ideal
 
 F = Fraction
@@ -463,7 +466,11 @@ def test_deformed_point_keeps_the_engine_invariant():
         assert terms[lead] > 0
         assert math.gcd(*terms.values()) == 1
     assert any(terms[lead] != 1 for lead, terms in gb._items.items())
-    assert gb._lens == sorted({len(lead) for lead in gb._items})
+    for lead in gb.leads():
+        state = 0
+        for letter in lead[:-1]:
+            state = gb._trans[state][letter]
+        assert gb._trans[state][lead[-1]] == -len(lead)
 
 
 # sha256 of the monic reduced bases of sample_params(template, 3, 11),
@@ -500,3 +507,118 @@ def test_deformed_reduced_bases_are_pinned(label):
         for p in sample_params(template, 3, 11)
     ]
     assert hashlib.sha256(json.dumps(bases).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the lead automaton against the subword search and the suffix search it
+# replaced
+
+
+def subword_first_lead(w, leads):
+    """Leftmost occurrence in w of a lead, the shortest lead at that start,
+    as (start, lead); None when w is irreducible."""
+    lens = sorted({len(ld) for ld in leads})
+    for k in range(len(w) + 1):
+        for m in lens:
+            if k + m > len(w):
+                break
+            if w[k:k + m] in leads:
+                return k, w[k:k + m]
+    return None
+
+
+def suffix_search_automaton(leads, ngens):
+    """States are the proper prefixes of the leads, shortest first; a
+    letter goes to the longest suffix that is a state, or to -1 when the
+    extended word ends in a lead."""
+    prefixes = {b""} | {ld[:k] for ld in leads for k in range(1, len(ld))}
+    states = sorted(prefixes, key=lambda w: (len(w), w))
+    trans = []
+    for s in states:
+        row = [-1] * ngens
+        for a in range(ngens):
+            t = s + bytes([a])
+            if any(t[len(t) - k:] in leads for k in range(1, len(t) + 1)):
+                continue
+            row[a] = states.index(next(
+                t[len(t) - k:] for k in range(len(t), -1, -1)
+                if t[len(t) - k:] in prefixes
+            ))
+        trans.append(row)
+    return trans
+
+
+def walk_first_lead(trans, leads, w):
+    """(start, lead) where the walk of w first takes a negative transition,
+    the way the reduction reads it; the empty lead matches at 0."""
+    if b"" in leads:
+        return 0, b""
+    state = 0
+    for end, letter in enumerate(w, 1):
+        state = trans[state][letter]
+        if state < 0:
+            return end + state, w[end + state:end]
+    return None
+
+
+def s5_degree7_basis():
+    rack, _ = transposition_rack(5)
+    ideal = quadratic_ideal(rack, constant_cocycle(rack, F(-1)), "V")
+    return groebner(ideal, max_deg=7)
+
+
+AUTOMATON_BASES = {
+    "S5-degree-7": s5_degree7_basis,
+    "o24-chi-V": lambda: reference_basis("o24-chi-V"),
+    "Eminus-4-deformed": lambda: reference_basis("Eminus-4-deformed"),
+    "trivial": lambda: groebner([FreePoly.one(2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMATON_BASES))
+def test_lead_automaton_matches_subword_and_suffix_search(name):
+    gb = AUTOMATON_BASES[name]()
+    leads = set(gb.leads())
+    rng = random.Random(19)
+    planted = sorted(leads, key=lambda w: (len(w), w))
+    for _ in range(400):
+        w = bytes(rng.randrange(gb.ngens) for _ in range(rng.randint(0, 8)))
+        if rng.randint(0, 1):
+            cut = rng.randint(0, len(w))
+            w = w[:cut] + rng.choice(planted) + w[cut:]
+        assert walk_first_lead(gb._trans, leads, w) == subword_first_lead(w, leads)
+    reference = suffix_search_automaton(leads, gb.ngens)
+    assert [[max(t, -1) for t in row] for row in gb._trans] == reference
+    assert _word_counts(gb._trans, 9) == _word_counts(reference, 9)
+
+
+def smash_presentation():
+    """T(V) # kS4 for o24/chi on 30 letters: the six rack letters, then
+    one letter per element of S4, with e - 1, g h - (gh) and
+    g x - chi_x(g) (g . x) g."""
+    r = builtin_realization("o24", "chi")
+    n = r.rack.n
+    group = sorted(r.group.elements)
+    ngens = n + len(group)
+    letter = {g: n + i for i, g in enumerate(group)}
+    gens = [FreePoly.gen(ngens, letter[r.group.identity]) - FreePoly.one(ngens)]
+    for g in group:
+        for h in group:
+            gens.append(FreePoly.word(ngens, [letter[g], letter[h]])
+                        - FreePoly.word(ngens, [letter[compose(g, h)]]))
+        for x in range(n):
+            gens.append(FreePoly.word(ngens, [letter[g], x]) - FreePoly.word(
+                ngens, [r.act(g, x), letter[g]], r.chi(x, g)))
+    return gens
+
+
+def test_smash_presentation_basis_is_pinned():
+    # 668 leads over 30 letters, the shape of a lifting presentation; the
+    # hash was recorded with the subword lead search
+    gb = groebner(smash_presentation())
+    assert gb.complete and len(gb.elements) == 668
+    assert hilbert_series(gb, 3) == [1, 29, 174, 1044]
+    digest = hashlib.sha256(json.dumps(basis_json(gb)).encode()).hexdigest()
+    assert digest == (
+        "890cab90e8109e847dc8fc69be87924ca9815e770696a680a6f72ead8234c3dc"
+    )
