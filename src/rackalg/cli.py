@@ -71,8 +71,6 @@ def _jsonable(value):
         return out
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, bytes):
-        return [int(b) for b in value]
     return value
 
 
@@ -165,7 +163,7 @@ def _cmd_cocycle_check(args):
         doc = _load_json_file(args.file)
         if "q" not in doc:
             raise CliError("file has no cocycle values", EXIT_INVALID)
-        q = _read_doc(lambda d: Cocycle2.from_json(d, rack=rack), doc, "cocycle")
+        q = _read_doc(lambda d: Cocycle2.from_json(d, rack), doc, "cocycle")
     else:
         q = _load_cocycle(args, rack, name)
     payload = {

@@ -7,6 +7,9 @@ A 2-cocycle is a map q : X x X -> Q^* with
 Constant maps are always cocycles.  On the rack of transpositions there is
 the non-constant cocycle chi with chi(g, (ij)) = +1 if g(i) < g(j) and -1
 otherwise (i < j); its diagonal is identically -1.
+
+A cocycle document is its rack's document plus ``q``, the values as
+exact rationals: ``to_json`` writes it and ``from_json`` reads it back.
 """
 
 from fractions import Fraction
@@ -43,19 +46,18 @@ class Cocycle2:
             and self.q == other.q
         )
 
-    def to_json(self, inline_rack=True):
-        obj = {"q": [[str(v) for v in row] for row in self.q]}
-        if inline_rack:
-            obj["rack"] = self.rack.to_json()
-        return obj
+    def to_json(self):
+        """The rack document plus ``q``."""
+        return {**self.rack.to_json(), "q": [[str(v) for v in row] for row in self.q]}
 
     @classmethod
-    def from_json(cls, obj, rack=None):
-        from .rack import Rack
-
-        if rack is None:
-            rack = Rack.from_json(obj["rack"])
-        values = [[rational(v) for v in row] for row in obj["q"]]
+    def from_json(cls, obj, rack):
+        """The cocycle ``q`` of a document on ``rack``, the rack
+        ``Rack.from_json`` reads from the same document."""
+        q = obj["q"]
+        if type(q) is not list or any(type(row) is not list for row in q):
+            raise TypeError("q must be a list of lists")
+        values = [[rational(v) for v in row] for row in q]
         return validate_cocycle(rack, values)
 
 

@@ -553,12 +553,12 @@ def appendix_printed_elements(alpha, mu1, mu2):
     return els
 
 
-def appendix_membership_audit(params, gb=None, max_deg=16):
+def appendix_membership_audit(params, gb=None):
     """normal_form == 0 for every printed extra basis element."""
     if params.family != EMINUS or params.rack_name != "o24":
         raise ValueError("the printed basis belongs to the n=4 minus family")
     if gb is None:
-        gb = groebner(build_deformed_ideal(params), max_deg)
+        gb = groebner(build_deformed_ideal(params))
     alpha, mus = params.coordinates()
     els = appendix_printed_elements(alpha, mus["mu1"], mus["mu2"])
     out = []
@@ -597,9 +597,7 @@ def pointed_lifting_generators(realization, lam_free):
     records = []
     for c in space.classes:
         i2, i1 = c.base_pair
-        g_c = realization.group.mul(
-            realization.gmap[i2], realization.gmap[i1]
-        )
+        g_c = perm.compose(realization.gmap[i2], realization.gmap[i1])
         for x in range(rack.n):
             if g_c == realization.gmap[x]:
                 clashes.append((c.base_pair, x))
@@ -648,7 +646,7 @@ def function_part(params):
     r = grouprealize.builtin_realization(params.rack_name, params.cocycle_spec)
     lam, _ = params.coordinates()
     return [
-        {g: v for g in r.group if (v := lx - lam[r.act(r.group.inv(g), x)])}
+        {g: v for g in r.group if (v := lx - lam[r.act(perm.inverse(g), x)])}
         for x, lx in enumerate(lam)
     ]
 

@@ -11,8 +11,9 @@ denominators once; each basis element is kept primitive over Z (content
 1, positive lead coefficient); and reduction is fraction-free: where the
 reducer's lead coefficient does not divide the coefficient being
 cancelled, the word being reduced is scaled up instead of the reducer
-being divided (Bareiss 1968, carried over to Bergman 1978).  The result
-is made monic, as Fractions, once at the end.
+being divided (Bareiss 1968, carried over to Bergman 1978).
+:class:`GroebnerBasis` takes the basis in that form and makes it monic,
+as Fractions, once.
 
 The completion is Buchberger-style for two-sided ideals: the obstruction
 queue holds proper overlaps of leading words (lowest common degree first),
@@ -104,14 +105,6 @@ class FreePoly:
         if not self.terms:
             return -1
         return max(len(w) for w in self.terms)
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.lead()
-        if c == 1:
-            return self
-        return FreePoly(self.ngens, {w: v / c for w, v in self.terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -298,21 +291,21 @@ def _reduce_fractions(terms, gb):
 class GroebnerBasis:
     """Monic interreduced basis plus completion status.
 
-    ``elements`` are the monic FreePolys; ``_items`` maps each lead to the
-    same element as primitive integer terms, the form the engine reduces
-    with, and ``_trans`` is the lead automaton of those leads.
+    Built from ``items``, which map each lead to its element as primitive
+    integer terms, the form the engine reduces with.  ``_items`` keeps
+    them in deglex order of the leads, ``elements`` are the same elements
+    made monic, as FreePolys, and ``_trans`` is the lead automaton.
     """
 
     __slots__ = ("ngens", "elements", "truncated_at", "_items", "_trans")
 
-    def __init__(self, ngens, elements, truncated_at=None):
+    def __init__(self, ngens, items, truncated_at=None):
         self.ngens = ngens
-        self.elements = elements  # list of FreePoly, sorted by lead
         self.truncated_at = truncated_at
-        self._items = {}
-        for p in elements:
-            lead = p.lead()[0]
-            self._items[lead] = _primitive(_integral(p.terms)[0], lead)
+        self._items = {ld: items[ld] for ld in sorted(items, key=deglex_key)}
+        self.elements = [
+            FreePoly(ngens, _fractions(tm, tm[ld])) for ld, tm in self._items.items()
+        ]
         self._trans = _lead_automaton(self._items, ngens)
 
     @property
@@ -395,7 +388,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         if g.ngens != ngens:
             raise ValueError("mixed alphabets")
     if not gens:
-        return GroebnerBasis(ngens, [])
+        return GroebnerBasis(ngens, {})
 
     # lead -> primitive integer terms.  Leads of an interreduced basis
     # never divide one another, and a retired lead stays reducible, so it
@@ -458,11 +451,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         if red:
             insert(red)
 
-    elems = [
-        FreePoly(ngens, _fractions(basis[ld], basis[ld][ld]))
-        for ld in sorted(basis, key=deglex_key)
-    ]
-    return GroebnerBasis(ngens, elems, truncated_at)
+    return GroebnerBasis(ngens, basis, truncated_at)
 
 
 def audit_obstructions(gb):
@@ -605,10 +594,13 @@ def ideal_to_json(names, polys, status=None):
 
 def ideal_from_json(doc):
     """(names, polys) of an ideal document; a key it does not read raises
-    ValueError.  ``status`` is let through, since a completed basis is
-    written as an ideal document with its status."""
+    ValueError, and an alphabet that is not a list of strings TypeError.
+    ``status`` is let through, since a completed basis is written as an
+    ideal document with its status."""
     refuse_unread(doc, ("alphabet", "polys", "status"))
-    names = [str(x) for x in doc["alphabet"]]
+    names = doc["alphabet"]
+    if type(names) is not list or not all(type(x) is str for x in names):
+        raise TypeError("alphabet must be a list of strings")
     ngens = len(names)
     if ngens > 256:
         raise ValueError("an alphabet of more than 256 letters (words are bytes)")

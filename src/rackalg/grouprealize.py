@@ -16,8 +16,9 @@ braiding decides the action evaluations and the exchange law, the counit
 and the antipode axiom are shared, and the Yetter-Drinfeld compatibility,
 the coproduct and the extra antipode checks on functions stay per side.
 
-Everything here is exact and finite: groups are small permutation
-groups of the one type :class:`rackalg.perm.Group`, scalars are
+Everything here is exact and finite: groups are small symmetric groups
+of the one type :class:`rackalg.perm.Group`, multiplied with
+``perm.compose`` and inverted with ``perm.inverse``, scalars are
 Fractions, and audits enumerate their whole domain rather than sampling.
 The associativity audit of a structure-constant algebra clears the
 table's denominators once and then runs in int arithmetic.
@@ -239,7 +240,7 @@ def validate_principal(realization, cocycle=None):
                     ("e", rack.labels[x]))
     for s in group.elements:
         for t in group.elements:
-            st = group.mul(s, t)
+            st = perm.compose(s, t)
             for x in range(n):
                 audit.check("left_action", r.act(st, x) == r.act(s, r.act(t, x)),
                             (name[s], name[t], rack.labels[x]))
@@ -259,7 +260,7 @@ def validate_principal(realization, cocycle=None):
 
     for h in group.elements:
         for t in group.elements:
-            ht = group.mul(h, t)
+            ht = perm.compose(h, t)
             for x in range(n):
                 audit.check(
                     "cocycle_rule",
@@ -310,10 +311,10 @@ def dual_braiding_check(realization):
         for y in range(n):
             acc = {}
             for t in group.elements:
-                if t != group.inv(r.gmap[y]):
+                if t != perm.inverse(r.gmap[y]):
                     continue
-                coeff = r.chi(x, group.inv(t))
-                target = (y, r.act(group.inv(t), x))
+                coeff = r.chi(x, perm.inverse(t))
+                target = (y, r.act(perm.inverse(t), x))
                 acc[target] = acc.get(target, _ZERO) + coeff
             expected_target, expected_coeff = w_space.apply_pair(x, y)
             audit.check("W", _strip(acc) == {expected_target: expected_coeff},
@@ -386,7 +387,7 @@ def copointed_comatrix(realization):
     e = {(x, y): {} for x in range(n) for y in range(n)}
     for x in range(n):
         for t in group.elements:
-            ti = group.inv(t)
+            ti = perm.inverse(t)
             e[(x, r.act(ti, x))][t] = r.chi(x, ti)
     return {k: _strip(f) for k, f in e.items()}
 
@@ -423,7 +424,7 @@ def _copointed_side(r):
     [t^{-1} . x == y], the pointwise product, unit the constant 1 and the
     value at e as counit; f acts on w_z by its value at g_z^{-1}."""
     identity = r.group.identity
-    points = [r.group.inv(p) for p in r.gmap]
+    points = [perm.inverse(p) for p in r.gmap]
 
     def mu(z, t, f):
         return f.get(points[z], _ZERO) if z == t else _ZERO
@@ -511,8 +512,8 @@ def comatrix_action_audit(realization, side, cocycle=None):
             for z in range(n):
                 exz = e[(x, z)]
                 for g in group.elements:
-                    lk = group.mul(r.gmap[x], g)
-                    rk = group.mul(g, r.gmap[z])
+                    lk = perm.compose(r.gmap[x], g)
+                    rk = perm.compose(g, r.gmap[z])
                     lhs = _strip({lk: exz.get(lk, _ZERO)})
                     rhs = _strip({rk: exz.get(rk, _ZERO)})
                     audit.check("yd_compat", lhs == rhs,
@@ -523,7 +524,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
             for y in range(n):
                 exy = e[(x, y)]
                 for a in group.elements:
-                    u = r.act(group.inv(a), x)
+                    u = r.act(perm.inverse(a), x)
                     exa = e[(x, u)].get(a, _ZERO)
                     # scale the support of e[u,y] once, not every b
                     row = {b: exa * v for b, v in e[(u, y)].items()}
@@ -585,7 +586,7 @@ def theta_characters(realization):
     n = rack.n
     side = _copointed_side(r)
     e = side.e
-    points = [group.inv(p) for p in r.gmap]
+    points = [perm.inverse(p) for p in r.gmap]
     braiding = make_braiding(rack, r.induced_cocycle(), side.flavor)
     vals = [
         [[_action_value(braiding, z, z, x, y) for y in range(n)] for x in range(n)]
@@ -618,7 +619,7 @@ def theta_characters(realization):
             witness = (rack.labels[z], rack.labels[t])
             pz, pt = points[z], points[t]
             audit.check("exchange_convolution",
-                        group.mul(pz, pt) == group.mul(pt, points[tz]), witness)
+                        perm.compose(pz, pt) == perm.compose(pt, points[tz]), witness)
             audit.check("exchange_comatrix", all(
                 sum((vals[z][x][u] * vals[t][u][y] for u in range(n)), _ZERO)
                 == sum((vals[t][x][u] * vals[tz][u][y] for u in range(n)), _ZERO)
@@ -843,7 +844,7 @@ def smash_with_group(algebra, group, action):
         out = {}
         for m, cm in action[g][j].items():
             _add_into(out, algebra.table[i][m], cm)
-        gh = group.mul(g, h)
+        gh = perm.compose(g, h)
         return {(m, gh): c for m, c in _strip(out).items()}
 
     audit = module_algebra_audit_group(algebra, group, action)
@@ -862,7 +863,7 @@ def quotient_grading(realization, quotient):
     for w in quotient.words:
         d = r.group.identity
         for a in w:
-            d = r.group.mul(d, r.group.inv(r.gmap[a]))
+            d = perm.compose(d, perm.inverse(r.gmap[a]))
         degs.append(d)
     return tuple(degs)
 
@@ -881,7 +882,7 @@ def module_algebra_audit_grading(algebra, group, degrees):
     for i in range(algebra.dim):
         for j in range(algebra.dim):
             audit.count("grading")
-            want = group.mul(degrees[i], degrees[j])
+            want = perm.compose(degrees[i], degrees[j])
             for m in algebra.table[i][j]:
                 if degrees[m] != want:
                     audit.fail(
@@ -900,7 +901,7 @@ def smash_with_dual(algebra, group, degrees):
     Raises NotModuleAlgebra when the grading is not multiplicative.
     """
 
-    shift = {(d, h): group.mul(d, h) for d in set(degrees) for h in group}
+    shift = {(d, h): perm.compose(d, h) for d in set(degrees) for h in group}
 
     def product(i, g, j, h):
         if g != shift[degrees[j], h]:

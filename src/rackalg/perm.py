@@ -1,11 +1,11 @@
-"""Permutations as tuples of images, closures of generator sets, and the
-one permutation-group type.
+"""Permutations as tuples of images, and the one permutation-group type.
 
 A permutation of degree n is a tuple p of length n with p[i] = image of i
 (0-based everywhere).  Tuples are hashable, comparable and cheap, which is
-all the group machinery here needs.  A :class:`Group` trusts its elements,
-as a rack trusts its table: every group here is S_n or the closure of a
-generating set, so it is closed by construction.
+all the group machinery here needs.  Products and inverses are
+:func:`compose` and :func:`inverse`.  A :class:`Group` trusts its
+elements, as a rack trusts its table: every group here is S_n, built by
+``catalog.symmetric_permgroup``, so it is closed by construction.
 """
 
 from itertools import permutations as _all_perms
@@ -82,33 +82,6 @@ def from_cycles(n, cycles):
     return tuple(img)
 
 
-def mulclose(gens, cap=10 ** 6):
-    """Closure of gens under composition; BFS from the identity.
-
-    Returns a set of permutations.  Raises RuntimeError when the closure
-    exceeds cap elements (the group axioms guarantee inverses come for free
-    in a finite closure).
-    """
-    gens = list(gens)
-    if not gens:
-        return {()}
-    n = len(gens[0])
-    els = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                w = compose(g, h)
-                if w not in els:
-                    els.add(w)
-                    new.append(w)
-                    if len(els) > cap:
-                        raise RuntimeError("closure cap exceeded (%d)" % cap)
-        frontier = new
-    return els
-
-
 def symmetric_group(n):
     """All permutations of degree n, sorted lexicographically."""
     return [tuple(p) for p in _all_perms(range(n))]
@@ -132,12 +105,6 @@ class Group:
     @property
     def identity(self):
         return identity(self.degree)
-
-    def mul(self, p, q):
-        return compose(p, q)
-
-    def inv(self, p):
-        return inverse(p)
 
     def __len__(self):
         return len(self.elements)

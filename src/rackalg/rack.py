@@ -8,6 +8,10 @@ phi_x = (y -> x |> y) is a bijection and the self-distributive law
 
 holds.  A quandle additionally satisfies x |> x = x.  Conjugacy classes of
 a group are the motivating example: x |> y = x y x^{-1}.
+
+The properties (quandle, faithful, indecomposable) are read off the
+table; indecomposability is one orbit of the translations, found without
+building the group they generate.
 """
 
 from . import perm
@@ -23,10 +27,6 @@ class NotSelfDistributive(ValueError):
 
 
 class SeedNotInGroup(ValueError):
-    pass
-
-
-class ClosureBudgetExceeded(RuntimeError):
     pass
 
 
@@ -73,33 +73,14 @@ class Rack:
         rows = {self.phi(x) for x in range(self.n)}
         return len(rows) == self.n
 
-    def inner_group(self, cap=10 ** 6):
-        """Closure of {phi_x} in Sym(X).
-
-        Also re-checks the translation identity
-        phi_x phi_y = phi_{x |> y} phi_x, which holds for every valid rack;
-        a violation would mean the table was corrupted after validation.
-        """
-        for x in range(self.n):
-            for y in range(self.n):
-                lhs = perm.compose(self.phi(x), self.phi(y))
-                rhs = perm.compose(self.phi(self.table[x][y]), self.phi(x))
-                if lhs != rhs:
-                    raise NotSelfDistributive((x, y, "translation identity"))
-        try:
-            els = perm.mulclose([self.phi(x) for x in range(self.n)], cap=cap)
-        except RuntimeError as e:
-            raise ClosureBudgetExceeded(str(e))
-        return perm.Group(self.n, els)
-
     def is_indecomposable(self):
-        """Transitivity of the inner group on X.
+        """Whether the translations phi_x act transitively on X.
 
         For finite racks this is equivalent to X not splitting as a disjoint
         union of proper subracks.
         """
-        # the phi's generate a group, so the forward orbit of 0 under all
-        # phi_x is already the inner-group orbit
+        # X is finite, so the forward orbit of 0 under all phi_x is
+        # already its orbit under the group they generate
         reached = {0}
         frontier = [0]
         while frontier:

@@ -467,11 +467,15 @@ O44_BETA = dict.fromkeys(
      {"alphabet": ["a", "b"],
       "polys": [[{"word": [0, 1], "coeff": "1", "extra": 1}]]}),
     (("gb", "run"), {**IDEAL2, "alphabet": ["x%d" % i for i in range(300)]}),
+    (("gb", "run"), {**IDEAL2, "alphabet": "ab"}),
+    (("gb", "run"), {**IDEAL2, "alphabet": [{"x": 1}, 7]}),
+    (("cocycle", "check"), {**RACK2, "q": [["1", "1"], "11"]}),
 ], ids=["float-q", "bool-table", "float-word", "bool-word", "huge-exponent",
         "float-alpha", "float-n", "ragged-table", "short-labels", "short-q",
         "misspelt-mu", "extra-key", "etilde-n3", "generic-n", "string-labels",
         "empty-labels", "rack-extra-key", "cocycle-extra-key",
-        "ideal-extra-key", "term-extra-key", "alphabet-over-256"])
+        "ideal-extra-key", "term-extra-key", "alphabet-over-256",
+        "string-alphabet", "non-string-letters", "string-q-row"])
 def test_inexact_json_values_are_invalid_usage(capsys, tmp_path, argv, doc):
     """An inexact value, a document of the wrong shape, or a key the
     document's reader does not read: exit 2 with one document."""
@@ -531,6 +535,16 @@ def test_documents_the_commands_write_are_read_back(capsys, tmp_path):
     code, out, _ = run(capsys, "gb", "run", "--file", str(src))
     assert code == 0
     assert payload(out)["report"]["basis"] == basis
+
+
+def test_cocycle_document_is_read_by_cocycle_check(capsys, tmp_path):
+    from rackalg.catalog import builtin_cocycle
+
+    src = tmp_path / "cocycle.json"
+    src.write_text(json.dumps(builtin_cocycle("o23", "const:-1").to_json()))
+    code, out, _ = run(capsys, "cocycle", "check", "--file", str(src))
+    assert code == 0
+    assert payload(out)["report"]["diagonal"] == ["-1"] * 3
 
 
 @pytest.mark.parametrize("argv", [

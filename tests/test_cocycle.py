@@ -5,6 +5,7 @@ import pytest
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle
 from rackalg.exactnum import BadNumber
+from rackalg.rack import Rack
 from rackalg.cocycle import (
     CocycleLawFails,
     Cocycle2,
@@ -95,18 +96,20 @@ def test_json_round_trip(o24):
     rack, cls = o24
     q = chi_cocycle(rack, cls)
     doc = q.to_json()
-    back = Cocycle2.from_json(doc)
-    assert back.q == q.q
-    again = Cocycle2.from_json({"q": doc["q"]}, rack=rack)
-    assert again == q
+    # the flat document: the rack's own document plus q
+    assert doc == {**rack.to_json(), "q": doc["q"]}
+    back = Cocycle2.from_json(doc, Rack.from_json(doc))
+    assert back == q
+    assert back.rack.labels == rack.labels
 
 
 @pytest.mark.parametrize("entry", [0.1, True, "1e10000000", "1/0", None])
 def test_json_values_are_exact_rationals(entry):
-    doc = {"rack": {"n": 2, "table": [[0, 1], [0, 1]]}, "q": [["1", 1], [1, 1]]}
-    assert Cocycle2.from_json(doc).q[0][0] == 1
+    doc = {"n": 2, "table": [[0, 1], [0, 1]], "q": [["1", 1], [1, 1]]}
+    rack = Rack.from_json(doc)
+    assert Cocycle2.from_json(doc, rack).q[0][0] == 1
     doc["q"][0][0] = "0.1"
-    assert Cocycle2.from_json(doc).q[0][0] == Fraction(1, 10)
+    assert Cocycle2.from_json(doc, rack).q[0][0] == Fraction(1, 10)
     doc["q"][0][0] = entry
     with pytest.raises(BadNumber):
-        Cocycle2.from_json(doc)
+        Cocycle2.from_json(doc, rack)

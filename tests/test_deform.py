@@ -677,7 +677,7 @@ def test_verify_nonzero_refuses_truncated_admissible_point(monkeypatch):
 
     def truncated(gens, max_deg=16, max_basis=20000, ngens=None):
         gb = real(gens, max_deg, max_basis, ngens=ngens)
-        return GroebnerBasis(gb.ngens, gb.elements, truncated_at=max_deg)
+        return GroebnerBasis(gb.ngens, gb._items, truncated_at=max_deg)
 
     monkeypatch.setattr(deform, "groebner", truncated)
     with pytest.raises(DegreeBudgetExceeded):

@@ -215,7 +215,7 @@ def test_scalar_algebra_smash_is_group_algebra():
     for i, a in enumerate(g.elements):
         for j, b in enumerate(g.elements):
             prod = smash.multiply({i: F(1)}, {j: F(1)})
-            assert prod == {g.index[g.mul(a, b)]: F(1)}
+            assert prod == {g.index[perm.compose(a, b)]: F(1)}
 
 
 def test_scalar_algebra_smash_with_dual_is_function_algebra():

@@ -79,13 +79,13 @@ def test_conjugacy_rack_seed_must_belong():
         conjugacy_rack(g, perm.from_cycles(4, [(1, 2)]))
 
 
-def test_inner_group_of_o24(o24):
-    rack, _ = o24
-    inner = rack.inner_group()
-    # transpositions generate the full symmetric group on 6 class points;
-    # the inner group is S4 acting on them, order 24, with one orbit
-    assert len(inner) == 24
-    assert {g[0] for g in inner} == set(range(6))
+def test_indecomposable_is_one_orbit_of_the_translations(o24):
+    assert o24[0].is_indecomposable()
+    assert dihedral_rack(3).is_indecomposable()
+    # every translation of the trivial rack fixes every point
+    assert not trivial_rack(4).is_indecomposable()
+    # 2x - y keeps the parity of y mod 4: orbits {0, 2} and {1, 3}
+    assert not dihedral_rack(4).is_indecomposable()
 
 
 def test_json_round_trip(o44):
