@@ -3,8 +3,8 @@ their quadratic algebras.
 
 The package is organized bottom-up:
 
-* ``perm``          permutations as tuples, closures, the one group type
-* ``exactnum``      exact readers of the numbers in input documents
+* ``perm``          permutations as tuples and the one group type
+* ``exactnum``      exact readers of input numbers; the budget base class
 * ``rack``          finite racks and their structural properties
 * ``cocycle``       rational 2-cocycles on racks
 * ``linalg``        exact rational matrices: one sparse integer elimination
@@ -15,6 +15,13 @@ The package is organized bottom-up:
 * ``grouprealize``  realizations over S4 and its function algebra
 * ``catalog``       the named racks and cocycles used throughout
 * ``cli``           command line interface with JSON reports
+
+``cli`` imports the base layers its parser and every command read
+(``perm``, ``exactnum``, ``rack``, ``cocycle``, ``catalog``) at the top,
+and each further layer at dispatch, inside the handler that calls it, so
+a command loads only the modules it runs.  Every
+resource budget error subclasses ``exactnum.BudgetExceeded``, which is
+what ``cli.main`` catches.
 
 All arithmetic is exact (``fractions.Fraction``, with integral coefficients
 kept as ``int`` inside the Groebner engine); nothing here uses floats.

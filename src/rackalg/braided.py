@@ -22,10 +22,11 @@ c satisfies the braid equation; from degree 3 on that is checked first.
 from fractions import Fraction
 from itertools import count, islice, product
 
+from .exactnum import BudgetExceeded
 from .linalg import RatMatrix, rank_bareiss
 
 
-class DegreeBudgetExceeded(Exception):
+class DegreeBudgetExceeded(BudgetExceeded):
     """Requested tensor degree would blow the matrix-size budget."""
 
 

@@ -6,6 +6,10 @@ runs with the same flags and seed stay byte-identical.  Exit codes: 0
 success, 1 a mathematical assertion failed, 2 invalid input, 3 a
 resource budget was exceeded.  The table ``_COMMANDS`` is the one source
 of each command's flags; a flag outside a command's entry exits 2.
+
+Only the base layers the parser and every command read are imported
+here; each handler imports the further layers it calls when it runs, so
+a command does not compile layers it never calls.
 """
 
 import argparse
@@ -17,28 +21,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, deform, grouprealize, perm
-from .braided import DegreeBudgetExceeded, check_braid_equation, make_braiding
+from . import __version__, perm
 from .catalog import RACK_NAMES, builtin_cocycle, builtin_rack
 from .cocycle import CocycleLawFails, Cocycle2, ZeroEntry, constant_cocycle
-from .exactnum import rational
-from .freealg import (
-    ResourceBudgetExceeded,
-    audit_obstructions,
-    groebner,
-    hilbert_series,
-    ideal_from_json,
-    ideal_to_json,
-    quotient_dim,
-)
-from .quadrel import (
-    copointed_lambda_space,
-    degree_two_kernel,
-    hom_vanishing_check,
-    pointed_lambda_space,
-    quadratic_ideal,
-    spans_kernel,
-)
+from .exactnum import BudgetExceeded, rational
 from .rack import NotBijective, NotSelfDistributive, Rack
 
 SCHEMA = "rackalg-report/1"
@@ -137,6 +123,8 @@ def _load_cocycle(args, rack, rack_name):
 
 
 def _complete_gb(polys, args, ngens):
+    from .freealg import groebner
+
     gb = groebner(polys, max_deg=args.max_deg or 16, ngens=ngens)
     if not gb.complete:
         raise CliError(
@@ -175,6 +163,8 @@ def _cmd_cocycle_check(args):
 
 
 def _cmd_braid_check(args):
+    from .braided import check_braid_equation, make_braiding
+
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
     space = make_braiding(rack, q, args.flavor)
@@ -190,6 +180,9 @@ def _cmd_braid_check(args):
 
 
 def _cmd_nichols_dim(args):
+    from .freealg import quotient_dim
+    from .quadrel import quadratic_ideal
+
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
     gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args, rack.n)
@@ -205,6 +198,8 @@ def _cmd_nichols_dim(args):
 
 
 def _cmd_nichols_j2(args):
+    from .quadrel import degree_two_kernel, quadratic_ideal, spans_kernel
+
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
     kernel = degree_two_kernel(rack, q, args.flavor)
@@ -221,6 +216,9 @@ def _cmd_nichols_j2(args):
 
 
 def _cmd_nichols_hilbert(args):
+    from .freealg import hilbert_series, quotient_dim
+    from .quadrel import quadratic_ideal
+
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
     gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args, rack.n)
@@ -235,6 +233,9 @@ def _cmd_nichols_hilbert(args):
 
 
 def _cmd_gb_run(args):
+    from .freealg import (
+        audit_obstructions, ideal_from_json, ideal_to_json, quotient_dim)
+
     if not args.file:
         raise CliError("gb run needs --file with an ideal document", EXIT_INVALID)
     doc = _load_json_file(args.file)
@@ -256,6 +257,8 @@ def _cmd_gb_run(args):
 
 
 def _params_file(path):
+    from . import deform
+
     doc = _load_json_file(path)
     try:
         return deform.DeformParams.from_json(doc)
@@ -265,6 +268,8 @@ def _params_file(path):
 
 def _default_params(args):
     """The point of --file, or the unit point of --family."""
+    from . import deform
+
     if args.file:
         if args.n is not None or args.rack or args.cocycle:
             raise CliError("--file takes no --n, --rack or --cocycle", EXIT_INVALID)
@@ -281,6 +286,8 @@ def _default_params(args):
 
 
 def _cmd_deform_verify(args):
+    from . import deform
+
     params = _default_params(args)
     try:
         report = deform.verify_nonzero(
@@ -292,6 +299,8 @@ def _cmd_deform_verify(args):
 
 
 def _cmd_deform_audit(args):
+    from . import deform
+
     if args.file:
         params = _params_file(args.file)
     else:
@@ -304,6 +313,9 @@ def _cmd_deform_audit(args):
 
 
 def _cmd_deform_params(args):
+    from .quadrel import (
+        copointed_lambda_space, hom_vanishing_check, pointed_lambda_space)
+
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
     pointed = pointed_lambda_space(rack, q)
@@ -325,6 +337,8 @@ def _cmd_deform_params(args):
 
 
 def _realization_for(args):
+    from . import grouprealize
+
     if not args.rack or not args.cocycle:
         raise CliError("need --rack and --cocycle", EXIT_INVALID)
     try:
@@ -334,6 +348,9 @@ def _realization_for(args):
 
 
 def _cmd_lift_pointed(args):
+    from . import deform
+    from .quadrel import pointed_lambda_space
+
     realization = _realization_for(args)
     q = realization.induced_cocycle()
     space = pointed_lambda_space(realization.rack, q)
@@ -364,6 +381,8 @@ def _cmd_lift_pointed(args):
 
 
 def _cmd_lift_copointed(args):
+    from . import deform
+
     names = {deform.lifting_model(name): name for name in deform.LIFTINGS}
     if (args.rack, args.cocycle) not in names:
         raise CliError(
@@ -395,6 +414,8 @@ def _cmd_lift_copointed(args):
 
 
 def _cmd_realize_check(args):
+    from . import grouprealize
+
     realization = _realization_for(args)
     reference = builtin_cocycle(args.rack, args.cocycle)
     report = grouprealize.validate_principal(realization, cocycle=reference)
@@ -402,6 +423,8 @@ def _cmd_realize_check(args):
 
 
 def _cmd_realize_dual(args):
+    from . import grouprealize
+
     realization = _realization_for(args)
     braiding = grouprealize.dual_braiding_check(realization)
     pointed = grouprealize.comatrix_action_audit(realization, "pointed")
@@ -412,6 +435,8 @@ def _cmd_realize_dual(args):
 
 
 def _cmd_realize_theta(args):
+    from . import grouprealize
+
     realization = _realization_for(args)
     report = grouprealize.theta_characters(realization)
     return report, bool(report["ok"])
@@ -542,7 +567,7 @@ def main(argv=None):
         except CliError as exc:
             payload, ok = {"error": str(exc)}, False
             code = exc.code
-        except (DegreeBudgetExceeded, ResourceBudgetExceeded) as exc:
+        except BudgetExceeded as exc:
             payload, ok = {"error": str(exc)}, False
             code = EXIT_BUDGET
         doc["ok"] = ok

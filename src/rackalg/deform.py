@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from . import catalog, grouprealize, perm, quadrel
+from . import catalog, perm, quadrel
 from .braided import DegreeBudgetExceeded
 from .exactnum import exact, integer, rational, refuse_unread
 from .freealg import (
@@ -643,6 +643,9 @@ def function_part(params):
     """The deforming functions f_x(g) = lambda_x - lambda_{g^-1 . x} of a
     preset point, per label x, with the action of the realization of its
     rack and cocycle; zero values are left out."""
+    # imported here, so that the deformation checks do not compile it
+    from . import grouprealize
+
     r = grouprealize.builtin_realization(params.rack_name, params.cocycle_spec)
     lam, _ = params.coordinates()
     return [
@@ -721,6 +724,8 @@ def iso_class_equal(lam_a, lam_b, family):
         return (True, {"mu": mu}) if mu is not None else (False, None)
     if family not in LIFTINGS:
         raise ValueError(f"unknown family {family!r}")
+    from . import grouprealize
+
     r = grouprealize.builtin_realization(*lifting_model(family))
     n = r.rack.n
     if len(a) != n or len(b) != n:

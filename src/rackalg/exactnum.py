@@ -9,6 +9,8 @@ shows, and so are bools.  A refused value raises BadNumber.  Numbers
 passed in code go through :func:`exact`, which refuses floats alone.
 An input document that names a key its reader does not read is refused
 by :func:`refuse_unread`, so a misspelt key is never silently dropped.
+Every resource budget error subclasses :class:`BudgetExceeded`, so a
+caller catches all of them without importing the layers that raise them.
 """
 
 import re
@@ -17,6 +19,10 @@ from fractions import Fraction
 MAX_EXPONENT = 4300  # the interpreter's default int digit limit
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+class BudgetExceeded(Exception):
+    """A computation would pass one of its resource budgets."""
 
 
 class BadNumber(TypeError, ValueError):

@@ -29,14 +29,12 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
-from .braided import DegreeBudgetExceeded  # shared budget error
-from .exactnum import exact, integer, rational, refuse_unread
+from .exactnum import BudgetExceeded, exact, integer, rational, refuse_unread
 
 __all__ = [
     "FreePoly",
     "GroebnerBasis",
     "ResourceBudgetExceeded",
-    "DegreeBudgetExceeded",
     "groebner",
     "normal_form",
     "quotient_dim",
@@ -186,7 +184,7 @@ class FreePoly:
         return "FreePoly(" + " + ".join(bits) + ")"
 
 
-class ResourceBudgetExceeded(Exception):
+class ResourceBudgetExceeded(BudgetExceeded):
     """Basis grew past the configured size budget."""
 
 
@@ -609,9 +607,12 @@ def ideal_from_json(doc):
         terms = {}
         for t in rec:
             refuse_unread(t, ("word", "coeff"))
-            w = bytes(integer(i) for i in t["word"])
-            if any(i >= ngens for i in w):
-                raise ValueError("word index out of alphabet range")
+            word = [integer(i) for i in t["word"]]
+            for i in word:
+                if not 0 <= i < ngens:
+                    raise ValueError(
+                        f"word index {i} is outside the alphabet of {ngens} letters")
+            w = bytes(word)
             c = rational(t["coeff"])
             if c != 0:
                 terms[w] = terms.get(w, Fraction(0)) + c

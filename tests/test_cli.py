@@ -216,6 +216,14 @@ def test_gb_run_round_trip(capsys, tmp_path):
     assert doc["report"]["quotient_dim"] == 12
     assert doc["report"]["status"] == "complete"
     assert doc["report"]["obstructions_reduce"] is True
+    for index in (-1, 3, 300):
+        src.write_text(json.dumps({"alphabet": list("abc"), "polys": [
+            [{"word": [0, index], "coeff": 1}]]}))
+        code, out, _ = run(capsys, "gb", "run", "--file", str(src))
+        assert code == 2
+        assert payload(out)["report"]["error"] == (
+            "invalid ideal document: word index %d is outside the alphabet"
+            " of 3 letters" % index)
 
 
 def test_options_echoed_in_envelope(capsys):
@@ -318,14 +326,19 @@ def test_bad_cocycle_spec_is_invalid_usage(capsys, spec):
 
 
 def test_basis_size_budget_exit(capsys, monkeypatch):
-    def over_budget(*args, **kwargs):
-        raise cli.ResourceBudgetExceeded("basis exceeded 1")
+    from rackalg import braided, exactnum, freealg
 
-    monkeypatch.setattr(cli, "groebner", over_budget)
+    def over_budget(*args, **kwargs):
+        raise freealg.ResourceBudgetExceeded("basis exceeded 1")
+
+    # the handler imports groebner when it runs, so patch it at its source
+    monkeypatch.setattr(freealg, "groebner", over_budget)
     code, out, _ = run(capsys, "nichols", "dim", "--rack", "o23",
                        "--cocycle", "const:-1")
     assert code == 3
     assert not payload(out)["ok"]
+    for cls in (braided.DegreeBudgetExceeded, freealg.ResourceBudgetExceeded):
+        assert issubclass(cls, exactnum.BudgetExceeded)
 
 
 def test_deform_verify_truncated_fibre_is_budget_exit(capsys):
