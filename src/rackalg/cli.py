@@ -117,7 +117,7 @@ def _load_cocycle(args, rack, rack_name):
             return constant_cocycle(rack, rational(spec[len("const:"):]))
         raise CliError("cocycle %r needs a builtin rack" % spec, EXIT_INVALID)
     except (KeyError, ZeroDivisionError) as exc:
-        raise CliError(str(exc), EXIT_INVALID)
+        raise CliError(str(exc.args[0]), EXIT_INVALID)
     except ValueError as exc:
         raise CliError("invalid cocycle: %s" % exc, EXIT_INVALID)
 
@@ -344,7 +344,7 @@ def _realization_for(args):
     try:
         return grouprealize.builtin_realization(args.rack, args.cocycle)
     except (KeyError, grouprealize.RealizationError) as exc:
-        raise CliError(str(exc), EXIT_INVALID)
+        raise CliError(str(exc.args[0]), EXIT_INVALID)
 
 
 def _cmd_lift_pointed(args):

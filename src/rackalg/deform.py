@@ -579,10 +579,14 @@ def pointed_lifting_generators(realization, lam_free):
 
     lam_free assigns values to the free classes of the pointed parameter
     space; everything else is spelled out through the ties.  The group
-    element g_C is the product of the realization images over the base
-    pair; the classes' g_C must avoid every generator's image (otherwise
-    the lifting ansatz breaks and ConditionViolated reports the clashes).
+    element g_C is the kG degree g_{i2} g_{i1} of the base pair (i2, i1);
+    the classes' g_C must avoid every letter's degree (otherwise the
+    lifting ansatz breaks and ConditionViolated reports the clashes).
     """
+    # imported here, so that the deformation checks do not compile it
+    from . import grouprealize
+
+    pointed = grouprealize.group_side(realization, "pointed")
     rack = realization.rack
     q = realization.induced_cocycle()
     space = quadrel.pointed_lambda_space(rack, q)
@@ -596,11 +600,8 @@ def pointed_lifting_generators(realization, lam_free):
     clashes = []
     records = []
     for c in space.classes:
-        i2, i1 = c.base_pair
-        g_c = perm.compose(realization.gmap[i2], realization.gmap[i1])
-        for x in range(rack.n):
-            if g_c == realization.gmap[x]:
-                clashes.append((c.base_pair, x))
+        g_c = grouprealize.word_degree(pointed, c.base_pair)
+        clashes += [(c.base_pair, x) for x, d in enumerate(pointed.deg) if d == g_c]
         records.append(
             {
                 "class": c,

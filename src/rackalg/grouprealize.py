@@ -10,11 +10,12 @@ inside the function algebra on G, checks the diagonal characters those
 coefficients support, and forms smash products of finite dimensional
 quotient algebras with kG or with functions on G.
 
-One comatrix audit covers kG and functions on G, each given by a small
-record: braiding flavor, product, unit, counit, comatrix and action.  The
-braiding decides the action evaluations and the exchange law, the counit
-and the antipode axiom are shared, and the Yetter-Drinfeld compatibility,
-the coproduct and the extra antipode checks on functions stay per side.
+Each group side is one record (:func:`group_side`) that holds the letter
+degrees: a letter of V has degree g_x over kG, a letter of W degree
+g_x^{-1} over functions on G, and a word multiplies its letters' degrees
+left to right (:func:`word_degree`).  Both braidings are read off the
+records by the Yetter-Drinfeld formula, and one comatrix audit covers
+both sides.
 
 Everything here is exact and finite: groups are small symmetric groups
 of the one type :class:`rackalg.perm.Group`, multiplied with
@@ -28,7 +29,7 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import perm
 from .braided import make_braiding
@@ -286,38 +287,25 @@ def dual_braiding_check(realization):
     """Compare both braidings derived from the group data with the
     table-built ones.
 
-    On the group side c(v_x (x) v_y) = g_x . v_y (x) v_x, which must be
-    the V braiding.  On the function side the coaction of v_x is
-    sum_t chi_x(t^{-1}) delta_t (x) v_{t^{-1}.x} and delta_t picks the
-    v_y with g_y^{-1} = t; contracting gives the W braiding.  Both sums
-    are evaluated literally, term by term over the group.
+    Each side's coaction v_x -> sum_d e[x,d] (x) v_d and action mu give
+    c(v_x (x) v_y) = sum_{b,d} mu(y, b, e[x,d]) v_b (x) v_d, which must be
+    the V braiding over kG and the W braiding over functions on G.
     """
     r = realization
-    group, rack = r.group, r.rack
+    rack = r.rack
     n = rack.n
     q = r.induced_cocycle()
     audit = _Audit("V", "W")
 
-    v_space = make_braiding(rack, q, "V")
-    for x in range(n):
-        for y in range(n):
-            gx = r.gmap[x]
-            derived = ((r.act(gx, y), x), r.chi(y, gx))
-            audit.check("V", derived == v_space.apply_pair(x, y),
-                        (rack.labels[x], rack.labels[y]))
-
-    w_space = make_braiding(rack, q, "W")
-    for x in range(n):
-        for y in range(n):
-            acc = {}
-            for t in group.elements:
-                if t != perm.inverse(r.gmap[y]):
-                    continue
-                coeff = r.chi(x, perm.inverse(t))
-                target = (y, r.act(perm.inverse(t), x))
-                acc[target] = acc.get(target, _ZERO) + coeff
-            expected_target, expected_coeff = w_space.apply_pair(x, y)
-            audit.check("W", _strip(acc) == {expected_target: expected_coeff},
+    for side in (_pointed_side(r), _copointed_side(r)):
+        braiding = make_braiding(rack, q, side.flavor)
+        for x, y in itertools.product(range(n), repeat=2):
+            derived = {}
+            for d, b in itertools.product(range(n), repeat=2):
+                if side.e[(x, d)] and (c := side.mu(y, b, side.e[(x, d)])):
+                    derived[(b, d)] = c
+            target, coeff = braiding.apply_pair(x, y)
+            audit.check(side.flavor, derived == {target: coeff},
                         (rack.labels[x], rack.labels[y]))
 
     return audit.report()
@@ -361,76 +349,72 @@ def _antipode(f):
     return _strip({perm.inverse(t): c for t, c in f.items()})
 
 
-def pointed_comatrix(realization):
-    """Matrix coefficients of the braided space inside kG.
-
-    Diagonal entries are the group elements gmap[x]; off-diagonal
-    entries vanish because the coaction is by single group elements.
-    """
-    n = realization.rack.n
-    e = {}
-    for x in range(n):
-        for y in range(n):
-            e[(x, y)] = {realization.gmap[x]: _ONE} if x == y else {}
-    return e
-
-
-def copointed_comatrix(realization):
-    """Matrix coefficients inside the function algebra on G.
-
-    e[x][y] is the function t -> chi_x(t^{-1}) [t^{-1} . x == y], stored
-    sparsely on its support.
-    """
-    r = realization
-    group = r.group
-    n = r.rack.n
-    e = {(x, y): {} for x in range(n) for y in range(n)}
-    for x in range(n):
-        for t in group.elements:
-            ti = perm.inverse(t)
-            e[(x, r.act(ti, x))][t] = r.chi(x, ti)
-    return {k: _strip(f) for k, f in e.items()}
-
-
 def _action_value(braiding, a, b, c, d):
     # what mu(a, b, e[c,d]) must be: the coefficient of (b, d) in c(c, a)
     target, coeff = braiding.apply_pair(c, a)
     return coeff if target == (b, d) else _ZERO
 
 
-# one Hopf algebra H for the comatrix audit: braiding flavor, product,
-# unit and counit of H, the comatrix e, and mu(x, y, h), the coefficient
-# of v_y in h . v_x
-_Side = namedtuple("_Side", "flavor mul unit counit e mu")
+# one Hopf algebra H over G: braiding flavor, product, unit and counit of
+# H, deg[x] the G-degree of letter x, the comatrix e (sparse, on its
+# support), and mu(x, y, h), the coefficient of v_y in h . v_x
+_Side = namedtuple("_Side", "flavor mul unit counit deg e mu")
 
 
 def _pointed_side(r):
-    """kG: the V braiding, e[x,y] = [x == y] g_x, convolution, unit e and
-    the sum of the coefficients as counit."""
+    """kG: the V braiding, letter x of degree g_x, e[x,y] = [x == y] g_x,
+    convolution, unit e and the sum of the coefficients as counit."""
+    n = r.rack.n
+    deg = r.gmap
+    e = {(x, y): {deg[x]: _ONE} if x == y else {}
+         for x in range(n) for y in range(n)}
 
     def mu(x, y, elt):
-        total = _ZERO
-        for t, c in elt.items():
-            if r.act(t, x) == y:
-                total += c * r.chi(x, t)
-        return total
+        return sum((c * r.chi(x, t) for t, c in elt.items()
+                    if r.act(t, x) == y), _ZERO)
 
     return _Side("V", _conv_mul, {r.group.identity: _ONE},
-                 lambda f: sum(f.values(), _ZERO), pointed_comatrix(r), mu)
+                 lambda f: sum(f.values(), _ZERO), deg, e, mu)
 
 
 def _copointed_side(r):
-    """Functions on G: the W braiding, e[x,y](t) = chi_x(t^{-1})
-    [t^{-1} . x == y], the pointwise product, unit the constant 1 and the
-    value at e as counit; f acts on w_z by its value at g_z^{-1}."""
+    """Functions on G: the W braiding, letter x of degree g_x^{-1},
+    e[x,y](t) = chi_x(t^{-1}) [t^{-1} . x == y], the pointwise product,
+    unit the constant 1 and the value at e as counit; f acts on w_z by its
+    value at deg[z]."""
+    n = r.rack.n
     identity = r.group.identity
-    points = [perm.inverse(p) for p in r.gmap]
+    deg = tuple(perm.inverse(p) for p in r.gmap)
+    e = {(x, y): {} for x in range(n) for y in range(n)}
+    for t in r.group.elements:
+        ti = perm.inverse(t)
+        for x in range(n):
+            e[(x, r.act(ti, x))][t] = r.chi(x, ti)
+    e = {k: _strip(f) for k, f in e.items()}
 
     def mu(z, t, f):
-        return f.get(points[z], _ZERO) if z == t else _ZERO
+        return f.get(deg[z], _ZERO) if z == t else _ZERO
 
     return _Side("W", _pointwise_mul, {t: _ONE for t in r.group.elements},
-                 lambda f: f.get(identity, _ZERO), copointed_comatrix(r), mu)
+                 lambda f: f.get(identity, _ZERO), deg, e, mu)
+
+
+def group_side(realization, side):
+    """The record of one group side: "pointed" is kG, where letter x has
+    degree g_x, "copointed" the functions on G, where it has degree
+    g_x^{-1}.  Any other side name is a ValueError."""
+    if side == "pointed":
+        return _pointed_side(realization)
+    if side == "copointed":
+        return _copointed_side(realization)
+    raise ValueError("side must be 'pointed' or 'copointed'")
+
+
+def word_degree(side, word):
+    """The G-degree of a word over one side: the product of its letters'
+    degrees, left to right."""
+    return reduce(perm.compose, (side.deg[a] for a in word),
+                  perm.identity(len(side.deg[0])))
 
 
 def comatrix_action_audit(realization, side, cocycle=None):
@@ -449,10 +433,8 @@ def comatrix_action_audit(realization, side, cocycle=None):
     r = realization
     group, rack = r.group, r.rack
     n = rack.n
-    if side not in ("pointed", "copointed"):
-        raise ValueError("side must be 'pointed' or 'copointed'")
+    h = group_side(r, side)
     pointed = side == "pointed"
-    h = _pointed_side(r) if pointed else _copointed_side(r)
     q = cocycle if cocycle is not None else r.induced_cocycle()
     braiding = make_braiding(rack, q, h.flavor)
     e, mul, mu = h.e, h.mul, h.mu
@@ -572,21 +554,20 @@ def theta_characters(realization):
 
     theta_z sends e[x,y] to q(z,x) when z acts on x to give y, else to
     zero: the value mu(z, z, e[x,y]) read off the W braiding.  The audit
-    identifies each theta_z with evaluation at p_z = gmap[z]^{-1}, checks
-    multiplicativity on products of coefficients, verifies the exchange
-    relation theta_z theta_t = theta_t theta_{t.z} twice (once on the
-    evaluation points, where convolving delta_a with delta_b gives
-    delta_{ab}, so it reads p_z p_t = p_t p_{t.z}; once through the
-    comatrix coproduct), and records whether the characters are pairwise
-    distinct.  On a rack with repeated columns they are not, and the
+    identifies each theta_z with evaluation at the copointed letter
+    degree p_z = g_z^{-1}, checks multiplicativity on products of
+    coefficients, verifies the exchange relation
+    theta_z theta_t = theta_t theta_{t.z} twice (once on the evaluation
+    points, where convolving delta_a with delta_b gives delta_{ab}, so it
+    reads p_z p_t = p_t p_{t.z}; once through the comatrix coproduct), and
+    records whether the characters are pairwise distinct.  On a rack with repeated columns they are not, and the
     report says so rather than failing.
     """
     r = realization
-    group, rack = r.group, r.rack
+    rack = r.rack
     n = rack.n
     side = _copointed_side(r)
-    e = side.e
-    points = [perm.inverse(p) for p in r.gmap]
+    e, points = side.e, side.deg
     braiding = make_braiding(rack, r.induced_cocycle(), side.flavor)
     vals = [
         [[_action_value(braiding, z, z, x, y) for y in range(n)] for x in range(n)]
@@ -853,19 +834,10 @@ def smash_with_group(algebra, group, action):
 
 
 def quotient_grading(realization, quotient):
-    """Degrees of normal words for the function-algebra side.
-
-    A letter x carries degree gmap[x]^{-1}; a word multiplies the
-    degrees of its letters left to right.
-    """
-    r = realization
-    degs = []
-    for w in quotient.words:
-        d = r.group.identity
-        for a in w:
-            d = perm.compose(d, perm.inverse(r.gmap[a]))
-        degs.append(d)
-    return tuple(degs)
+    """Degrees of normal words for the function-algebra side: the
+    :func:`word_degree` of each word over the copointed record."""
+    side = _copointed_side(realization)
+    return tuple(word_degree(side, w) for w in quotient.words)
 
 
 def module_algebra_audit_grading(algebra, group, degrees):

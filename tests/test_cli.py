@@ -93,6 +93,18 @@ def test_unknown_rack_is_invalid_usage(capsys):
     assert code == 2
     doc = payload(out)
     assert not doc["ok"]
+    # the message as the catalog words it, without the quotes of a KeyError
+    for command in (("realize", "check"), ("lift", "pointed")):
+        code, out, _ = run(capsys, *command, "--rack", "nope",
+                           "--cocycle", "chi")
+        assert code == 2
+        assert payload(out)["report"]["error"] == (
+            "unknown rack 'nope' (have o23, o24, o44)")
+    code, out, _ = run(capsys, "cocycle", "check", "--rack", "o24",
+                       "--cocycle", "foo")
+    assert code == 2
+    assert payload(out)["report"]["error"] == (
+        "unknown cocycle 'foo' (want const:w or chi)")
 
 
 def test_bad_rack_file_fails_validation(capsys, tmp_path):

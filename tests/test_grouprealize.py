@@ -18,11 +18,10 @@ from rackalg.grouprealize import (
     algebra_from_quotient,
     builtin_realization,
     comatrix_action_audit,
-    copointed_comatrix,
     dual_braiding_check,
+    group_side,
     module_algebra_audit_grading,
     module_algebra_audit_group,
-    pointed_comatrix,
     principal_realization,
     quotient_grading,
     quotient_group_action,
@@ -122,6 +121,11 @@ def test_comatrix_audits_both_sides():
         for side in ("pointed", "copointed"):
             report = comatrix_action_audit(real, side)
             assert report["ok"], (rack_name, spec, side, report)
+    real = builtin_realization("o24", "chi")
+    with pytest.raises(ValueError):
+        comatrix_action_audit(real, "dual")
+    with pytest.raises(ValueError):
+        group_side(real, "dual")
 
 
 def test_comatrix_audit_flags_wrong_cocycle():
@@ -158,17 +162,36 @@ def test_comatrix_shared_laws_fail_on_a_non_multiplicative_chi():
 
 def test_comatrix_shapes():
     real = builtin_realization("o24", "chi")
-    e_point = pointed_comatrix(real)
+    e_point = group_side(real, "pointed").e
     for x in range(6):
         for y in range(6):
             if x == y:
                 assert e_point[(x, y)] == {real.gmap[x]: F(1)}
             else:
                 assert e_point[(x, y)] == {}
-    e_co = copointed_comatrix(real)
+    e_co = group_side(real, "copointed").e
     # each copointed row is supported on a coset, so all rows share size
     sizes = {len(e_co[(x, y)]) for x in range(6) for y in range(6)}
     assert sizes == {4} or len(sizes) == 1
+
+
+def test_letter_degrees_on_four_cycles():
+    # every g_x of o44 is a 4-cycle, so g_x != g_x^{-1} and the two
+    # conventions differ, which the transposition racks cannot show
+    real = builtin_realization("o44", "const:-1")
+    co = group_side(real, "copointed").deg
+    assert co == tuple(perm.inverse(p) for p in real.gmap)
+    assert all(d != p for d, p in zip(co, real.gmap))
+    assert group_side(real, "pointed").deg == real.gmap
+    rack, _ = builtin_rack("o44")
+    q = builtin_cocycle("o44", "const:-1")
+    quo = QuotientAlgebra(groebner(quadratic_ideal(rack, q, "W")))
+    degrees = quotient_grading(real, quo)
+    for w, d in zip(quo.words, degrees, strict=True):
+        want = real.group.identity
+        for a in w:
+            want = perm.compose(want, perm.inverse(real.gmap[a]))
+        assert d == want, w
 
 
 def test_theta_characters_for_builtins():
