@@ -18,9 +18,15 @@ records by the Yetter-Drinfeld formula, and one comatrix audit covers
 both sides.
 
 Everything here is exact and finite: groups are small symmetric groups
-of the one type :class:`rackalg.perm.Group`, multiplied with
-``perm.compose`` and inverted with ``perm.inverse``, scalars are
-Fractions, and audits enumerate their whole domain rather than sampling.
+of the one type :class:`rackalg.perm.Group`, and audits enumerate their
+whole domain rather than sampling.  The audits read a group through its
+indexed table (:func:`_group_table`: products and inverses by element
+index, built on first use and kept per group), never through
+``perm.compose`` or ``perm.inverse``.  Every scalar they compute with is
+an int when it is integral and an exact Fraction otherwise, so the
+builtin data, whose scalars are all +-1, run in int arithmetic; Python
+mixes the two exactly, and every division has a Fraction operand, so no
+float can arise.  ``PrincipalRealization.chi`` still returns a Fraction.
 The associativity audit of a structure-constant algebra clears the
 table's denominators once and then runs in int arithmetic.
 """
@@ -37,8 +43,12 @@ from .catalog import builtin_rack, symmetric_permgroup
 from .cocycle import chi_character_value, validate_cocycle
 from .exactnum import exact
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _scalar(value):
+    """An exact scalar: an int when it is integral, else a Fraction.
+    A float is refused with TypeError."""
+    value = exact(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class RealizationError(ValueError):
@@ -56,9 +66,9 @@ class PrincipalRealization:
     """A braiding presented by group data.
 
     Stores the group, the rack, the element map ``gmap`` (one group
-    element per rack element), the scalars chi_x(t) and the group action
-    on rack indices.  The defining laws are not assumed here; run
-    :func:`validate_principal` to certify them.
+    element per rack element), the scalars chi_x(t) (as ints where
+    integral) and the group action on rack indices.  The defining laws
+    are not assumed here; run :func:`validate_principal` to certify them.
     """
 
     __slots__ = ("group", "rack", "gmap", "_chi", "_act")
@@ -74,7 +84,9 @@ class PrincipalRealization:
         self.group = group
         self.rack = rack
         self.gmap = tuple(gmap)
-        self._chi = tuple(dict(row) for row in chi_table)
+        self._chi = tuple(
+            {t: _scalar(v) for t, v in dict(row).items()} for row in chi_table
+        )
         self._act = {t: tuple(row) for t, row in act_table.items()}
         if len(self._chi) != rack.n:
             raise RealizationError("chi needs one row per rack element")
@@ -85,8 +97,8 @@ class PrincipalRealization:
             raise RealizationError("action must cover the whole group")
 
     def chi(self, x, t):
-        """The scalar chi_x(t)."""
-        return self._chi[x][t]
+        """The scalar chi_x(t), as a Fraction."""
+        return Fraction(self._chi[x][t])
 
     def act(self, t, x):
         """The group action t . x as a rack index."""
@@ -95,7 +107,7 @@ class PrincipalRealization:
     def induced_cocycle(self):
         """The 2-cocycle q[x][y] = chi_y(g_x), validated on the rack."""
         n = self.rack.n
-        q = [[self.chi(y, self.gmap[x]) for y in range(n)] for x in range(n)]
+        q = [[self._chi[y][self.gmap[x]] for y in range(n)] for x in range(n)]
         return validate_cocycle(self.rack, q)
 
 
@@ -131,7 +143,7 @@ def _conjugation_action(group, gmap):
 def _chi_rows(group, gmap, chi):
     """Expand a chi specification into one dict per rack element."""
     if chi == "sgn":
-        return [{t: Fraction(perm.sign(t)) for t in group.elements} for _ in gmap]
+        return [{t: perm.sign(t) for t in group.elements} for _ in gmap]
     if chi == "ms-chi":
         rows = []
         for p in gmap:
@@ -144,7 +156,7 @@ def _chi_rows(group, gmap, chi):
                 {t: chi_character_value(t, support) for t in group.elements}
             )
         return rows
-    return [{t: exact(v) for t, v in raw.items()} for raw in chi]
+    return chi
 
 
 def principal_realization(rack, gmap, chi="sgn"):
@@ -181,10 +193,55 @@ def builtin_realization(rack_name, cocycle_spec):
     return principal_realization(rack, class_perms, chi)
 
 
+class _Table:
+    """A group by element index: ``elements`` in the group's order,
+    ``index`` the position of each element, ``mul[i][j]`` the index of
+    elements[i] * elements[j] and ``inv[i]`` that of elements[i]^{-1}."""
+
+    __slots__ = ("elements", "index", "mul", "inv")
+
+    def __init__(self, group):
+        self.elements, self.index = group.elements, group.index
+        self.mul = tuple(
+            tuple(self.index[perm.compose(s, t)] for t in self.elements)
+            for s in self.elements
+        )
+        self.inv = tuple(self.index[perm.inverse(s)] for s in self.elements)
+
+
+@lru_cache(maxsize=None)
+def _group_table(group):
+    """The table of a group, built on its first audit and kept; every
+    group here is the one cached S_n of its degree, so this is one table
+    per degree."""
+    return _Table(group)
+
+
+def _indexed(r):
+    """The group table of a realization, with chi[x][i] = chi_x(t) and
+    act[i] = the action row of t, for t the element of index i."""
+    tab = _group_table(r.group)
+    chi = [[row[t] for t in tab.elements] for row in r._chi]
+    act = [r._act[t] for t in tab.elements]
+    return tab, chi, act
+
+
+def _pairs(braiding):
+    """The braiding's pair map, (x, y) -> (target pair, coefficient), with
+    the coefficients as ints where integral."""
+    return {xy: (ab, _scalar(c)) for xy, (ab, c) in braiding.pair_map.items()}
+
+
+def _cycle(tab, i):
+    """Cycle notation of the element of index i, for witnesses."""
+    return perm.cycle_notation(tab.elements[i])
+
+
 class _Audit:
     """One audit report: per law a check count, at most five witnesses
     and a verdict.  ``report()`` adds the overall ``ok``; a single-law
-    audit returns its law's entry from ``laws``."""
+    audit returns its law's entry from ``laws``.  Loops count their
+    checks in bulk and build a witness only for a failure."""
 
     def __init__(self, *laws):
         self.laws = {
@@ -211,11 +268,6 @@ class _Audit:
         return report
 
 
-def _names(group):
-    """Cycle notation of every group element, for witnesses."""
-    return {t: perm.cycle_notation(t) for t in group.elements}
-
-
 def validate_principal(realization, cocycle=None):
     """Exhaustive audit of the defining laws of a realization.
 
@@ -227,58 +279,67 @@ def validate_principal(realization, cocycle=None):
     entry.  Returns a report dict with a witness list per law.
     """
     r = realization
-    group, rack = r.group, r.rack
+    rack = r.rack
     n = rack.n
-    name = _names(group)
+    labels = rack.labels
+    tab, chi, act = _indexed(r)
+    mul, inv = tab.mul, tab.inv
+    order = len(tab.elements)
+    gx = [tab.index[p] for p in r.gmap]
     laws = ["left_action", "equivariance", "rack_match", "cocycle_rule",
             "values_nonzero"]
     if cocycle is not None:
         laws.append("q_match")
     audit = _Audit(*laws)
 
+    audit.count("left_action", n + order * order * n)
+    unit_row = act[tab.index[r.group.identity]]
     for x in range(n):
-        audit.check("left_action", r.act(group.identity, x) == x,
-                    ("e", rack.labels[x]))
-    for s in group.elements:
-        for t in group.elements:
-            st = perm.compose(s, t)
+        if unit_row[x] != x:
+            audit.fail("left_action", ("e", labels[x]))
+    for s in range(order):
+        for t in range(order):
+            st, s_row, t_row = act[mul[s][t]], act[s], act[t]
             for x in range(n):
-                audit.check("left_action", r.act(st, x) == r.act(s, r.act(t, x)),
-                            (name[s], name[t], rack.labels[x]))
+                if st[x] != s_row[t_row[x]]:
+                    audit.fail("left_action",
+                               (_cycle(tab, s), _cycle(tab, t), labels[x]))
 
-    for h in group.elements:
+    # h g_x h^{-1} by index is mul[mul[h][g_x]][inv[h]]
+    audit.count("equivariance", order * n)
+    for h in range(order):
+        h_row, h_mul = act[h], mul[h]
         for x in range(n):
-            audit.check(
-                "equivariance",
-                r.gmap[r.act(h, x)] == perm.conjugate(h, r.gmap[x]),
-                (name[h], rack.labels[x]),
-            )
+            if gx[h_row[x]] != mul[h_mul[gx[x]]][inv[h]]:
+                audit.fail("equivariance", (_cycle(tab, h), labels[x]))
 
+    audit.count("rack_match", n * n)
     for x in range(n):
         for y in range(n):
-            audit.check("rack_match", r.act(r.gmap[x], y) == rack.act(x, y),
-                        (rack.labels[x], rack.labels[y]))
+            if act[gx[x]][y] != rack.act(x, y):
+                audit.fail("rack_match", (labels[x], labels[y]))
 
-    for h in group.elements:
-        for t in group.elements:
-            ht = perm.compose(h, t)
+    audit.count("cocycle_rule", order * order * n)
+    for h in range(order):
+        for t in range(order):
+            ht, t_row = mul[h][t], act[t]
             for x in range(n):
-                audit.check(
-                    "cocycle_rule",
-                    r.chi(x, ht) == r.chi(x, t) * r.chi(r.act(t, x), h),
-                    (name[h], name[t], rack.labels[x]),
-                )
+                if chi[x][ht] != chi[x][t] * chi[t_row[x]][h]:
+                    audit.fail("cocycle_rule",
+                               (_cycle(tab, h), _cycle(tab, t), labels[x]))
 
+    audit.count("values_nonzero", n * order)
     for x in range(n):
-        for t in group.elements:
-            audit.check("values_nonzero", r.chi(x, t) != 0,
-                        (rack.labels[x], name[t]))
+        for t in range(order):
+            if chi[x][t] == 0:
+                audit.fail("values_nonzero", (labels[x], _cycle(tab, t)))
 
     if cocycle is not None:
+        audit.count("q_match", n * n)
         for x in range(n):
             for y in range(n):
-                audit.check("q_match", r.chi(y, r.gmap[x]) == cocycle(x, y),
-                            (rack.labels[x], rack.labels[y]))
+                if chi[y][gx[x]] != cocycle(x, y):
+                    audit.fail("q_match", (labels[x], labels[y]))
 
     return audit.report()
 
@@ -298,21 +359,26 @@ def dual_braiding_check(realization):
     audit = _Audit("V", "W")
 
     for side in (_pointed_side(r), _copointed_side(r)):
-        braiding = make_braiding(rack, q, side.flavor)
-        for x, y in itertools.product(range(n), repeat=2):
-            derived = {}
-            for d, b in itertools.product(range(n), repeat=2):
-                if side.e[(x, d)] and (c := side.mu(y, b, side.e[(x, d)])):
-                    derived[(b, d)] = c
-            target, coeff = braiding.apply_pair(x, y)
-            audit.check(side.flavor, derived == {target: coeff},
-                        (rack.labels[x], rack.labels[y]))
+        pairs = _pairs(make_braiding(rack, q, side.flavor))
+        audit.count(side.flavor, n * n)
+        for x in range(n):
+            row = [(d, side.e[(x, d)]) for d in range(n) if side.e[(x, d)]]
+            for y in range(n):
+                derived = {}
+                for d, exd in row:
+                    for b in range(n):
+                        if c := side.mu(y, b, exd):
+                            derived[(b, d)] = c
+                target, coeff = pairs[x, y]
+                if derived != {target: coeff}:
+                    audit.fail(side.flavor, (rack.labels[x], rack.labels[y]))
 
     return audit.report()
 
 
 # ---------------------------------------------------------------------------
-# elements of kG and of the function algebra on G, as sparse dicts
+# elements of kG and of the function algebra on G, as sparse dicts keyed
+# by group element; products and antipodes read the group's indexed table
 
 
 def _strip(d):
@@ -323,36 +389,34 @@ def _scale(d, c):
         return {}
     return {k: c * v for k, v in d.items()}
 
-def _add_into(acc, d, c=_ONE):
+def _add_into(acc, d, c=1):
     for k, v in d.items():
-        acc[k] = acc.get(k, _ZERO) + c * v
+        acc[k] = acc.get(k, 0) + c * v
 
-def _conv_mul(a, b):
+def _conv_mul(tab, a, b):
     """Product in kG: group elements multiply, coefficients convolve."""
+    elements, index, mul = tab.elements, tab.index, tab.mul
     out = {}
     for p, cp in a.items():
+        row = mul[index[p]]
         for q_, cq in b.items():
-            k = perm.compose(p, q_)
-            out[k] = out.get(k, _ZERO) + cp * cq
+            k = elements[row[index[q_]]]
+            out[k] = out.get(k, 0) + cp * cq
     return _strip(out)
 
 def _pointwise_mul(a, b):
-    out = {}
-    for t, v in a.items():
-        w = b.get(t)
-        if w is not None:
-            out[t] = v * w
-    return _strip(out)
+    return {t: c for t, v in a.items() if t in b and (c := v * b[t]) != 0}
 
-def _antipode(f):
+def _antipode(tab, f):
     # S(t) = t^{-1} in kG and S(f)(t) = f(t^{-1}) on functions
-    return _strip({perm.inverse(t): c for t, c in f.items()})
+    elements, index, inv = tab.elements, tab.index, tab.inv
+    return _strip({elements[inv[index[t]]]: c for t, c in f.items()})
 
 
-def _action_value(braiding, a, b, c, d):
+def _action_value(pairs, a, b, c, d):
     # what mu(a, b, e[c,d]) must be: the coefficient of (b, d) in c(c, a)
-    target, coeff = braiding.apply_pair(c, a)
-    return coeff if target == (b, d) else _ZERO
+    target, coeff = pairs[c, a]
+    return coeff if target == (b, d) else 0
 
 
 # one Hopf algebra H over G: braiding flavor, product, unit and counit of
@@ -365,16 +429,19 @@ def _pointed_side(r):
     """kG: the V braiding, letter x of degree g_x, e[x,y] = [x == y] g_x,
     convolution, unit e and the sum of the coefficients as counit."""
     n = r.rack.n
+    tab = _group_table(r.group)
     deg = r.gmap
-    e = {(x, y): {deg[x]: _ONE} if x == y else {}
+    e = {(x, y): {deg[x]: 1} if x == y else {}
          for x in range(n) for y in range(n)}
 
-    def mu(x, y, elt):
-        return sum((c * r.chi(x, t) for t, c in elt.items()
-                    if r.act(t, x) == y), _ZERO)
+    def mul(a, b):
+        return _conv_mul(tab, a, b)
 
-    return _Side("V", _conv_mul, {r.group.identity: _ONE},
-                 lambda f: sum(f.values(), _ZERO), deg, e, mu)
+    def mu(x, y, elt):
+        return sum(c * r._chi[x][t] for t, c in elt.items() if r._act[t][x] == y)
+
+    return _Side("V", mul, {r.group.identity: 1},
+                 lambda f: sum(f.values()), deg, e, mu)
 
 
 def _copointed_side(r):
@@ -384,25 +451,28 @@ def _copointed_side(r):
     value at deg[z]."""
     n = r.rack.n
     identity = r.group.identity
-    deg = tuple(perm.inverse(p) for p in r.gmap)
+    tab, chi, act = _indexed(r)
+    elements, inv = tab.elements, tab.inv
+    deg = tuple(elements[inv[tab.index[p]]] for p in r.gmap)
     e = {(x, y): {} for x in range(n) for y in range(n)}
-    for t in r.group.elements:
-        ti = perm.inverse(t)
+    for i, t in enumerate(elements):
+        ti = inv[i]
         for x in range(n):
-            e[(x, r.act(ti, x))][t] = r.chi(x, ti)
+            e[(x, act[ti][x])][t] = chi[x][ti]
     e = {k: _strip(f) for k, f in e.items()}
 
     def mu(z, t, f):
-        return f.get(deg[z], _ZERO) if z == t else _ZERO
+        return f.get(deg[z], 0) if z == t else 0
 
-    return _Side("W", _pointwise_mul, {t: _ONE for t in r.group.elements},
-                 lambda f: f.get(identity, _ZERO), deg, e, mu)
+    return _Side("W", _pointwise_mul, {t: 1 for t in elements},
+                 lambda f: f.get(identity, 0), deg, e, mu)
 
 
 def group_side(realization, side):
     """The record of one group side: "pointed" is kG, where letter x has
     degree g_x, "copointed" the functions on G, where it has degree
-    g_x^{-1}.  Any other side name is a ValueError."""
+    g_x^{-1}.  The comatrix values e[x,y] are ints where integral, exact
+    Fractions otherwise.  Any other side name is a ValueError."""
     if side == "pointed":
         return _pointed_side(realization)
     if side == "copointed":
@@ -415,6 +485,17 @@ def word_degree(side, word):
     degrees, left to right."""
     return reduce(perm.compose, (side.deg[a] for a in word),
                   perm.identity(len(side.deg[0])))
+
+
+def _products(side, n):
+    """Every product e[s,t] e[x,y] of comatrix coefficients, keyed
+    (s, t, x, y) in that order; a zero factor gives the zero product."""
+    e, mul = side.e, side.mul
+    prods = {}
+    for s, t, x, y in itertools.product(range(n), repeat=4):
+        est, exy = e[(s, t)], e[(x, y)]
+        prods[s, t, x, y] = mul(est, exy) if est and exy else {}
+    return prods
 
 
 def comatrix_action_audit(realization, side, cocycle=None):
@@ -431,53 +512,61 @@ def comatrix_action_audit(realization, side, cocycle=None):
     the intended negative control.
     """
     r = realization
-    group, rack = r.group, r.rack
+    rack = r.rack
     n = rack.n
+    labels = rack.labels
     h = group_side(r, side)
     pointed = side == "pointed"
-    q = cocycle if cocycle is not None else r.induced_cocycle()
-    braiding = make_braiding(rack, q, h.flavor)
+    if cocycle is None:
+        cocycle = r.induced_cocycle()
+    pairs = _pairs(make_braiding(rack, cocycle, h.flavor))
+    q = [[_scalar(cocycle(x, y)) for y in range(n)] for x in range(n)]
+    tab, chi, act = _indexed(r)
+    order = len(tab.elements)
+    gmul = tab.mul
+    gx = [tab.index[p] for p in r.gmap]
     e, mul, mu = h.e, h.mul, h.mu
-    name = _names(group)
     audit = _Audit("action_eval", "exchange", "yd_compat", "coproduct",
                    "counit", "antipode")
 
+    # mu is linear in its last argument, so a zero e[c,d] acts by zero
+    audit.count("action_eval", n ** 4)
     for a, b, c, d in itertools.product(range(n), repeat=4):
-        audit.check("action_eval",
-                    mu(a, b, e[(c, d)]) == _action_value(braiding, a, b, c, d),
-                    (a, b, c, d))
+        ecd = e[(c, d)]
+        if (mu(a, b, ecd) if ecd else 0) != _action_value(pairs, a, b, c, d):
+            audit.fail("action_eval", (a, b, c, d))
 
     # with c(s, x) = qa (a, b) and c(t, y) = qb (c, d), the coaction
-    # commutes with c when qb e[s,t] e[x,y] == qa e[a,c] e[b,d]
-    for s, t, x, y in itertools.product(range(n), repeat=4):
-        (a, b), qa = braiding.apply_pair(s, x)
-        (c, d), qb = braiding.apply_pair(t, y)
-        lhs = _scale(mul(e[(s, t)], e[(x, y)]), qb)
-        rhs = _scale(mul(e[(a, c)], e[(b, d)]), qa)
-        audit.check("exchange", lhs == rhs, (s, t, x, y))
+    # commutes with c when qb e[s,t] e[x,y] == qa e[a,c] e[b,d]; two zero
+    # products agree at any scale
+    prods = _products(h, n)
+    audit.count("exchange", n ** 4)
+    for (s, t, x, y), lhs in prods.items():
+        (a, b), qa = pairs[s, x]
+        (c, d), qb = pairs[t, y]
+        rhs = prods[a, c, b, d]
+        if (lhs or rhs) and _scale(lhs, qb) != _scale(rhs, qa):
+            audit.fail("exchange", (s, t, x, y))
 
     # yd_compat and the coproduct stay per side: the delta-basis form on
     # functions gives other per-g verdicts than the kG formula once gmap is
     # not equivariant, and the coproducts count 36 against 20,736 on S4
     if pointed:
         # action and coaction interlock over every group element g:
-        # sum_y mu(x,y,g) e[y,z] g  ==  sum_y mu(y,z,g) g e[x,y]
+        # sum_y mu(x,y,g) e[y,z] g  ==  sum_y mu(y,z,g) g e[x,y].  As
+        # g . v_x = chi_x(g) v_{g.x} and e[y,z] = [y == z] g_z, each sum
+        # has one term, with the one coefficient c = chi_x(g) [g.x == z]:
+        # the law reads c g_z g == c g g_x
+        audit.count("yd_compat", n * n * order)
         for x in range(n):
             for z in range(n):
-                for g in group.elements:
-                    lhs = {}
-                    rhs = {}
-                    hd = {g: _ONE}
-                    for y in range(n):
-                        c = mu(x, y, hd)
-                        if c != 0:
-                            _add_into(lhs, _conv_mul(e[(y, z)], hd), c)
-                        c = mu(y, z, hd)
-                        if c != 0:
-                            _add_into(rhs, _conv_mul(hd, e[(x, y)]), c)
-                    audit.check("yd_compat", _strip(lhs) == _strip(rhs),
-                                (rack.labels[x], rack.labels[z], name[g]))
+                for g in range(order):
+                    if (act[g][x] == z and chi[x][g]
+                            and gmul[gx[z]][g] != gmul[g][gx[x]]):
+                        audit.fail("yd_compat",
+                                   (labels[x], labels[z], _cycle(tab, g)))
         # Delta(g) = g (x) g, compared as one element of kG (x) kG per (x, y)
+        audit.count("coproduct", n * n)
         for x in range(n):
             for y in range(n):
                 lhs = {(t, t): c for t, c in e[(x, y)].items()}
@@ -485,41 +574,52 @@ def comatrix_action_audit(realization, side, cocycle=None):
                 for u in range(n):
                     for s, cs in e[(x, u)].items():
                         for t, ct in e[(u, y)].items():
-                            rhs[(s, t)] = rhs.get((s, t), _ZERO) + cs * ct
-                audit.check("coproduct", _strip(lhs) == _strip(rhs), (x, y))
+                            rhs[(s, t)] = rhs.get((s, t), 0) + cs * ct
+                if _strip(lhs) != _strip(rhs):
+                    audit.fail("coproduct", (x, y))
     else:
-        # the delta-basis form: for every x, z and g the functions
-        # e[x,z](g_x g) delta_{g_x g} and e[x,z](g g_z) delta_{g g_z} agree
+        # each e[x,y] as its values by element index
+        val = {k: [f.get(t, 0) for t in tab.elements] for k, f in e.items()}
+        # the delta-basis form: for every x, z and g the one-point
+        # functions e[x,z](g_x g) delta_{g_x g} and e[x,z](g g_z)
+        # delta_{g g_z} agree, that is the points agree or both values
+        # vanish
+        audit.count("yd_compat", n * n * order)
         for x in range(n):
+            left = gmul[gx[x]]
             for z in range(n):
-                exz = e[(x, z)]
-                for g in group.elements:
-                    lk = perm.compose(r.gmap[x], g)
-                    rk = perm.compose(g, r.gmap[z])
-                    lhs = _strip({lk: exz.get(lk, _ZERO)})
-                    rhs = _strip({rk: exz.get(rk, _ZERO)})
-                    audit.check("yd_compat", lhs == rhs,
-                                (rack.labels[x], rack.labels[z], name[g]))
+                exz, gz = val[x, z], gx[z]
+                for g in range(order):
+                    lk, rk = left[g], gmul[g][gz]
+                    if lk != rk and (exz[lk] or exz[rk]):
+                        audit.fail("yd_compat",
+                                   (labels[x], labels[z], _cycle(tab, g)))
         # one check per value (a, b) of the coproduct; e[x,u] is supported
-        # where a^{-1} . x == u, so the sum over u has the one term there
+        # where a^{-1} . x == u, so the sum over u has the one term there,
+        # and all b of one a are compared as one row
+        audit.count("coproduct", n * n * order * order)
         for x in range(n):
             for y in range(n):
-                exy = e[(x, y)]
-                for a in group.elements:
-                    u = r.act(perm.inverse(a), x)
-                    exa = e[(x, u)].get(a, _ZERO)
-                    # scale the support of e[u,y] once, not every b
-                    row = {b: exa * v for b, v in e[(u, y)].items()}
-                    for b in group.elements:
-                        lhs = exy.get(perm.compose(a, b), _ZERO)
-                        rhs = row.get(b, _ZERO)
-                        audit.check("coproduct", lhs == rhs,
-                                    (x, y, name[a], name[b]))
+                exy = val[x, y]
+                for a in range(order):
+                    u = act[tab.inv[a]][x]
+                    exa = val[x, u][a]
+                    lhs = [exy[ab] for ab in gmul[a]]
+                    rhs = [exa * v for v in val[u, y]]
+                    if lhs != rhs:
+                        for b in range(order):
+                            if lhs[b] != rhs[b]:
+                                audit.fail("coproduct", (x, y, _cycle(tab, a),
+                                                         _cycle(tab, b)))
 
+    audit.count("counit", n * n)
     for x in range(n):
         for y in range(n):
-            audit.check("counit", h.counit(e[(x, y)]) == int(x == y), (x, y))
+            if h.counit(e[(x, y)]) != int(x == y):
+                audit.fail("counit", (x, y))
 
+    audit.count("antipode", n * n if pointed else n * n * (n + 2))
+    s_e = {k: _antipode(tab, f) for k, f in e.items()}
     for x in range(n):
         for y in range(n):
             if not pointed:
@@ -528,25 +628,30 @@ def comatrix_action_audit(realization, side, cocycle=None):
                 # their axiom witnesses carry a tag; on kG S(g) = g^{-1} and
                 # S^2 = id, and the axiom decides every power
                 exy = e[(x, y)]
-                s_exy = _antipode(exy)
+                s_exy = s_e[x, y]
                 for z in range(n):
-                    want0 = q(z, x) if rack.act(z, x) == y else _ZERO
-                    want1 = 1 / q(z, y) if rack.act(z, y) == x else _ZERO
-                    audit.check("antipode", mu(z, z, exy) == want0
-                                and mu(z, z, s_exy) == want1, (x, y, z))
-                audit.check("antipode", _antipode(s_exy) == exy,
-                            ("square", x, y))
+                    want0 = q[z][x] if rack.act(z, x) == y else 0
+                    want1 = Fraction(1) / q[z][y] if rack.act(z, y) == x else 0
+                    if mu(z, z, exy) != want0 or mu(z, z, s_exy) != want1:
+                        audit.fail("antipode", (x, y, z))
+                if _antipode(tab, s_exy) != exy:
+                    audit.fail("antipode", ("square", x, y))
             left = {}
             right = {}
             for u in range(n):
-                _add_into(left, mul(_antipode(e[(x, u)]), e[(u, y)]))
-                _add_into(right, mul(e[(x, u)], _antipode(e[(u, y)])))
+                _add_into(left, mul(s_e[x, u], e[(u, y)]))
+                _add_into(right, mul(e[(x, u)], s_e[u, y]))
             expected = h.unit if x == y else {}
-            audit.check("antipode",
-                        _strip(left) == expected and _strip(right) == expected,
-                        (x, y) if pointed else ("axiom", x, y))
+            if _strip(left) != expected or _strip(right) != expected:
+                audit.fail("antipode", (x, y) if pointed else ("axiom", x, y))
 
     return audit.report()
+
+
+def _matmul(a, b):
+    """The product of two matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(u * v for u, v in zip(row, col)) for col in cols] for row in a]
 
 
 def theta_characters(realization):
@@ -560,59 +665,65 @@ def theta_characters(realization):
     theta_z theta_t = theta_t theta_{t.z} twice (once on the evaluation
     points, where convolving delta_a with delta_b gives delta_{ab}, so it
     reads p_z p_t = p_t p_{t.z}; once through the comatrix coproduct), and
-    records whether the characters are pairwise distinct.  On a rack with repeated columns they are not, and the
-    report says so rather than failing.
+    records whether the characters are pairwise distinct.  On a rack with
+    repeated columns they are not, and the report says so rather than
+    failing.
     """
     r = realization
     rack = r.rack
     n = rack.n
+    labels = rack.labels
     side = _copointed_side(r)
+    tab = _group_table(r.group)
     e, points = side.e, side.deg
-    braiding = make_braiding(rack, r.induced_cocycle(), side.flavor)
+    pairs = _pairs(make_braiding(rack, r.induced_cocycle(), side.flavor))
+    # vals[z] is theta_z as the n x n matrix of its values on e[x,y]
     vals = [
-        [[_action_value(braiding, z, z, x, y) for y in range(n)] for x in range(n)]
+        [[_action_value(pairs, z, z, x, y) for y in range(n)] for x in range(n)]
         for z in range(n)
     ]
     audit = _Audit("identified", "algebra_map", "exchange_convolution",
                    "exchange_comatrix")
 
+    audit.count("identified", n)
     for z in range(n):
-        audit.check("identified", all(
-            side.mu(z, z, e[(x, y)]) == vals[z][x][y]
-            for x, y in itertools.product(range(n), repeat=2)
-        ), rack.labels[z])
+        if any(side.mu(z, z, e[(x, y)]) != vals[z][x][y]
+               for x, y in itertools.product(range(n), repeat=2)):
+            audit.fail("identified", labels[z])
 
     # every product once, read at each point in the order z, x, y, s, t
-    prods = {
-        (x, y, s, t): side.mul(e[(x, y)], e[(s, t)])
-        for x, y, s, t in itertools.product(range(n), repeat=4)
-    }
+    prods = _products(side, n)
+    audit.count("algebra_map", n * len(prods))
     for z in range(n):
-        a = points[z]
-        for (x, y, s, t), prod in prods.items():
-            audit.check("algebra_map",
-                        prod.get(a, _ZERO) == vals[z][x][y] * vals[z][s][t],
-                        (z, x, y, s, t))
+        a, vz = points[z], vals[z]
+        got = [prod.get(a, 0) for prod in prods.values()]
+        want = [vz[x][y] * vz[s][t] for x, y, s, t in prods]
+        if got != want:
+            for key, lhs, rhs in zip(prods, got, want):
+                if lhs != rhs:
+                    audit.fail("algebra_map", (z, *key))
 
+    # theta_z theta_t through the comatrix coproduct is the matrix product
+    # of their values, so the exchange reads vals[z] vals[t] ==
+    # vals[t] vals[t.z]
+    p = [tab.index[a] for a in points]
+    theta2 = [[_matmul(vz, vt) for vt in vals] for vz in vals]
+    audit.count("exchange_convolution", n * n)
+    audit.count("exchange_comatrix", n * n)
     for z in range(n):
         for t in range(n):
             tz = rack.act(t, z)
-            witness = (rack.labels[z], rack.labels[t])
-            pz, pt = points[z], points[t]
-            audit.check("exchange_convolution",
-                        perm.compose(pz, pt) == perm.compose(pt, points[tz]), witness)
-            audit.check("exchange_comatrix", all(
-                sum((vals[z][x][u] * vals[t][u][y] for u in range(n)), _ZERO)
-                == sum((vals[t][x][u] * vals[tz][u][y] for u in range(n)), _ZERO)
-                for x, y in itertools.product(range(n), repeat=2)
-            ), witness)
+            if tab.mul[p[z]][p[t]] != tab.mul[p[t]][p[tz]]:
+                audit.fail("exchange_convolution", (labels[z], labels[t]))
+            if theta2[z][t] != theta2[t][tz]:
+                audit.fail("exchange_comatrix", (labels[z], labels[t]))
 
     report = audit.report()
     collisions = []
     for z in range(n):
         for t in range(z + 1, n):
             if vals[z] == vals[t]:
-                collisions.append((rack.labels[z], rack.labels[t]))
+                collisions.append((labels[z], labels[t]))
     report["distinct"] = not collisions
     report["collisions"] = collisions
     report["gmap_injective"] = len(set(r.gmap)) == n
@@ -660,7 +771,7 @@ class FiniteDimAlgebra:
     def unit_audit(self):
         audit = _Audit("unit")
         for i in range(self.dim):
-            basis = {i: _ONE}
+            basis = {i: 1}
             audit.check("unit", self.multiply(self.unit, basis) == basis,
                         ("left", self.label(i)))
             audit.check("unit", self.multiply(basis, self.unit) == basis,
@@ -715,7 +826,7 @@ class FiniteDimAlgebra:
 
 
 def scalar_algebra():
-    return FiniteDimAlgebra(1, [[{0: _ONE}]], {0: _ONE}, labels=("1",))
+    return FiniteDimAlgebra(1, [[{0: Fraction(1)}]], {0: Fraction(1)}, labels=("1",))
 
 
 def algebra_from_quotient(quotient):
@@ -733,7 +844,7 @@ def algebra_from_quotient(quotient):
     labels = tuple(
         "*".join(str(a) for a in w) if w else "1" for w in words
     )
-    return FiniteDimAlgebra(dim, table, {index[b""]: _ONE}, labels=labels)
+    return FiniteDimAlgebra(dim, table, {index[b""]: Fraction(1)}, labels=labels)
 
 
 def quotient_group_action(realization, quotient):
@@ -749,7 +860,7 @@ def quotient_group_action(realization, quotient):
     for g in r.group.elements:
         images = []
         for w in quotient.words:
-            coeff = _ONE
+            coeff = Fraction(1)
             target = []
             for a in w:
                 coeff *= r.chi(a, g)
@@ -764,7 +875,6 @@ def quotient_group_action(realization, quotient):
 
 def module_algebra_audit_group(algebra, group, action):
     """Does the group action respect unit and products, exhaustively."""
-    name = _names(group)
     audit = _Audit("module_algebra")
 
     def apply(g, elt):
@@ -775,15 +885,16 @@ def module_algebra_audit_group(algebra, group, action):
         return _strip(out)
 
     for g in group.elements:
+        name = perm.cycle_notation(g)
         audit.check("module_algebra", apply(g, algebra.unit) == algebra.unit,
-                    ("unit", name[g]))
+                    ("unit", name))
         for i in range(algebra.dim):
             gi = _strip(dict(action[g][i]))
             for j in range(algebra.dim):
                 lhs = apply(g, algebra.table[i][j])
                 rhs = algebra.multiply(gi, _strip(dict(action[g][j])))
                 audit.check("module_algebra", lhs == rhs,
-                            (name[g], algebra.label(i), algebra.label(j)))
+                            (name, algebra.label(i), algebra.label(j)))
     return audit.laws["module_algebra"]
 
 

@@ -1,11 +1,15 @@
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rackalg
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
 from rackalg.cocycle import Cocycle2
@@ -15,6 +19,7 @@ from rackalg.grouprealize import (
     NotModuleAlgebra,
     PrincipalRealization,
     RealizationError,
+    _group_table,
     algebra_from_quotient,
     builtin_realization,
     comatrix_action_audit,
@@ -170,9 +175,111 @@ def test_comatrix_shapes():
             else:
                 assert e_point[(x, y)] == {}
     e_co = group_side(real, "copointed").e
-    # each copointed row is supported on a coset, so all rows share size
+    # each copointed e[x,y] is supported on a coset of the stabilizer of
+    # x, of size 24 / 6 = 4
     sizes = {len(e_co[(x, y)]) for x in range(6) for y in range(6)}
-    assert sizes == {4} or len(sizes) == 1
+    assert sizes == {4}
+
+
+def _twisted(lam, scale=None):
+    """o44/const:-1 twisted by the coboundary of lam: chi'_x(t) =
+    lam[t.x] / lam[x] chi_x(t), which keeps the cocycle rule.  ``scale``,
+    when given, multiplies chi'_0((12)) and breaks the rule."""
+    real = builtin_realization("o44", "const:-1")
+    rows = [
+        {t: F(lam[real.act(t, x)], lam[x]) * real.chi(x, t) for t in real.group}
+        for x in range(real.rack.n)
+    ]
+    if scale is not None:
+        rows[0][perm.from_cycles(4, [(1, 2)])] *= scale
+    return principal_realization(real.rack, real.gmap, rows)
+
+
+# the induced q' = lam[x>y] / lam[y] q takes the values -3 and -1/3
+TWIST = (1, 3, 1, 1, 1, 1)
+
+
+def _five_audits(real):
+    return {
+        "validate_principal": validate_principal(
+            real, cocycle=real.induced_cocycle()
+        ),
+        "dual_braiding_check": dual_braiding_check(real),
+        "comatrix_action_audit.pointed": comatrix_action_audit(real, "pointed"),
+        "comatrix_action_audit.copointed": comatrix_action_audit(
+            real, "copointed"
+        ),
+        "theta_characters": theta_characters(real),
+    }
+
+
+def _checked(report):
+    return {law: entry["checked"] for law, entry in report.items()
+            if isinstance(entry, dict)}
+
+
+def _failing(report):
+    return sorted(law for law, entry in report.items()
+                  if isinstance(entry, dict) and not entry["ok"])
+
+
+def test_twisted_realization_audits_exactly_in_mixed_scalars():
+    # a non-unit integer and a non-integral q' entry: 1/3 is no exact
+    # float, so a float 1/q(z,y) in the copointed antipode powers would
+    # miss Fraction(-1, 3), where 1/2 would slip through
+    real = _twisted(TWIST)
+    values = {v for row in real.induced_cocycle().q for v in row}
+    assert F(-3) in values
+    assert F(-1, 3) in values
+    plain = _five_audits(builtin_realization("o44", "const:-1"))
+    for name, report in _five_audits(real).items():
+        assert report["ok"], (name, report)
+        assert _checked(report) == _checked(plain[name]), name
+
+
+def test_twisted_realization_with_a_scaled_chi_value_fails():
+    # chi'_0((12)) times 2/3 breaks the cocycle rule; (12) is no 4-cycle,
+    # so the induced cocycle is untouched.  The witnesses are those of the
+    # Fraction-only audits
+    real = _twisted(TWIST, scale=F(2, 3))
+    report = validate_principal(real, cocycle=real.induced_cocycle())
+    assert _failing(report) == ["cocycle_rule"]
+    assert report["cocycle_rule"]["witnesses"][0] == ("(34)", "(12)", "(1234)")
+    report = comatrix_action_audit(real, "copointed")
+    assert _failing(report) == ["antipode", "coproduct", "exchange"]
+    assert report["antipode"]["witnesses"][0] == ("axiom", 0, 0)
+    assert report["coproduct"]["witnesses"][0] == (0, 0, "(12)", "(234)")
+    assert report["exchange"]["witnesses"][0] == (0, 2, 1, 4)
+
+
+def test_chi_returns_fractions():
+    for real in (builtin_realization("o24", "chi"), _twisted(TWIST)):
+        for x in range(real.rack.n):
+            for t in real.group:
+                assert type(real.chi(x, t)) is F
+
+
+def test_group_table_matches_perm():
+    for n in (3, 4):
+        group = symmetric_permgroup(n)
+        table = _group_table(group)
+        assert table.elements == group.elements
+        for i, s in enumerate(table.elements):
+            assert table.elements[table.inv[i]] == perm.inverse(s)
+            for j, t in enumerate(table.elements):
+                assert table.elements[table.mul[i][j]] == perm.compose(s, t)
+
+
+def test_import_builds_no_group_table():
+    # a table is built on a group's first audit, never at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rackalg.__file__)))
+    code = ("import rackalg.grouprealize as g; "
+            "print(g._group_table.cache_info().currsize)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "0\n"
 
 
 def test_letter_degrees_on_four_cycles():
