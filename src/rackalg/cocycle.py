@@ -14,7 +14,7 @@ exact rationals: ``to_json`` writes it and ``from_json`` reads it back.
 
 from fractions import Fraction
 
-from .exactnum import exact, rational
+from .exactnum import exact, rational, scalar
 
 
 class ZeroEntry(ValueError):
@@ -62,21 +62,27 @@ class Cocycle2:
 
 
 def validate_cocycle(rack, values):
-    """Check nonzero entries and the cocycle law on all n^3 triples."""
+    """Check nonzero entries and the cocycle law on all n^3 triples, on the
+    values as ints where integral, a row of the rack table at a time; the
+    witness is the first failing (x, y, z).  The Cocycle2 holds Fractions."""
     n = rack.n
     if len(values) != n or any(len(row) != n for row in values):
         raise ValueError("q must be %d x %d" % (n, n))
-    q = [[exact(v) for v in row] for row in values]
+    q = [[scalar(v) for v in row] for row in values]
     for x in range(n):
         for y in range(n):
             if q[x][y] == 0:
                 raise ZeroEntry((x, y))
-    act = rack.act
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if q[x][act(y, z)] * q[y][z] != q[act(x, y)][act(x, z)] * q[x][z]:
-                    raise CocycleLawFails((x, y, z))
+    # q[x][y |> z] q[y][z] == q[x |> y][x |> z] q[x][z], for every z at once
+    table = rack.table
+    for x, (qx, tx) in enumerate(zip(q, table)):
+        for y, (qy, ty) in enumerate(zip(q, table)):
+            qxy = q[tx[y]]
+            lhs = [qx[yz] * c for yz, c in zip(ty, qy)]
+            rhs = [qxy[xz] * c for xz, c in zip(tx, qx)]
+            if lhs != rhs:
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                raise CocycleLawFails((x, y, z))
     return Cocycle2(rack, q)
 
 

@@ -6,7 +6,8 @@ MAX_EXPONENT in absolute value; the interpreter's limit on the digits of
 an int read from a string already bounds the mantissa.  Floats are
 refused, because the binary value JSON reads is not the decimal the file
 shows, and so are bools.  A refused value raises BadNumber.  Numbers
-passed in code go through :func:`exact`, which refuses floats alone.
+passed in code go through :func:`exact`, which refuses floats alone, or
+through :func:`scalar`, which also keeps an integral value as an int.
 An input document that names a key its reader does not read is refused
 by :func:`refuse_unread`, so a misspelt key is never silently dropped.
 Every resource budget error subclasses :class:`BudgetExceeded`, so a
@@ -38,6 +39,15 @@ def exact(value):
     if isinstance(value, float):
         raise TypeError("float %r: values are exact" % (value,))
     return Fraction(value)
+
+
+def scalar(value):
+    """An exact scalar: an int when it is integral, else a Fraction.
+    A float is refused with TypeError."""
+    if type(value) is int:
+        return value
+    value = exact(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def integer(value):

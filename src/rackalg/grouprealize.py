@@ -19,16 +19,16 @@ both sides.
 
 Everything here is exact and finite: groups are small symmetric groups
 of the one type :class:`rackalg.perm.Group`, and audits enumerate their
-whole domain rather than sampling.  The audits read a group through its
-indexed table (:func:`_group_table`: products and inverses by element
-index, built on first use and kept per group), never through
-``perm.compose`` or ``perm.inverse``.  Every scalar they compute with is
-an int when it is integral and an exact Fraction otherwise, so the
-builtin data, whose scalars are all +-1, run in int arithmetic; Python
-mixes the two exactly, and every division has a Fraction operand, so no
-float can arise.  ``PrincipalRealization.chi`` still returns a Fraction.
-The associativity audit of a structure-constant algebra clears the
-table's denominators once and then runs in int arithmetic.
+whole domain rather than sampling.  The audits and the smash products
+read a group through its indexed table (:func:`_group_table`: products
+and inverses by element index, built on first use and kept per group),
+never through ``perm.compose`` or ``perm.inverse``.  Every scalar they
+compute with, and every structure constant a :class:`FiniteDimAlgebra`
+holds, is an int when it is integral and an exact Fraction otherwise, so
+the builtin data, whose scalars are all +-1, run in int arithmetic;
+Python mixes the two exactly, and every division has a Fraction operand,
+so no float can arise.  ``PrincipalRealization.chi`` and
+``FiniteDimAlgebra.multiply`` still return Fractions.
 """
 
 import itertools
@@ -41,14 +41,7 @@ from . import perm
 from .braided import make_braiding
 from .catalog import builtin_rack, symmetric_permgroup
 from .cocycle import chi_character_value, validate_cocycle
-from .exactnum import exact
-
-
-def _scalar(value):
-    """An exact scalar: an int when it is integral, else a Fraction.
-    A float is refused with TypeError."""
-    value = exact(value)
-    return value.numerator if value.denominator == 1 else value
+from .exactnum import scalar
 
 
 class RealizationError(ValueError):
@@ -85,7 +78,7 @@ class PrincipalRealization:
         self.rack = rack
         self.gmap = tuple(gmap)
         self._chi = tuple(
-            {t: _scalar(v) for t, v in dict(row).items()} for row in chi_table
+            {t: scalar(v) for t, v in dict(row).items()} for row in chi_table
         )
         self._act = {t: tuple(row) for t, row in act_table.items()}
         if len(self._chi) != rack.n:
@@ -229,7 +222,7 @@ def _indexed(r):
 def _pairs(braiding):
     """The braiding's pair map, (x, y) -> (target pair, coefficient), with
     the coefficients as ints where integral."""
-    return {xy: (ab, _scalar(c)) for xy, (ab, c) in braiding.pair_map.items()}
+    return {xy: (ab, scalar(c)) for xy, (ab, c) in braiding.pair_map.items()}
 
 
 def _cycle(tab, i):
@@ -520,7 +513,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
     if cocycle is None:
         cocycle = r.induced_cocycle()
     pairs = _pairs(make_braiding(rack, cocycle, h.flavor))
-    q = [[_scalar(cocycle(x, y)) for y in range(n)] for x in range(n)]
+    q = [[scalar(cocycle(x, y)) for y in range(n)] for x in range(n)]
     tab, chi, act = _indexed(r)
     order = len(tab.elements)
     gmul = tab.mul
@@ -739,7 +732,9 @@ class FiniteDimAlgebra:
 
     ``table[i][j]`` is the product of basis elements i and j as a sparse
     dict index -> coefficient, and ``unit`` is the unit element in the
-    same encoding.  ``labels`` is optional and only used in reports.
+    same encoding, each coefficient an int where integral, else a
+    Fraction: a table with any other coefficient is copied in that form.
+    ``labels`` is optional, for reports.
     """
 
     __slots__ = ("dim", "table", "unit", "labels")
@@ -747,23 +742,20 @@ class FiniteDimAlgebra:
     def __init__(self, dim, table, unit, labels=None):
         if len(table) != dim or any(len(row) != dim for row in table):
             raise ValueError("table must be dim x dim")
-        for elt in itertools.chain((unit,), *table):
-            for i, c in elt.items():
-                exact(c)  # refuses a float
-                if i not in range(dim):
-                    raise ValueError(f"basis index {i!r} outside range({dim})")
+        if any(type(c) is not int for row in table for elt in row for c in elt.values()):
+            table = [[{i: scalar(c) for i, c in elt.items()} for elt in row] for row in table]
         self.dim = dim
         self.table = table
-        self.unit = _strip(dict(unit))
+        self.unit = _strip({i: scalar(c) for i, c in unit.items()})
+        outside = set(unit).union(*itertools.chain(*table)) - set(range(dim))
+        if outside:
+            raise ValueError(f"basis index {outside.pop()!r} outside range({dim})")
         self.labels = tuple(labels) if labels is not None else None
 
     def multiply(self, a, b):
-        out = {}
-        for i, ci in a.items():
-            row = self.table[i]
-            for j, cj in b.items():
-                _add_into(out, row[j], ci * cj)
-        return _strip(out)
+        """The product of two sparse elements, with Fraction coefficients."""
+        ab = _combine(a, {i: _combine(b, self.table[i]) for i in a})
+        return {k: Fraction(v) for k, v in ab.items()}
 
     def label(self, i):
         return self.labels[i] if self.labels else str(i)
@@ -790,10 +782,10 @@ class FiniteDimAlgebra:
         failing k walked upwards for witnesses.
         """
         d = self.dim
-        den = math.lcm(*(c.denominator for row in self.table
-                         for cell in row for c in cell.values()))
+        den = math.lcm(*(c.denominator for row in self.table for cell in row
+                         for c in cell.values() if type(c) is not int))
         rows = [
-            [(k * d + n, c.numerator * (den // c.denominator))
+            [(k * d + n, int(c * den))
              for k, cell in enumerate(row) for n, c in cell.items() if c]
             for row in self.table
         ]
@@ -823,10 +815,6 @@ class FiniteDimAlgebra:
                         (self.label(i), self.label(j), self.label(k)),
                     )
         return audit.laws["associativity"]
-
-
-def scalar_algebra():
-    return FiniteDimAlgebra(1, [[{0: Fraction(1)}]], {0: Fraction(1)}, labels=("1",))
 
 
 def algebra_from_quotient(quotient):
@@ -873,75 +861,72 @@ def quotient_group_action(realization, quotient):
     return act
 
 
+def _combine(coeffs, rows):
+    """sum_m coeffs[m] rows[m], for sparse coeffs and sparse rows."""
+    out = {}
+    for m, c in coeffs.items():
+        _add_into(out, rows[m], c)
+    return _strip(out)
+
+
+def _images(action, g):
+    """The images g . a_j of the basis, with scalar coefficients."""
+    return [{m: scalar(c) for m, c in img.items() if c} for img in action[g]]
+
+
 def module_algebra_audit_group(algebra, group, action):
     """Does the group action respect unit and products, exhaustively."""
+    d, table, unit = algebra.dim, algebra.table, algebra.unit
     audit = _Audit("module_algebra")
-
-    def apply(g, elt):
-        out = {}
-        images = action[g]
-        for i, c in elt.items():
-            _add_into(out, images[i], c)
-        return _strip(out)
-
+    audit.count("module_algebra", len(group) * (1 + d * d))
     for g in group.elements:
-        name = perm.cycle_notation(g)
-        audit.check("module_algebra", apply(g, algebra.unit) == algebra.unit,
-                    ("unit", name))
-        for i in range(algebra.dim):
-            gi = _strip(dict(action[g][i]))
-            for j in range(algebra.dim):
-                lhs = apply(g, algebra.table[i][j])
-                rhs = algebra.multiply(gi, _strip(dict(action[g][j])))
-                audit.check("module_algebra", lhs == rhs,
-                            (name, algebra.label(i), algebra.label(j)))
+        images = _images(action, g)
+        if _combine(unit, images) != unit:
+            audit.fail("module_algebra", ("unit", perm.cycle_notation(g)))
+        # right[j][m] = a_m (g . a_j): (g . a_i)(g . a_j) = sum_m gi[m] right[j][m]
+        right = [[_combine(image, a_m) for a_m in table] for image in images]
+        for i, gi in enumerate(images):
+            for j, rj in enumerate(right):
+                if _combine(table[i][j], images) != _combine(gi, rj):
+                    audit.fail("module_algebra", (perm.cycle_notation(g),
+                                                  algebra.label(i), algebra.label(j)))
     return audit.laws["module_algebra"]
 
 
-def _smash(algebra, group, audit, product, unit, label):
-    """The algebra on the basis a_i (x) g, indexed i * |G| + index(g).
-
-    Raises NotModuleAlgebra with the first witness of the failing
-    ``audit``.  ``product(i, g, j, h)`` is the product of a_i (x) g and
-    a_j (x) h and ``unit`` the unit, both as sparse dicts keyed by
-    (i, group element); ``label`` formats a basis label from the
-    algebra's label and the element's cycle notation.
-    """
-    if not audit["ok"]:
-        raise NotModuleAlgebra(audit["witnesses"][0])
-    order = len(group)
-    basis = [(i, g) for i in range(algebra.dim) for g in group.elements]
-
-    def encode(elt):
-        return {i * order + group.index[g]: c for (i, g), c in elt.items()}
-
-    table = [[encode(product(i, g, j, h)) for j, h in basis] for i, g in basis]
-    labels = None
+def _smash_labels(algebra, tab, label):
+    """The labels of the basis a_i (x) g, indexed i * |G| + index(g), as
+    ``label`` % (label of a_i, cycle notation of g); None without labels."""
     if algebra.labels:
-        labels = tuple(
-            label % (algebra.labels[i], perm.cycle_notation(g)) for i, g in basis
-        )
-    return FiniteDimAlgebra(len(basis), table, encode(unit), labels=labels)
+        return tuple(label % (a, perm.cycle_notation(g))
+                     for a in algebra.labels for g in tab.elements)
 
 
 def smash_with_group(algebra, group, action):
     """The smash product A # kG for a G-module algebra A.
 
-    Basis a_i (x) g with product (a (x) g)(b (x) h) = a (g.b) (x) gh.
-    Raises NotModuleAlgebra with the first witness when the action does
-    not respect the multiplication.
+    Basis a_i (x) g, indexed i * |G| + index(g), with product
+    (a (x) g)(b (x) h) = a (g.b) (x) gh.  Raises NotModuleAlgebra with the
+    first witness when the action does not respect the multiplication.
     """
-
-    def product(i, g, j, h):
-        out = {}
-        for m, cm in action[g][j].items():
-            _add_into(out, algebra.table[i][m], cm)
-        gh = perm.compose(g, h)
-        return {(m, gh): c for m, c in _strip(out).items()}
-
     audit = module_algebra_audit_group(algebra, group, action)
-    unit = {(i, group.identity): c for i, c in algebra.unit.items()}
-    return _smash(algebra, group, audit, product, unit, "%s#%s")
+    if not audit["ok"]:
+        raise NotModuleAlgebra(audit["witnesses"][0])
+    tab = _group_table(group)
+    order = len(tab.elements)
+    images = [_images(action, g) for g in tab.elements]
+    table = []
+    for a_i in algebra.table:
+        for g, g_row in enumerate(tab.mul):
+            row = []
+            for image in images[g]:
+                # a_i (g . a_j) once, into the cell of every h at index gh
+                prod = _combine(image, a_i)
+                row += [{m * order + gh: c for m, c in prod.items()} for gh in g_row]
+            table.append(row)
+    e = tab.index[group.identity]
+    unit = {i * order + e: c for i, c in algebra.unit.items()}
+    return FiniteDimAlgebra(len(table), table, unit,
+                            labels=_smash_labels(algebra, tab, "%s#%s"))
 
 
 def quotient_grading(realization, quotient):
@@ -958,16 +943,19 @@ def module_algebra_audit_grading(algebra, group, degrees):
     homogeneous, of the product degree, and the unit must sit in the
     identity component.
     """
+    tab = _group_table(group)
+    deg = [tab.index[p] for p in degrees]
     audit = _Audit("grading")
+    audit.count("grading", len(algebra.unit) + algebra.dim ** 2)
     for i in algebra.unit:
-        audit.check("grading", degrees[i] == group.identity,
-                    ("unit", algebra.label(i)))
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            audit.count("grading")
-            want = perm.compose(degrees[i], degrees[j])
-            for m in algebra.table[i][j]:
-                if degrees[m] != want:
+        if degrees[i] != group.identity:
+            audit.fail("grading", ("unit", algebra.label(i)))
+    for i, row in enumerate(algebra.table):
+        deg_row = tab.mul[deg[i]]
+        for j, cell in enumerate(row):
+            want = deg_row[deg[j]]
+            for m in cell:
+                if deg[m] != want:
                     audit.fail(
                         "grading",
                         (algebra.label(i), algebra.label(j), algebra.label(m)),
@@ -979,18 +967,24 @@ def module_algebra_audit_grading(algebra, group, degrees):
 def smash_with_dual(algebra, group, degrees):
     """The smash product A # (functions on G) for a G-graded A.
 
-    Basis a_i (x) delta_g with product
+    Basis a_i (x) delta_g, indexed i * |G| + index(g), with product
     (a (x) delta_g)(b (x) delta_h) = [g == deg(b) h] (ab (x) delta_h).
     Raises NotModuleAlgebra when the grading is not multiplicative.
     """
-
-    shift = {(d, h): perm.compose(d, h) for d in set(degrees) for h in group}
-
-    def product(i, g, j, h):
-        if g != shift[degrees[j], h]:
-            return {}
-        return {(m, h): c for m, c in algebra.table[i][j].items()}
-
     audit = module_algebra_audit_grading(algebra, group, degrees)
-    unit = {(i, g): c for i, c in algebra.unit.items() for g in group.elements}
-    return _smash(algebra, group, audit, product, unit, "%s#d(%s)")
+    if not audit["ok"]:
+        raise NotModuleAlgebra(audit["witnesses"][0])
+    tab = _group_table(group)
+    order = len(tab.elements)
+    deg_rows = [tab.mul[tab.index[p]] for p in degrees]
+    table = []
+    for a_i in algebra.table:
+        for g in range(order):
+            row = []
+            for a_ij, deg_row in zip(a_i, deg_rows):
+                row += [{m * order + h: c for m, c in a_ij.items()}
+                        if deg_row[h] == g else {} for h in range(order)]
+            table.append(row)
+    unit = {i * order + g: c for i, c in algebra.unit.items() for g in range(order)}
+    return FiniteDimAlgebra(len(table), table, unit,
+                            labels=_smash_labels(algebra, tab, "%s#d(%s)"))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,59 @@ def test_validate_rejects_law_violation(o24):
     values[0][1] = -values[0][1]
     with pytest.raises(CocycleLawFails):
         validate_cocycle(rack, values)
+
+
+def _first_law_failure(rack, q):
+    """The per-triple Fraction loop: the first (x, y, z) in loop order
+    where the cocycle law fails, or None."""
+    n = rack.n
+    q = [[Fraction(v) for v in row] for row in q]
+    act = rack.act
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if q[x][act(y, z)] * q[y][z] != q[act(x, y)][act(x, z)] * q[x][z]:
+                    return (x, y, z)
+    return None
+
+
+def _law_inputs():
+    """o24/chi, o24/const:-1, o44/const:-1 and o44/const:-1 twisted by the
+    coboundary of lam, q'[x][y] = lam[x |> y] / lam[y] q[x][y], whose
+    entries include -3 and -1/3."""
+    for name, spec in (("o24", "chi"), ("o24", "const:-1"), ("o44", "const:-1")):
+        q = builtin_cocycle(name, spec)
+        yield name + "/" + spec, q.rack, [list(row) for row in q.q]
+    rack = builtin_cocycle("o44", "const:-1").rack
+    lam = (1, 3, 1, 1, 1, 1)
+    twisted = [[-Fraction(lam[rack.act(x, y)], lam[y]) for y in range(rack.n)]
+               for x in range(rack.n)]
+    assert {Fraction(-3), Fraction(-1, 3)} <= {v for row in twisted for v in row}
+    yield "o44/const:-1 twisted", rack, twisted
+
+
+def test_validate_witness_matches_per_triple_reference():
+    rng = random.Random(20171019)
+    failures = 0
+    for name, rack, values in _law_inputs():
+        valid = validate_cocycle(rack, values)
+        assert all(type(v) is Fraction for row in valid.q for v in row), name
+        assert valid.q == tuple(tuple(Fraction(v) for v in row) for row in values)
+        for _ in range(25):
+            x, y = rng.randrange(rack.n), rng.randrange(rack.n)
+            bent = [list(row) for row in values]
+            bent[x][y] = rng.choice([-values[x][y], 2 * values[x][y], Fraction(-1, 3),
+                                     Fraction(3), 1, -1])
+            want = _first_law_failure(rack, bent)
+            if want is None:
+                assert validate_cocycle(rack, bent).q == tuple(
+                    tuple(Fraction(v) for v in row) for row in bent), name
+                continue
+            failures += 1
+            with pytest.raises(CocycleLawFails) as caught:
+                validate_cocycle(rack, bent)
+            assert caught.value.args == (want,), (name, x, y)
+    assert failures > 80
 
 
 def test_chi_needs_transpositions():

@@ -30,7 +30,6 @@ from rackalg.grouprealize import (
     principal_realization,
     quotient_grading,
     quotient_group_action,
-    scalar_algebra,
     smash_with_dual,
     smash_with_group,
     theta_characters,
@@ -335,7 +334,7 @@ def test_builtin_realization_is_built_once():
 
 def test_scalar_algebra_smash_is_group_algebra():
     g = symmetric_permgroup(3)
-    triv = scalar_algebra()
+    triv = FiniteDimAlgebra(1, [[{0: 1}]], {0: 1}, labels=("1",))
     action = {t: [{0: F(1)}] for t in g}
     smash = smash_with_group(triv, g, action)
     assert smash.dim == 6
@@ -350,7 +349,7 @@ def test_scalar_algebra_smash_is_group_algebra():
 
 def test_scalar_algebra_smash_with_dual_is_function_algebra():
     g = symmetric_permgroup(3)
-    triv = scalar_algebra()
+    triv = FiniteDimAlgebra(1, [[{0: 1}]], {0: 1}, labels=("1",))
     degrees = [g.identity]
     smash = smash_with_dual(triv, g, degrees)
     assert smash.dim == 6
@@ -412,6 +411,101 @@ def test_smash_rejects_broken_grading():
     broken[1] = real.group.identity
     with pytest.raises(NotModuleAlgebra):
         smash_with_dual(alg, real.group, broken)
+
+
+def _o23_smash_inputs():
+    """The o23/const:-1 realization, the V algebra with its group action
+    and the W algebra with its grading."""
+    real = builtin_realization("o23", "const:-1")
+    quo_v, quo_w = fk3_quotient("V"), fk3_quotient("W")
+    return (real, algebra_from_quotient(quo_v), quotient_group_action(real, quo_v),
+            algebra_from_quotient(quo_w), quotient_grading(real, quo_w))
+
+
+def _reference_smash(algebra, group, kind, data):
+    """The smash table by the per-(i, g, j, h) formula in Fractions, with
+    group products from perm.compose: A # kG for kind "group" (data the
+    action), (a_i g)(a_j h) = a_i (g . a_j) gh, or A # k^G for kind "dual"
+    (data the degrees), (a_i d_g)(a_j d_h) = [g == deg(a_j) h] a_i a_j d_h."""
+    basis = [(i, g) for i in range(algebra.dim) for g in group.elements]
+    index = {b: k for k, b in enumerate(basis)}
+    table = []
+    for i, g in basis:
+        row = []
+        for j, h in basis:
+            out = {}
+            if kind == "group":
+                gh = perm.compose(g, h)
+                for m, cm in data[g][j].items():
+                    for n, c in algebra.table[i][m].items():
+                        key = index[n, gh]
+                        out[key] = out.get(key, F(0)) + F(cm) * F(c)
+            elif g == perm.compose(data[j], h):
+                out = {index[n, h]: F(c) for n, c in algebra.table[i][j].items()}
+            row.append({k: v for k, v in out.items() if v != 0})
+        table.append(row)
+    return table
+
+
+def _rescaled(algebra, action):
+    """The algebra on a'_i = s_i a_i with s_i in {1/2, 3, -2/3}, and the
+    action written in that basis: a'_i a'_j = sum_k s_i s_j c_ijk / s_k a'_k
+    and g . a'_j = sum_m s_j A_gjm / s_m a'_m."""
+    s = [(F(1, 2), F(3), F(-2, 3))[i % 3] for i in range(algebra.dim)]
+    table = [[{k: s[i] * s[j] * c / s[k] for k, c in cell.items()}
+              for j, cell in enumerate(row)] for i, row in enumerate(algebra.table)]
+    unit = {k: c / s[k] for k, c in algebra.unit.items()}
+    images = {g: [{m: s[j] * c / s[m] for m, c in img.items()}
+                  for j, img in enumerate(imgs)] for g, imgs in action.items()}
+    return FiniteDimAlgebra(algebra.dim, table, unit, labels=algebra.labels), images
+
+
+def test_smash_tables_match_per_cell_reference():
+    real, alg_v, action, alg_w, degrees = _o23_smash_inputs()
+    g = real.group
+    one = FiniteDimAlgebra(1, [[{0: 1}]], {0: 1}, labels=("1",))
+    scaled, scaled_action = _rescaled(alg_v, action)
+    assert scaled.unit_audit()["ok"]
+    assert scaled.associativity_audit()["ok"]
+    cases = [
+        (alg_v, "group", action),
+        (alg_w, "dual", degrees),
+        (one, "group", {t: [{0: F(1)}] for t in g}),
+        (one, "dual", [g.identity]),
+        (scaled, "group", scaled_action),
+    ]
+    for algebra, kind, data in cases:
+        build = smash_with_group if kind == "group" else smash_with_dual
+        smash = build(algebra, g, data)
+        assert smash.table == _reference_smash(algebra, g, kind, data), kind
+        assert smash.unit_audit()["ok"], kind
+        assert smash.associativity_audit()["ok"], kind
+    # the rescaled product keeps non-integral constants as Fractions
+    cells = [c for row in smash.table for cell in row for c in cell.values()]
+    assert any(type(c) is F for c in cells)
+    assert all(type(c) is int or c.denominator != 1 for c in cells)
+
+
+def test_smash_products_read_the_group_table(monkeypatch):
+    real, alg_v, action, alg_w, degrees = _o23_smash_inputs()
+    _group_table(real.group)  # a group's first audit builds it from perm
+
+    def refuse(*args):
+        raise AssertionError("group product outside the indexed table")
+
+    monkeypatch.setattr(perm, "compose", refuse)
+    monkeypatch.setattr(perm, "inverse", refuse)
+    assert module_algebra_audit_group(alg_v, real.group, action)["ok"]
+    assert module_algebra_audit_grading(alg_w, real.group, degrees)["ok"]
+    for smash in (smash_with_group(alg_v, real.group, action),
+                  smash_with_dual(alg_w, real.group, degrees)):
+        assert smash.unit_audit()["ok"]
+        assert smash.associativity_audit()["ok"]
+        assert all(type(c) is int
+                   for row in smash.table for cell in row for c in cell.values())
+        prod = smash.multiply({7: 1}, smash.unit)
+        assert prod == {7: 1}
+        assert type(prod[7]) is F
 
 
 def test_finite_dim_algebra_audits_catch_breakage():
