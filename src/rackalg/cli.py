@@ -477,11 +477,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_INVALID)
 
 
-def _count(text):
-    """A non-negative integer option; 0 keeps the command's default."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError("%r is not a non-negative integer" % text)
-    return int(text)
+def _count(bound):
+    """A non-negative integer option of at most ``bound``, refused before
+    any work; 0 keeps the command's default."""
+
+    def parse(text):
+        if not text.isdecimal():
+            raise argparse.ArgumentTypeError("%r is not a non-negative integer" % text)
+        if int(text) > bound:
+            raise argparse.ArgumentTypeError("%r is above the bound %d" % (text, bound))
+        return int(text)
+
+    return parse
 
 
 _FLAG_SPECS = {
@@ -490,8 +497,10 @@ _FLAG_SPECS = {
     "--flavor": dict(default="V", choices=("V", "W"), help="braiding flavor"),
     "--file": dict(help="JSON input file"),
     "--seed": dict(type=int, default=0),
-    "--samples": dict(type=_count, default=0),
-    "--max-deg": dict(type=_count, default=0),
+    "--samples": dict(type=_count(1000), default=0,
+                      help="seeded sample points, at most 1000 (default 0)"),
+    "--max-deg": dict(type=_count(64), default=0,
+                      help="degree budget, at most 64 (0: the command's default)"),
     "--family": dict(help="deformation family name"),
     "--n": dict(type=int, help="transposition rack size"),
     "--json-out": dict(help="also write the report here"),

@@ -19,23 +19,28 @@ both sides.
 
 Everything here is exact and finite: groups are small symmetric groups
 of the one type :class:`rackalg.perm.Group`, and audits enumerate their
-whole domain rather than sampling.  The audits and the smash products
-read a group through its indexed table (:func:`_group_table`: products
-and inverses by element index, built on first use and kept per group),
-never through ``perm.compose`` or ``perm.inverse``.  Every scalar they
-compute with, and every structure constant a :class:`FiniteDimAlgebra`
-holds, is an int when it is integral and an exact Fraction otherwise, so
-the builtin data, whose scalars are all +-1, run in int arithmetic;
-Python mixes the two exactly, and every division has a Fraction operand,
-so no float can arise.  ``PrincipalRealization.chi`` and
-``FiniteDimAlgebra.multiply`` still return Fractions.
+whole domain rather than sampling.  Inside the module a group element is
+named by its index in the group's table (:func:`_group_table`, built on
+first use and kept per group): a realization stores chi and its action
+by index, elements of kG and of functions on G are sparse dicts keyed by
+index, and no audit or smash product calls ``perm.compose``,
+``perm.inverse`` or ``perm.conjugate``.  Permutations stay at the edges:
+``gmap``, ``chi()``, ``act()``, the letter degrees, :func:`word_degree`,
+:func:`quotient_grading`, the keys of a quotient action and witnesses.
+Every scalar the audits compute with, and every structure constant a
+:class:`FiniteDimAlgebra` holds, is an int when it is integral and an
+exact Fraction otherwise, so the builtin data, whose scalars are all
++-1, run in int arithmetic; Python mixes the two exactly, and every
+division has a Fraction operand, so no float can arise.
+``PrincipalRealization.chi`` and ``FiniteDimAlgebra.multiply`` still
+return Fractions.
 """
 
 import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from . import perm
 from .braided import make_braiding
@@ -60,8 +65,10 @@ class PrincipalRealization:
 
     Stores the group, the rack, the element map ``gmap`` (one group
     element per rack element), the scalars chi_x(t) (as ints where
-    integral) and the group action on rack indices.  The defining laws
-    are not assumed here; run :func:`validate_principal` to certify them.
+    integral) and the group action on rack indices, both by element index
+    and built once, at construction: ``_chi[x][i]`` is chi_x and ``_act[i]``
+    the action row of the element of index i.  The defining laws are not
+    assumed here; run :func:`validate_principal` to certify them.
     """
 
     __slots__ = ("group", "rack", "gmap", "_chi", "_act")
@@ -74,33 +81,32 @@ class PrincipalRealization:
                 raise RealizationError(
                     "gmap value %s is not in the group" % perm.cycle_notation(p)
                 )
+        rows = [dict(row) for row in chi_table]
+        if len(rows) != rack.n:
+            raise RealizationError("chi needs one row per rack element")
+        for row in rows:
+            if row.keys() != group.index.keys():
+                raise RealizationError("chi rows must cover the whole group")
+        if set(act_table) != set(group.elements):
+            raise RealizationError("action must cover the whole group")
         self.group = group
         self.rack = rack
         self.gmap = tuple(gmap)
-        self._chi = tuple(
-            {t: scalar(v) for t, v in dict(row).items()} for row in chi_table
-        )
-        self._act = {t: tuple(row) for t, row in act_table.items()}
-        if len(self._chi) != rack.n:
-            raise RealizationError("chi needs one row per rack element")
-        for row in self._chi:
-            if row.keys() != group.index.keys():
-                raise RealizationError("chi rows must cover the whole group")
-        if set(self._act) != set(group.elements):
-            raise RealizationError("action must cover the whole group")
+        self._chi = tuple(tuple(scalar(row[t]) for t in group.elements) for row in rows)
+        self._act = tuple(tuple(act_table[t]) for t in group.elements)
 
     def chi(self, x, t):
         """The scalar chi_x(t), as a Fraction."""
-        return Fraction(self._chi[x][t])
+        return Fraction(self._chi[x][self.group.index[t]])
 
     def act(self, t, x):
         """The group action t . x as a rack index."""
-        return self._act[t][x]
+        return self._act[self.group.index[t]][x]
 
     def induced_cocycle(self):
         """The 2-cocycle q[x][y] = chi_y(g_x), validated on the rack."""
-        n = self.rack.n
-        q = [[self._chi[y][self.gmap[x]] for y in range(n)] for x in range(n)]
+        index = self.group.index
+        q = [[row[index[g]] for row in self._chi] for g in self.gmap]
         return validate_cocycle(self.rack, q)
 
 
@@ -210,15 +216,6 @@ def _group_table(group):
     return _Table(group)
 
 
-def _indexed(r):
-    """The group table of a realization, with chi[x][i] = chi_x(t) and
-    act[i] = the action row of t, for t the element of index i."""
-    tab = _group_table(r.group)
-    chi = [[row[t] for t in tab.elements] for row in r._chi]
-    act = [r._act[t] for t in tab.elements]
-    return tab, chi, act
-
-
 def _pairs(braiding):
     """The braiding's pair map, (x, y) -> (target pair, coefficient), with
     the coefficients as ints where integral."""
@@ -275,7 +272,8 @@ def validate_principal(realization, cocycle=None):
     rack = r.rack
     n = rack.n
     labels = rack.labels
-    tab, chi, act = _indexed(r)
+    tab = _group_table(r.group)
+    chi, act = r._chi, r._act
     mul, inv = tab.mul, tab.inv
     order = len(tab.elements)
     gx = [tab.index[p] for p in r.gmap]
@@ -371,7 +369,7 @@ def dual_braiding_check(realization):
 
 # ---------------------------------------------------------------------------
 # elements of kG and of the function algebra on G, as sparse dicts keyed
-# by group element; products and antipodes read the group's indexed table
+# by element index; products and antipodes read the group's indexed table
 
 
 def _strip(d):
@@ -386,24 +384,22 @@ def _add_into(acc, d, c=1):
     for k, v in d.items():
         acc[k] = acc.get(k, 0) + c * v
 
-def _conv_mul(tab, a, b):
+def _conv_mul(mul, a, b):
     """Product in kG: group elements multiply, coefficients convolve."""
-    elements, index, mul = tab.elements, tab.index, tab.mul
     out = {}
     for p, cp in a.items():
-        row = mul[index[p]]
+        row = mul[p]
         for q_, cq in b.items():
-            k = elements[row[index[q_]]]
+            k = row[q_]
             out[k] = out.get(k, 0) + cp * cq
     return _strip(out)
 
 def _pointwise_mul(a, b):
     return {t: c for t, v in a.items() if t in b and (c := v * b[t]) != 0}
 
-def _antipode(tab, f):
+def _antipode(inv, f):
     # S(t) = t^{-1} in kG and S(f)(t) = f(t^{-1}) on functions
-    elements, index, inv = tab.elements, tab.index, tab.inv
-    return _strip({elements[inv[index[t]]]: c for t, c in f.items()})
+    return _strip({inv[t]: c for t, c in f.items()})
 
 
 def _action_value(pairs, a, b, c, d):
@@ -413,8 +409,9 @@ def _action_value(pairs, a, b, c, d):
 
 
 # one Hopf algebra H over G: braiding flavor, product, unit and counit of
-# H, deg[x] the G-degree of letter x, the comatrix e (sparse, on its
-# support), and mu(x, y, h), the coefficient of v_y in h . v_x
+# H, deg[x] the G-degree of letter x (a permutation), the comatrix e
+# (sparse, on its support, keyed by element index), and mu(x, y, h), the
+# coefficient of v_y in h . v_x
 _Side = namedtuple("_Side", "flavor mul unit counit deg e mu")
 
 
@@ -423,18 +420,14 @@ def _pointed_side(r):
     convolution, unit e and the sum of the coefficients as counit."""
     n = r.rack.n
     tab = _group_table(r.group)
-    deg = r.gmap
-    e = {(x, y): {deg[x]: 1} if x == y else {}
+    e = {(x, y): {tab.index[r.gmap[x]]: 1} if x == y else {}
          for x in range(n) for y in range(n)}
-
-    def mul(a, b):
-        return _conv_mul(tab, a, b)
 
     def mu(x, y, elt):
         return sum(c * r._chi[x][t] for t, c in elt.items() if r._act[t][x] == y)
 
-    return _Side("V", mul, {r.group.identity: 1},
-                 lambda f: sum(f.values()), deg, e, mu)
+    return _Side("V", partial(_conv_mul, tab.mul), {tab.index[r.group.identity]: 1},
+                 lambda f: sum(f.values()), r.gmap, e, mu)
 
 
 def _copointed_side(r):
@@ -443,29 +436,31 @@ def _copointed_side(r):
     unit the constant 1 and the value at e as counit; f acts on w_z by its
     value at deg[z]."""
     n = r.rack.n
-    identity = r.group.identity
-    tab, chi, act = _indexed(r)
-    elements, inv = tab.elements, tab.inv
-    deg = tuple(elements[inv[tab.index[p]]] for p in r.gmap)
+    tab = _group_table(r.group)
+    chi, act, inv = r._chi, r._act, tab.inv
+    identity = tab.index[r.group.identity]
+    pts = [inv[tab.index[p]] for p in r.gmap]
     e = {(x, y): {} for x in range(n) for y in range(n)}
-    for i, t in enumerate(elements):
-        ti = inv[i]
+    for t, ti in enumerate(inv):
         for x in range(n):
             e[(x, act[ti][x])][t] = chi[x][ti]
     e = {k: _strip(f) for k, f in e.items()}
 
     def mu(z, t, f):
-        return f.get(deg[z], 0) if z == t else 0
+        return f.get(pts[z], 0) if z == t else 0
 
-    return _Side("W", _pointwise_mul, {t: 1 for t in elements},
-                 lambda f: f.get(identity, 0), deg, e, mu)
+    return _Side("W", _pointwise_mul, dict.fromkeys(range(len(inv)), 1),
+                 lambda f: f.get(identity, 0),
+                 tuple(tab.elements[p] for p in pts), e, mu)
 
 
 def group_side(realization, side):
     """The record of one group side: "pointed" is kG, where letter x has
     degree g_x, "copointed" the functions on G, where it has degree
-    g_x^{-1}.  The comatrix values e[x,y] are ints where integral, exact
-    Fractions otherwise.  Any other side name is a ValueError."""
+    g_x^{-1}.  The letter degrees ``deg`` are permutations; the comatrix
+    values e[x,y], the unit and the elements ``mul`` and ``counit`` take are
+    sparse dicts keyed by element index, with int values where integral and
+    exact Fractions otherwise.  Any other side name is a ValueError."""
     if side == "pointed":
         return _pointed_side(realization)
     if side == "copointed":
@@ -514,7 +509,8 @@ def comatrix_action_audit(realization, side, cocycle=None):
         cocycle = r.induced_cocycle()
     pairs = _pairs(make_braiding(rack, cocycle, h.flavor))
     q = [[scalar(cocycle(x, y)) for y in range(n)] for x in range(n)]
-    tab, chi, act = _indexed(r)
+    tab = _group_table(r.group)
+    chi, act = r._chi, r._act
     order = len(tab.elements)
     gmul = tab.mul
     gx = [tab.index[p] for p in r.gmap]
@@ -572,7 +568,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
                     audit.fail("coproduct", (x, y))
     else:
         # each e[x,y] as its values by element index
-        val = {k: [f.get(t, 0) for t in tab.elements] for k, f in e.items()}
+        val = {k: [f.get(t, 0) for t in range(order)] for k, f in e.items()}
         # the delta-basis form: for every x, z and g the one-point
         # functions e[x,z](g_x g) delta_{g_x g} and e[x,z](g g_z)
         # delta_{g g_z} agree, that is the points agree or both values
@@ -612,7 +608,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
                 audit.fail("counit", (x, y))
 
     audit.count("antipode", n * n if pointed else n * n * (n + 2))
-    s_e = {k: _antipode(tab, f) for k, f in e.items()}
+    s_e = {k: _antipode(tab.inv, f) for k, f in e.items()}
     for x in range(n):
         for y in range(n):
             if not pointed:
@@ -627,7 +623,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
                     want1 = Fraction(1) / q[z][y] if rack.act(z, y) == x else 0
                     if mu(z, z, exy) != want0 or mu(z, z, s_exy) != want1:
                         audit.fail("antipode", (x, y, z))
-                if _antipode(tab, s_exy) != exy:
+                if _antipode(tab.inv, s_exy) != exy:
                     audit.fail("antipode", ("square", x, y))
             left = {}
             right = {}
@@ -668,7 +664,7 @@ def theta_characters(realization):
     labels = rack.labels
     side = _copointed_side(r)
     tab = _group_table(r.group)
-    e, points = side.e, side.deg
+    e, p = side.e, [tab.index[a] for a in side.deg]  # p[z]: index of p_z
     pairs = _pairs(make_braiding(rack, r.induced_cocycle(), side.flavor))
     # vals[z] is theta_z as the n x n matrix of its values on e[x,y]
     vals = [
@@ -688,7 +684,7 @@ def theta_characters(realization):
     prods = _products(side, n)
     audit.count("algebra_map", n * len(prods))
     for z in range(n):
-        a, vz = points[z], vals[z]
+        a, vz = p[z], vals[z]
         got = [prod.get(a, 0) for prod in prods.values()]
         want = [vz[x][y] * vz[s][t] for x, y, s, t in prods]
         if got != want:
@@ -699,7 +695,6 @@ def theta_characters(realization):
     # theta_z theta_t through the comatrix coproduct is the matrix product
     # of their values, so the exchange reads vals[z] vals[t] ==
     # vals[t] vals[t.z]
-    p = [tab.index[a] for a in points]
     theta2 = [[_matmul(vz, vt) for vt in vals] for vz in vals]
     audit.count("exchange_convolution", n * n)
     audit.count("exchange_comatrix", n * n)
@@ -845,18 +840,13 @@ def quotient_group_action(realization, quotient):
     r = realization
     index = quotient.index
     act = {}
-    for g in r.group.elements:
+    for i, g in enumerate(r.group.elements):
+        chi_g, act_g = [row[i] for row in r._chi], r._act[i]
         images = []
         for w in quotient.words:
-            coeff = Fraction(1)
-            target = []
-            for a in w:
-                coeff *= r.chi(a, g)
-                target.append(r.act(g, a))
-            reduced = quotient.nf_terms({bytes(target): coeff})
-            images.append(
-                {index[u]: c for u, c in reduced.items() if c != 0}
-            )
+            coeff = math.prod(chi_g[a] for a in w)
+            reduced = quotient.nf_terms({bytes(act_g[a] for a in w): coeff})
+            images.append({index[u]: c for u, c in reduced.items() if c != 0})
         act[g] = images
     return act
 
@@ -874,23 +864,31 @@ def _images(action, g):
     return [{m: scalar(c) for m, c in img.items() if c} for img in action[g]]
 
 
-def module_algebra_audit_group(algebra, group, action):
-    """Does the group action respect unit and products, exhaustively."""
+def _module_algebra_pass(algebra, group, action):
+    """The module-algebra audit, and per element g, in the group's order,
+    the products right[j][m] = a_m (g . a_j) it forms."""
     d, table, unit = algebra.dim, algebra.table, algebra.unit
     audit = _Audit("module_algebra")
     audit.count("module_algebra", len(group) * (1 + d * d))
+    rights = []
     for g in group.elements:
         images = _images(action, g)
         if _combine(unit, images) != unit:
             audit.fail("module_algebra", ("unit", perm.cycle_notation(g)))
-        # right[j][m] = a_m (g . a_j): (g . a_i)(g . a_j) = sum_m gi[m] right[j][m]
+        # (g . a_i)(g . a_j) = sum_m gi[m] right[j][m]
         right = [[_combine(image, a_m) for a_m in table] for image in images]
         for i, gi in enumerate(images):
             for j, rj in enumerate(right):
                 if _combine(table[i][j], images) != _combine(gi, rj):
                     audit.fail("module_algebra", (perm.cycle_notation(g),
                                                   algebra.label(i), algebra.label(j)))
-    return audit.laws["module_algebra"]
+        rights.append(right)
+    return audit.laws["module_algebra"], rights
+
+
+def module_algebra_audit_group(algebra, group, action):
+    """Does the group action respect unit and products, exhaustively."""
+    return _module_algebra_pass(algebra, group, action)[0]
 
 
 def _smash_labels(algebra, tab, label):
@@ -908,20 +906,19 @@ def smash_with_group(algebra, group, action):
     (a (x) g)(b (x) h) = a (g.b) (x) gh.  Raises NotModuleAlgebra with the
     first witness when the action does not respect the multiplication.
     """
-    audit = module_algebra_audit_group(algebra, group, action)
+    audit, rights = _module_algebra_pass(algebra, group, action)
     if not audit["ok"]:
         raise NotModuleAlgebra(audit["witnesses"][0])
     tab = _group_table(group)
     order = len(tab.elements)
-    images = [_images(action, g) for g in tab.elements]
     table = []
-    for a_i in algebra.table:
-        for g, g_row in enumerate(tab.mul):
+    for i in range(algebra.dim):
+        for g_row, right in zip(tab.mul, rights):
             row = []
-            for image in images[g]:
-                # a_i (g . a_j) once, into the cell of every h at index gh
-                prod = _combine(image, a_i)
-                row += [{m * order + gh: c for m, c in prod.items()} for gh in g_row]
+            for r_j in right:
+                # a_i (g . a_j), formed by the audit, into the cell of every h at gh
+                row += [{m * order + gh: c for m, c in r_j[i].items()}
+                        for gh in g_row]
             table.append(row)
     e = tab.index[group.identity]
     unit = {i * order + e: c for i, c in algebra.unit.items()}

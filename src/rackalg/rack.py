@@ -113,7 +113,10 @@ class Rack:
         """The rack of a document; a cocycle document is a rack document
         plus its ``q``, so that key is let through too."""
         refuse_unread(obj, ("n", "table", "labels", "q"))
-        r = validate_rack(integer(obj["n"]), obj["table"])
+        n = integer(obj["n"])
+        if n > 256:
+            raise ValueError("a rack of more than 256 elements (words are bytes)")
+        r = validate_rack(n, obj["table"])
         if "labels" not in obj:
             return r
         labels = obj["labels"]

@@ -414,6 +414,37 @@ def test_negative_counts_are_invalid_usage(capsys, argv):
     assert "non-negative" in doc["report"]["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("nichols", "hilbert", "--rack", "o23", "--cocycle", "const:-1", "--max-deg", "65"),
+    ("gb", "run", "--file", "absent.json", "--max-deg", "65"),
+    ("deform", "verify", "--family", "Eminus", "--n", "4", "--samples", "1001"),
+])
+def test_counts_above_their_bound_are_invalid_usage(capsys, argv):
+    # bound + 1 is refused while parsing, before any input is read
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert doc["command"] is None
+    assert "above the bound" in doc["report"]["error"]
+
+
+@pytest.mark.parametrize("command", [
+    ("rack", "check"),
+    ("nichols", "dim", "--cocycle", "const:-1"),
+])
+def test_rack_document_over_256_elements_is_invalid_usage(capsys, tmp_path, command):
+    # a valid trivial rack, refused before its n^3 axiom loop runs
+    src = tmp_path / "big.json"
+    n = 257
+    src.write_text(json.dumps({"n": n, "table": [list(range(n))] * n}))
+    code, out, _ = run(capsys, *command, "--file", str(src))
+    assert code == 2
+    doc = payload(out)
+    assert doc["ok"] is False
+    assert "256" in doc["report"]["error"]
+
+
 def test_unwritable_json_out_is_one_failing_document(capsys, tmp_path):
     target = tmp_path / "absent" / "x.json"
     code, out, _ = run(capsys, "rack", "props", "--rack", "o24",

@@ -12,7 +12,7 @@ import pytest
 import rackalg
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
-from rackalg.cocycle import Cocycle2
+from rackalg.cocycle import Cocycle2, chi_character_value
 from rackalg.freealg import QuotientAlgebra, groebner
 from rackalg.grouprealize import (
     FiniteDimAlgebra,
@@ -170,7 +170,7 @@ def test_comatrix_shapes():
     for x in range(6):
         for y in range(6):
             if x == y:
-                assert e_point[(x, y)] == {real.gmap[x]: F(1)}
+                assert e_point[(x, y)] == {real.group.index[real.gmap[x]]: F(1)}
             else:
                 assert e_point[(x, y)] == {}
     e_co = group_side(real, "copointed").e
@@ -256,6 +256,58 @@ def test_chi_returns_fractions():
         for x in range(real.rack.n):
             for t in real.group:
                 assert type(real.chi(x, t)) is F
+
+
+def _input_tables(rack_name, spec, lam=None):
+    """The group, gmap, chi rows and action of a builtin datum, keyed by
+    permutation and computed from perm: sgn or the order character, the
+    action conjugation along gmap, and, with ``lam``, the rows twisted as
+    in :func:`_twisted`."""
+    gmap = tuple(builtin_rack(rack_name)[1])
+    group = symmetric_permgroup(len(gmap[0]))
+    pos = {p: x for x, p in enumerate(gmap)}
+    act = {t: tuple(pos[perm.conjugate(t, p)] for p in gmap) for t in group}
+    if spec == "chi":
+        rows = [{t: chi_character_value(t, [i for i in range(len(p)) if p[i] != i])
+                 for t in group} for p in gmap]
+    else:
+        rows = [{t: F(perm.sign(t)) for t in group} for _ in gmap]
+    if lam is not None:
+        rows = [{t: F(lam[act[t][x]], lam[x]) * row[t] for t in group}
+                for x, row in enumerate(rows)]
+    return group, gmap, rows, act
+
+
+def test_index_tables_match_the_permutation_keyed_formulas():
+    cases = [
+        (builtin_realization("o23", "const:-1"), ("o23", "const:-1")),
+        (builtin_realization("o24", "chi"), ("o24", "chi")),
+        (builtin_realization("o44", "const:-1"), ("o44", "const:-1")),
+        (_twisted(TWIST), ("o44", "const:-1", TWIST)),
+    ]
+    for real, data in cases:
+        group, gmap, rows, act = _input_tables(*data)
+        n = len(gmap)
+        assert real.gmap == gmap
+        for x in range(n):
+            for t in group:
+                assert real.chi(x, t) == rows[x][t], (data, x, t)
+                assert real.act(t, x) == act[t][x], (data, x, t)
+        elements = _group_table(group).elements
+        pointed = group_side(real, "pointed")
+        copointed = group_side(real, "copointed")
+        assert {elements[i]: c for i, c in pointed.unit.items()} == {group.identity: 1}
+        assert len(copointed.unit) == len(group)
+        for x in range(n):
+            for y in range(n):
+                want = {gmap[x]: 1} if x == y else {}
+                got = {elements[i]: c for i, c in pointed.e[x, y].items()}
+                assert got == want, (data, x, y)
+                # e[x,y](t) = chi_x(t^{-1}) where t^{-1} . x == y
+                want = {t: rows[x][perm.inverse(t)] for t in group
+                        if act[perm.inverse(t)][x] == y}
+                got = {elements[i]: c for i, c in copointed.e[x, y].items()}
+                assert got == want, (data, x, y)
 
 
 def test_group_table_matches_perm():
@@ -488,13 +540,23 @@ def test_smash_tables_match_per_cell_reference():
 
 def test_smash_products_read_the_group_table(monkeypatch):
     real, alg_v, action, alg_w, degrees = _o23_smash_inputs()
-    _group_table(real.group)  # a group's first audit builds it from perm
+    quo_v = fk3_quotient("V")
+    # a group's first audit builds its table from perm, and a datum's
+    # construction conjugates along gmap; both happen before the patch
+    reals = [builtin_realization(*spec) for spec in SPECS] + [_twisted(TWIST)]
+    for r in reals:
+        _group_table(r.group)
 
     def refuse(*args):
         raise AssertionError("group product outside the indexed table")
 
     monkeypatch.setattr(perm, "compose", refuse)
     monkeypatch.setattr(perm, "inverse", refuse)
+    monkeypatch.setattr(perm, "conjugate", refuse)
+    for r in reals:
+        for name, report in _five_audits(r).items():
+            assert report["ok"], name
+    assert quotient_group_action(real, quo_v) == action
     assert module_algebra_audit_group(alg_v, real.group, action)["ok"]
     assert module_algebra_audit_grading(alg_w, real.group, degrees)["ok"]
     for smash in (smash_with_group(alg_v, real.group, action),
@@ -657,8 +719,8 @@ def _swapped_gmap_realization():
         real.group,
         real.rack,
         gmap,
-        [dict(real._chi[x]) for x in range(real.rack.n)],
-        {t: real._act[t] for t in real.group.elements},
+        [{t: real.chi(x, t) for t in real.group} for x in range(real.rack.n)],
+        {t: tuple(real.act(t, x) for x in range(real.rack.n)) for t in real.group},
     )
 
 
