@@ -23,8 +23,8 @@ a command loads only the modules it runs.  Every
 resource budget error subclasses ``exactnum.BudgetExceeded``, which is
 what ``cli.main`` catches.
 
-All arithmetic is exact (``fractions.Fraction``, with integral coefficients
-kept as ``int`` inside the Groebner engine); nothing here uses floats.
+All arithmetic is exact (``int`` where integral, else ``fractions.Fraction``,
+and ``int`` inside the Groebner engine); nothing here uses floats.
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ rack X with 2-cocycle q:
     W:  c(w_x (x) w_y) = q[y][x] * w_y (x) w_{y>x}
 
 Both send basis tensors to scalar multiples of basis tensors, so operators
-built from them are tracked as (target tuple, coefficient) walks and only
+built from them are tracked as (target tuple, coefficient) walks, with the
+cocycle's exact scalars (ints where integral) as coefficients, and only
 materialized as matrices at the end.  The quantum symmetrizers follow the
 recursion over minimal coset representatives (Andruskiewitsch-Grana 1999),
 rightmost factor first,
@@ -19,7 +20,6 @@ which equals the sum of the Matsumoto lifts of all permutations only when
 c satisfies the braid equation; from degree 3 on that is checked first.
 """
 
-from fractions import Fraction
 from itertools import count, islice, product
 
 from .exactnum import BudgetExceeded
@@ -41,7 +41,7 @@ class BraidedSpace:
     def __init__(self, n, flavor, pair_map):
         self.n = n
         self.flavor = flavor
-        self.pair_map = pair_map  # (x, y) -> ((a, b), Fraction)
+        self.pair_map = pair_map  # (x, y) -> ((a, b), exact scalar)
 
     def apply_pair(self, x, y):
         return self.pair_map[(x, y)]
@@ -74,8 +74,8 @@ def make_braiding(rack, cocycle, flavor):
 
 
 def _apply_slot(pairs, tensor, coeff, slot):
-    """Apply c on tensor slots (slot, slot+1) to a scaled basis tensor;
-    pairs maps (x, y) to ((a, b), scalar) as BraidedSpace.pair_map does."""
+    """Apply c, given by its pair map, on slots (slot, slot+1) of a scaled
+    basis tensor."""
     ab, q = pairs[tensor[slot], tensor[slot + 1]]
     return tensor[:slot] + ab + tensor[slot + 2:], coeff * q
 
@@ -85,7 +85,7 @@ def apply_word(space, word, tensor):
 
     Returns (target tensor, coefficient).
     """
-    coeff = Fraction(1)
+    coeff = 1
     for slot in reversed(word):
         tensor, coeff = _apply_slot(space.pair_map, tensor, coeff, slot)
     return tensor, coeff
@@ -108,13 +108,7 @@ def _symmetrizer_columns(space):
     act on u in turn, every step adding one term.  Before degree 3 the
     braid equation is checked; a failure raises ValueError.
     """
-    n = space.n
-    # integral scalars as ints, so a column of an integral braiding is
-    # built in int arithmetic
-    pairs = {
-        xy: (ab, q.numerator if q.denominator == 1 else q)
-        for xy, (ab, q) in space.pair_map.items()
-    }
+    n, pairs = space.n, space.pair_map
     cols = [{(): 1}]
     for m in count(1):
         yield cols

@@ -262,7 +262,7 @@ def _params_file(path):
     doc = _load_json_file(path)
     try:
         return deform.DeformParams.from_json(doc)
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise CliError("invalid parameter document: %s" % exc, EXIT_INVALID)
 
 

@@ -12,9 +12,7 @@ A cocycle document is its rack's document plus ``q``, the values as
 exact rationals: ``to_json`` writes it and ``from_json`` reads it back.
 """
 
-from fractions import Fraction
-
-from .exactnum import exact, rational, scalar
+from .exactnum import rational, scalar
 
 
 class ZeroEntry(ValueError):
@@ -34,7 +32,7 @@ class Cocycle2:
 
     def __init__(self, rack, q):
         self.rack = rack
-        self.q = tuple(tuple(exact(v) for v in row) for row in q)
+        self.q = tuple(tuple(scalar(v) for v in row) for row in q)
 
     def __call__(self, x, y):
         return self.q[x][y]
@@ -64,7 +62,7 @@ class Cocycle2:
 def validate_cocycle(rack, values):
     """Check nonzero entries and the cocycle law on all n^3 triples, on the
     values as ints where integral, a row of the rack table at a time; the
-    witness is the first failing (x, y, z).  The Cocycle2 holds Fractions."""
+    witness is the first failing (x, y, z).  The Cocycle2 holds them."""
     n = rack.n
     if len(values) != n or any(len(row) != n for row in values):
         raise ValueError("q must be %d x %d" % (n, n))
@@ -88,7 +86,7 @@ def validate_cocycle(rack, values):
 
 def constant_cocycle(rack, omega):
     """q == omega; a cocycle for every nonzero rational omega."""
-    omega = exact(omega)
+    omega = scalar(omega)
     if omega == 0:
         raise ZeroEntry("constant 0")
     return Cocycle2(rack, [[omega] * rack.n for _ in range(rack.n)])
@@ -117,4 +115,4 @@ def chi_cocycle(rack, class_perms):
 def chi_character_value(g, transposition_support):
     """chi(g, (ij)) for an arbitrary permutation g; support = (i, j), i < j."""
     i, j = transposition_support
-    return Fraction(1) if g[i] < g[j] else Fraction(-1)
+    return 1 if g[i] < g[j] else -1

@@ -259,7 +259,8 @@ class DeformParams:
     @classmethod
     def from_json(cls, doc):
         """The point of a parameter document; a key the family does not
-        read raises ValueError, and a mu left out reads as 0."""
+        read raises ValueError, a per-label scalar or lambda that is not an
+        object TypeError, and a mu left out reads as 0."""
         family = doc["family"]
         p = doc.get("params", {})
         if family not in FAMILIES:
@@ -268,6 +269,8 @@ class DeformParams:
             racks, _, key, mus = PRESETS[family]
             refuse_unread(doc, ("family", "params", "n"))
             refuse_unread(p, (key, *(name for name, _, _ in mus)))
+            if not isinstance(p[key], dict):
+                raise TypeError(f"params {key!r} must be an object")
             return cls._preset(
                 family,
                 integer(doc["n"] if len(racks) > 1 else doc.get("n", 4)),
@@ -276,6 +279,8 @@ class DeformParams:
             )
         refuse_unread(doc, ("family", "rack", "cocycle", "params"))
         refuse_unread(p, ("lambda",))
+        if not isinstance(p["lambda"], dict):
+            raise TypeError("params 'lambda' must be an object")
         lam = {}
         for key, v in p["lambda"].items():
             if not re.fullmatch(r"\d+,\d+", key, re.ASCII):

@@ -6,8 +6,9 @@ MAX_EXPONENT in absolute value; the interpreter's limit on the digits of
 an int read from a string already bounds the mantissa.  Floats are
 refused, because the binary value JSON reads is not the decimal the file
 shows, and so are bools.  A refused value raises BadNumber.  Numbers
-passed in code go through :func:`exact`, which refuses floats alone, or
-through :func:`scalar`, which also keeps an integral value as an int.
+passed in code go through :func:`scalar`, the one exact scalar form from
+the cocycle on (an int where integral, else a Fraction), or :func:`exact`
+(a Fraction, for polynomials and deformation points); both refuse floats.
 An input document that names a key its reader does not read is refused
 by :func:`refuse_unread`, so a misspelt key is never silently dropped.
 Every resource budget error subclasses :class:`BudgetExceeded`, so a

@@ -27,18 +27,18 @@ index, and no audit or smash product calls ``perm.compose``,
 ``perm.inverse`` or ``perm.conjugate``.  Permutations stay at the edges:
 ``gmap``, ``chi()``, ``act()``, the letter degrees, :func:`word_degree`,
 :func:`quotient_grading`, the keys of a quotient action and witnesses.
-Every scalar the audits compute with, and every structure constant a
-:class:`FiniteDimAlgebra` holds, is an int when it is integral and an
-exact Fraction otherwise, so the builtin data, whose scalars are all
-+-1, run in int arithmetic; Python mixes the two exactly, and every
-division has a Fraction operand, so no float can arise.
-``PrincipalRealization.chi`` and ``FiniteDimAlgebra.multiply`` still
-return Fractions.
+Every scalar here is the cocycle's exact scalar
+(:func:`rackalg.exactnum.scalar`), an int when it is integral and a
+Fraction otherwise: chi, the braidings the audits read, the structure
+constants a :class:`FiniteDimAlgebra` holds and the products it returns.
+So the builtin data, whose scalars are all +-1, run in int arithmetic;
+Python mixes the two exactly, and every division has a Fraction operand,
+so no float can arise.
 """
 
 import itertools
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
@@ -96,8 +96,8 @@ class PrincipalRealization:
         self._act = tuple(tuple(act_table[t]) for t in group.elements)
 
     def chi(self, x, t):
-        """The scalar chi_x(t), as a Fraction."""
-        return Fraction(self._chi[x][self.group.index[t]])
+        """The scalar chi_x(t)."""
+        return self._chi[x][self.group.index[t]]
 
     def act(self, t, x):
         """The group action t . x as a rack index."""
@@ -214,12 +214,6 @@ def _group_table(group):
     group here is the one cached S_n of its degree, so this is one table
     per degree."""
     return _Table(group)
-
-
-def _pairs(braiding):
-    """The braiding's pair map, (x, y) -> (target pair, coefficient), with
-    the coefficients as ints where integral."""
-    return {xy: (ab, scalar(c)) for xy, (ab, c) in braiding.pair_map.items()}
 
 
 def _cycle(tab, i):
@@ -350,7 +344,7 @@ def dual_braiding_check(realization):
     audit = _Audit("V", "W")
 
     for side in (_pointed_side(r), _copointed_side(r)):
-        pairs = _pairs(make_braiding(rack, q, side.flavor))
+        pairs = make_braiding(rack, q, side.flavor).pair_map
         audit.count(side.flavor, n * n)
         for x in range(n):
             row = [(d, side.e[(x, d)]) for d in range(n) if side.e[(x, d)]]
@@ -507,8 +501,8 @@ def comatrix_action_audit(realization, side, cocycle=None):
     pointed = side == "pointed"
     if cocycle is None:
         cocycle = r.induced_cocycle()
-    pairs = _pairs(make_braiding(rack, cocycle, h.flavor))
-    q = [[scalar(cocycle(x, y)) for y in range(n)] for x in range(n)]
+    pairs = make_braiding(rack, cocycle, h.flavor).pair_map
+    q = cocycle.q
     tab = _group_table(r.group)
     chi, act = r._chi, r._act
     order = len(tab.elements)
@@ -665,7 +659,7 @@ def theta_characters(realization):
     side = _copointed_side(r)
     tab = _group_table(r.group)
     e, p = side.e, [tab.index[a] for a in side.deg]  # p[z]: index of p_z
-    pairs = _pairs(make_braiding(rack, r.induced_cocycle(), side.flavor))
+    pairs = make_braiding(rack, r.induced_cocycle(), side.flavor).pair_map
     # vals[z] is theta_z as the n x n matrix of its values on e[x,y]
     vals = [
         [[_action_value(pairs, z, z, x, y) for y in range(n)] for x in range(n)]
@@ -728,8 +722,8 @@ class FiniteDimAlgebra:
     ``table[i][j]`` is the product of basis elements i and j as a sparse
     dict index -> coefficient, and ``unit`` is the unit element in the
     same encoding, each coefficient an int where integral, else a
-    Fraction: a table with any other coefficient is copied in that form.
-    ``labels`` is optional, for reports.
+    Fraction, as in the products ``multiply`` returns: a table with any
+    other coefficient is copied in that form.  ``labels`` is optional.
     """
 
     __slots__ = ("dim", "table", "unit", "labels")
@@ -748,9 +742,8 @@ class FiniteDimAlgebra:
         self.labels = tuple(labels) if labels is not None else None
 
     def multiply(self, a, b):
-        """The product of two sparse elements, with Fraction coefficients."""
-        ab = _combine(a, {i: _combine(b, self.table[i]) for i in a})
-        return {k: Fraction(v) for k, v in ab.items()}
+        """The product of two sparse elements."""
+        return _combine(a, {i: _combine(b, self.table[i]) for i in a})
 
     def label(self, i):
         return self.labels[i] if self.labels else str(i)
@@ -824,10 +817,8 @@ def algebra_from_quotient(quotient):
             prod = quotient.mul_words(u, v)
             row.append({index[w]: c for w, c in prod.items() if c != 0})
         table.append(row)
-    labels = tuple(
-        "*".join(str(a) for a in w) if w else "1" for w in words
-    )
-    return FiniteDimAlgebra(dim, table, {index[b""]: Fraction(1)}, labels=labels)
+    labels = tuple("*".join(map(str, w)) if w else "1" for w in words)
+    return FiniteDimAlgebra(dim, table, {index[b""]: 1}, labels=labels)
 
 
 def quotient_group_action(realization, quotient):
@@ -864,13 +855,11 @@ def _images(action, g):
     return [{m: scalar(c) for m, c in img.items() if c} for img in action[g]]
 
 
-def _module_algebra_pass(algebra, group, action):
-    """The module-algebra audit, and per element g, in the group's order,
-    the products right[j][m] = a_m (g . a_j) it forms."""
+def _module_algebra_pass(algebra, group, action, audit):
+    """The module-algebra audit, run into ``audit``; yields per element g,
+    in the group's order, the products right[j][m] = a_m (g . a_j) formed."""
     d, table, unit = algebra.dim, algebra.table, algebra.unit
-    audit = _Audit("module_algebra")
     audit.count("module_algebra", len(group) * (1 + d * d))
-    rights = []
     for g in group.elements:
         images = _images(action, g)
         if _combine(unit, images) != unit:
@@ -882,13 +871,14 @@ def _module_algebra_pass(algebra, group, action):
                 if _combine(table[i][j], images) != _combine(gi, rj):
                     audit.fail("module_algebra", (perm.cycle_notation(g),
                                                   algebra.label(i), algebra.label(j)))
-        rights.append(right)
-    return audit.laws["module_algebra"], rights
+        yield right
 
 
 def module_algebra_audit_group(algebra, group, action):
     """Does the group action respect unit and products, exhaustively."""
-    return _module_algebra_pass(algebra, group, action)[0]
+    audit = _Audit("module_algebra")
+    deque(_module_algebra_pass(algebra, group, action, audit), maxlen=0)
+    return audit.laws["module_algebra"]
 
 
 def _smash_labels(algebra, tab, label):
@@ -906,20 +896,22 @@ def smash_with_group(algebra, group, action):
     (a (x) g)(b (x) h) = a (g.b) (x) gh.  Raises NotModuleAlgebra with the
     first witness when the action does not respect the multiplication.
     """
-    audit, rights = _module_algebra_pass(algebra, group, action)
-    if not audit["ok"]:
-        raise NotModuleAlgebra(audit["witnesses"][0])
     tab = _group_table(group)
     order = len(tab.elements)
-    table = []
-    for i in range(algebra.dim):
-        for g_row, right in zip(tab.mul, rights):
+    table = [None] * (algebra.dim * order)
+    audit = _Audit("module_algebra")
+    law = audit.laws["module_algebra"]
+    passes = _module_algebra_pass(algebra, group, action, audit)
+    for g, (g_row, right) in enumerate(zip(tab.mul, passes)):
+        if not law["ok"]:
+            raise NotModuleAlgebra(law["witnesses"][0])
+        for i in range(algebra.dim):
             row = []
             for r_j in right:
                 # a_i (g . a_j), formed by the audit, into the cell of every h at gh
                 row += [{m * order + gh: c for m, c in r_j[i].items()}
                         for gh in g_row]
-            table.append(row)
+            table[i * order + g] = row
     e = tab.index[group.identity]
     unit = {i * order + e: c for i, c in algebra.unit.items()}
     return FiniteDimAlgebra(len(table), table, unit,
@@ -927,10 +919,16 @@ def smash_with_group(algebra, group, action):
 
 
 def quotient_grading(realization, quotient):
-    """Degrees of normal words for the function-algebra side: the
-    :func:`word_degree` of each word over the copointed record."""
-    side = _copointed_side(realization)
-    return tuple(word_degree(side, w) for w in quotient.words)
+    """Degrees of normal words for the function-algebra side, each word's
+    :func:`word_degree` over the copointed record: the words are prefix-closed
+    and listed shortest first, so each is one table step from its prefix."""
+    r = realization
+    tab = _group_table(r.group)
+    inv_gx = [tab.inv[tab.index[p]] for p in r.gmap]
+    deg = {b"": tab.index[r.group.identity]}
+    for w in quotient.words[1:]:
+        deg[w] = tab.mul[deg[w[:-1]]][inv_gx[w[-1]]]
+    return tuple(tab.elements[deg[w]] for w in quotient.words)
 
 
 def module_algebra_audit_grading(algebra, group, degrees):

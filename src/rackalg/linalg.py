@@ -6,17 +6,19 @@ its entries after each step: integers throughout, and a sparse row stays
 sparse.  The rank is the pivot count; `rref` back-substitutes over the pivot
 rows, and kernels and row spaces are read off its canonical form.
 `rank_bareiss` keeps the name of the Bareiss elimination it once ran because
-the benchmark harness calls and traces it.  Float entries raise TypeError.
+the benchmark harness calls and traces it.  Entries are exact scalars,
+ints where integral, and a float raises TypeError; `rref` and
+`nullspace_basis` return Fractions, their entries being pivot quotients.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import exact
+from .exactnum import scalar
 
 
 class RatMatrix:
-    """Sparse map-of-entries matrix over Q."""
+    """Sparse map-of-entries matrix over Q; its entries are exact scalars."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -26,13 +28,13 @@ class RatMatrix:
         self.entries = {}
         if entries:
             for (i, j), v in entries.items():
-                v = exact(v)
+                v = scalar(v)
                 if v != 0:
                     assert 0 <= i < rows and 0 <= j < cols
                     self.entries[(i, j)] = v
 
     def dense(self):
-        m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        m = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             m[i][j] = v
         return m
@@ -47,13 +49,13 @@ class RatMatrix:
 
 def _rows(matrix):
     """(width, rows) of a RatMatrix or of dense rows; each row is a dict
-    {column: Fraction} of its nonzero entries."""
+    {column: scalar} of its nonzero entries."""
     if isinstance(matrix, RatMatrix):
         rows = [{} for _ in range(matrix.rows)]
         for (i, j), v in matrix.entries.items():
             rows[i][j] = v
         return matrix.cols, rows
-    rows = [{j: v for j, v in enumerate(map(exact, r)) if v} for r in matrix]
+    rows = [{j: v for j, v in enumerate(map(scalar, r)) if v} for r in matrix]
     return (len(matrix[0]) if matrix else 0), rows
 
 

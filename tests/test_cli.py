@@ -370,6 +370,23 @@ def test_malformed_parameter_document_is_invalid_usage(capsys, tmp_path):
     assert not payload(out)["ok"]
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"family": "Eminus", "n": 3, "params": {"alpha": 5}}, "alpha"),
+    ({"family": "GenericLambda", "rack": "o23", "cocycle": "const:-1",
+      "params": {"lambda": 7}}, "lambda"),
+    ({"family": "Etilde", "params": {"beta": [1, 2]}}, "beta"),
+], ids=["alpha", "lambda", "beta"])
+def test_non_object_scalars_in_a_parameter_document_name_the_key(
+        capsys, tmp_path, doc, key):
+    src = tmp_path / "params.json"
+    src.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "deform", "verify", "--file", str(src))
+    assert code == 2
+    report = payload(out)
+    assert not report["ok"]
+    assert f"'{key}' must be an object" in report["report"]["error"]
+
+
 def test_empty_relation_set_is_the_free_algebra(capsys, tmp_path):
     # a constant cocycle 2 on the 4-cycles selects no relations at all
     code, out, _ = run(capsys, "nichols", "dim", "--rack", "o44",

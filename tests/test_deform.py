@@ -359,6 +359,20 @@ def test_params_json_values_are_exact():
             DeformParams.from_json(bad)
 
 
+NON_OBJECT_SCALARS = (
+    ({"family": "Eminus", "n": 3, "params": {"alpha": 5}}, "alpha"),
+    ({"family": "GenericLambda", "rack": "o23", "cocycle": "const:-1",
+      "params": {"lambda": 7}}, "lambda"),
+    ({"family": "Etilde", "params": {"beta": [1, 2]}}, "beta"),
+)
+
+
+def test_params_json_refuses_non_object_scalars_by_key():
+    for doc, key in NON_OBJECT_SCALARS:
+        with pytest.raises(TypeError, match=key):
+            DeformParams.from_json(doc)
+
+
 def test_params_json_reads_a_missing_mu_as_zero():
     doc = DeformParams.etilde(1, 2, 3).to_json()
     del doc["params"]["mu1"], doc["params"]["mu2"]

@@ -84,9 +84,10 @@ def _explicit_chi(value):
     return grouprealize.principal_realization(rack, class_perms, rows)
 
 
-# constructors that turn a number passed in code into a Fraction; each must
-# refuse the float 0.1 rather than read its binary value.  FreePoly,
-# RatMatrix, rank_bareiss and FiniteDimAlgebra are checked in their modules.
+# constructors that turn a number passed in code into an exact scalar or a
+# Fraction; each must refuse the float 0.1 rather than read its binary
+# value.  FreePoly, RatMatrix, rank_bareiss and FiniteDimAlgebra are
+# checked in their modules.
 FLOAT_ENTRY_POINTS = {
     "exact": exact,
     "constant_cocycle": lambda v: constant_cocycle(_o23(), v),

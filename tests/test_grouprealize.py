@@ -13,6 +13,7 @@ import rackalg
 from rackalg import perm
 from rackalg.catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
 from rackalg.cocycle import Cocycle2, chi_character_value
+from rackalg.braided import make_braiding, quantum_symmetrizer
 from rackalg.freealg import QuotientAlgebra, groebner
 from rackalg.grouprealize import (
     FiniteDimAlgebra,
@@ -34,6 +35,7 @@ from rackalg.grouprealize import (
     smash_with_group,
     theta_characters,
     validate_principal,
+    word_degree,
 )
 from rackalg.quadrel import quadratic_ideal
 from rackalg.rack import trivial_rack
@@ -251,11 +253,54 @@ def test_twisted_realization_with_a_scaled_chi_value_fails():
     assert report["exchange"]["witnesses"][0] == (0, 2, 1, 4)
 
 
-def test_chi_returns_fractions():
+def test_chi_returns_ints_where_integral_else_fractions():
     for real in (builtin_realization("o24", "chi"), _twisted(TWIST)):
         for x in range(real.rack.n):
             for t in real.group:
-                assert type(real.chi(x, t)) is F
+                v = real.chi(x, t)
+                assert type(v) is (int if v.denominator == 1 else F)
+
+
+def _scalar_form(values):
+    """Whether every value is an int where integral and a Fraction
+    otherwise, never a float."""
+    return all(type(v) is (int if v.denominator == 1 else F) for v in values)
+
+
+def test_one_exact_scalar_from_the_cocycle_to_the_audits():
+    reals = [builtin_realization(*spec) for spec in SPECS[:3]] + [_twisted(TWIST)]
+    for real in reals:
+        q = real.induced_cocycle()
+        assert _scalar_form(v for row in q.q for v in row)
+        for flavor in ("V", "W"):
+            space = make_braiding(q.rack, q, flavor)
+            assert _scalar_form(c for _, c in space.pair_map.values())
+            assert _scalar_form(quantum_symmetrizer(space, 3).entries.values())
+        assert _scalar_form(real.chi(x, t) for x in range(q.rack.n) for t in real.group)
+    # the twisted cocycle has entries -3 and -1/3, and chi non-integral values
+    twisted = reals[-1]
+    assert {-3, F(-1, 3)} <= {v for row in twisted.induced_cocycle().q for v in row}
+    assert any(type(twisted.chi(x, t)) is F for x in range(6) for t in twisted.group)
+    # products on a smash product whose structure constants include
+    # 1/2, 3 and -2/3
+    o23, alg_v, action, _, _ = _o23_smash_inputs()
+    scaled, scaled_action = _rescaled(alg_v, action)
+    smash = smash_with_group(scaled, o23.group, scaled_action)
+    prods = [smash.multiply({i: 1}, {j: 1}) for i in range(smash.dim)
+             for j in range(0, smash.dim, 5)]
+    values = [c for prod in prods for c in prod.values()]
+    assert _scalar_form(values)
+    assert any(type(c) is F for c in values) and any(type(c) is int for c in values)
+
+
+def test_quotient_grading_is_word_degree():
+    for rack_name, spec in (("o23", "const:-1"), ("o24", "chi"), ("o44", "const:-1")):
+        real = builtin_realization(rack_name, spec)
+        quo = QuotientAlgebra(groebner(quadratic_ideal(
+            real.rack, builtin_cocycle(rack_name, spec), "W")))
+        side = group_side(real, "copointed")
+        assert quotient_grading(real, quo) == tuple(
+            word_degree(side, w) for w in quo.words), rack_name
 
 
 def _input_tables(rack_name, spec, lam=None):
@@ -450,8 +495,10 @@ def test_smash_rejects_broken_action():
     broken = dict(action)
     broken[t] = [dict(img) for img in broken[t]]
     broken[t][1] = {1: F(2)}  # no longer an algebra map
-    with pytest.raises(NotModuleAlgebra):
+    with pytest.raises(NotModuleAlgebra) as caught:
         smash_with_group(alg, real.group, broken)
+    report = module_algebra_audit_group(alg, real.group, broken)
+    assert caught.value.args == (report["witnesses"][0],)
 
 
 def test_smash_rejects_broken_grading():
@@ -567,7 +614,7 @@ def test_smash_products_read_the_group_table(monkeypatch):
                    for row in smash.table for cell in row for c in cell.values())
         prod = smash.multiply({7: 1}, smash.unit)
         assert prod == {7: 1}
-        assert type(prod[7]) is F
+        assert type(prod[7]) is int
 
 
 def test_finite_dim_algebra_audits_catch_breakage():

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
+from rackalg.catalog import (
+    RACK_NAMES,
+    builtin_cocycle,
+    builtin_rack,
+    transposition_rack,
+)
 from rackalg.cocycle import constant_cocycle, validate_cocycle
 from rackalg.quadrel import (
     RatioUnionFind,
@@ -288,3 +293,16 @@ def test_composed_translation_agrees_with_per_x_loops(rack, q):
     for c in copointed.classes:
         assert (c not in zero) == _reference_copointed(c, rack, q), c
         assert per_class[c.base_pair] == _reference_admits(c, rack, q), c
+
+
+def test_parameter_ratios_are_fractions_on_builtin_data():
+    # the union-find divides ratios, which stays exact only with a Fraction
+    # operand; the cocycle values it multiplies are ints where integral
+    for name in RACK_NAMES:
+        specs = ("const:-1", "const:2") + (("chi",) if name != "o44" else ())
+        for spec in specs:
+            rack, q = builtin_rack(name)[0], builtin_cocycle(name, spec)
+            for space in (pointed_lambda_space(rack, q),
+                          copointed_lambda_space(rack, q)):
+                assert all(type(ratio) is Fraction
+                           for _, ratio, _ in space.solved), (name, spec)
