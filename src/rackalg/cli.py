@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__, perm
 from .catalog import RACK_NAMES, builtin_cocycle, builtin_rack
 from .cocycle import CocycleLawFails, Cocycle2, ZeroEntry, constant_cocycle
-from .exactnum import BudgetExceeded, rational
+from .exactnum import BudgetExceeded, number_text, rational
 from .rack import NotBijective, NotSelfDistributive, Rack
 
 SCHEMA = "rackalg-report/1"
@@ -47,7 +47,7 @@ def _jsonable(value):
     """Make a report tree printable: Fractions to strings, tuples to
     lists, tuple keys to comma-joined strings."""
     if isinstance(value, Fraction):
-        return str(value)
+        return number_text(value)
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -156,8 +156,8 @@ def _cmd_cocycle_check(args):
         q = _load_cocycle(args, rack, name)
     payload = {
         "rack": name or "file",
-        "q": [[str(v) for v in row] for row in q.q],
-        "diagonal": [str(q(x, x)) for x in range(rack.n)],
+        "q": [[number_text(v) for v in row] for row in q.q],
+        "diagonal": [number_text(q(x, x)) for x in range(rack.n)],
     }
     return payload, True
 
@@ -572,15 +572,17 @@ def main(argv=None):
     with out or contextlib.nullcontext():
         try:
             payload, ok = handler(args)
+            # inside the try: a Fraction too long to write is a budget
+            report = _jsonable(payload)
             code = EXIT_OK if ok else EXIT_ASSERTION
         except CliError as exc:
-            payload, ok = {"error": str(exc)}, False
+            report, ok = {"error": str(exc)}, False
             code = exc.code
         except BudgetExceeded as exc:
-            payload, ok = {"error": str(exc)}, False
+            report, ok = {"error": str(exc)}, False
             code = EXIT_BUDGET
         doc["ok"] = ok
-        doc["report"] = _jsonable(payload)
+        doc["report"] = report
         _emit(doc, out)
     elapsed = time.perf_counter() - started
     print("[time] %s %s %.3fs" % (command[0], command[1], elapsed), file=sys.stderr)

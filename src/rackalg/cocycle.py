@@ -12,7 +12,7 @@ A cocycle document is its rack's document plus ``q``, the values as
 exact rationals: ``to_json`` writes it and ``from_json`` reads it back.
 """
 
-from .exactnum import rational, scalar
+from .exactnum import number_text, rational, scalar
 
 
 class ZeroEntry(ValueError):
@@ -46,7 +46,8 @@ class Cocycle2:
 
     def to_json(self):
         """The rack document plus ``q``."""
-        return {**self.rack.to_json(), "q": [[str(v) for v in row] for row in self.q]}
+        return {**self.rack.to_json(),
+                "q": [[number_text(v) for v in row] for row in self.q]}
 
     @classmethod
     def from_json(cls, obj, rack):

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import catalog, perm, quadrel
 from .braided import DegreeBudgetExceeded
-from .exactnum import exact, integer, rational, refuse_unread
+from .exactnum import exact, integer, number_text, rational, refuse_unread
 from .freealg import (
     FreePoly,
     groebner,
@@ -243,7 +243,7 @@ class DeformParams:
             d["cocycle"] = self.cocycle_spec
             d["params"] = {
                 "lambda": {
-                    f"{a},{b}": str(v) for (a, b), v in sorted(self.lam.items())
+                    f"{a},{b}": number_text(v) for (a, b), v in sorted(self.lam.items())
                 }
             }
             return d
@@ -252,8 +252,9 @@ class DeformParams:
             d["n"] = next(n for n, r in racks.items() if r == self.rack_name)
         scalars, mus = self.coordinates()
         labels = self.rack().labels
-        d["params"] = {key: {labels[i]: str(v) for i, v in enumerate(scalars)}}
-        d["params"].update((name, str(v)) for name, v in mus.items())
+        d["params"] = {
+            key: {labels[i]: number_text(v) for i, v in enumerate(scalars)}}
+        d["params"].update((name, number_text(v)) for name, v in mus.items())
         return d
 
     @classmethod
@@ -710,7 +711,7 @@ def _common_ratio(a, b):
                 ratio = r
             elif r != ratio:
                 return None
-    return str(ratio) if ratio is not None else "any"
+    return number_text(ratio) if ratio is not None else "any"
 
 
 def iso_class_equal(lam_a, lam_b, family):

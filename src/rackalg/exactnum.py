@@ -13,9 +13,12 @@ An input document that names a key its reader does not read is refused
 by :func:`refuse_unread`, so a misspelt key is never silently dropped.
 Every resource budget error subclasses :class:`BudgetExceeded`, so a
 caller catches all of them without importing the layers that raise them.
+Reports and documents write every exact number through
+:func:`number_text`, which treats a number too long to print as a budget.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 MAX_EXPONENT = 4300  # the interpreter's default int digit limit
@@ -25,6 +28,10 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 class BudgetExceeded(Exception):
     """A computation would pass one of its resource budgets."""
+
+
+class NumberTooLong(BudgetExceeded):
+    """An exact number with more digits than the interpreter writes."""
 
 
 class BadNumber(TypeError, ValueError):
@@ -49,6 +56,19 @@ def scalar(value):
         return value
     value = exact(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def number_text(value):
+    """The text str() writes for an exact scalar.  An int or Fraction with
+    more digits than the interpreter's int-to-text limit raises
+    NumberTooLong instead of str()'s ValueError; the limit stays, since
+    :func:`rational` relies on it to bound a mantissa."""
+    try:
+        return str(value)
+    except ValueError:
+        raise NumberTooLong(
+            "a number has more than %d digits, the limit on writing an int as text"
+            % sys.get_int_max_str_digits()) from None
 
 
 def integer(value):

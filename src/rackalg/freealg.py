@@ -17,7 +17,7 @@ as Fractions, once.
 
 The completion is Buchberger-style for two-sided ideals: the obstruction
 queue holds proper overlaps of leading words (lowest common degree first),
-the basis is kept fully interreduced after every insertion, so a
+and once the queue is done every tail is reduced in a single pass, so a
 completed run yields the unique reduced Groebner basis for the order.
 One Aho-Corasick automaton over the leads (Aho & Corasick 1975) serves
 reduction, which walks a word to its first lead, and counting and listing
@@ -29,7 +29,8 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import BudgetExceeded, exact, integer, rational, refuse_unread
+from .exactnum import (
+    BudgetExceeded, exact, integer, number_text, rational, refuse_unread)
 
 __all__ = [
     "FreePoly",
@@ -172,7 +173,8 @@ class FreePoly:
 
     def to_json(self):
         """The term list a document holds for this polynomial."""
-        return [{"word": list(w), "coeff": str(c)} for w, c in self.sorted_terms()]
+        return [{"word": list(w), "coeff": number_text(c)}
+                for w, c in self.sorted_terms()]
 
     def __repr__(self):
         if not self.terms:
@@ -369,10 +371,14 @@ def _s_element(u, fu, v, fv, k):
 def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     """Two-sided Groebner basis of the ideal the generators span.
 
-    Completion runs lowest-obstruction-first; the basis stays primitive
-    over Z and interreduced throughout, and is made monic at the end.
-    Obstructions above max_deg truncate the run (status records the
-    cutoff); a basis larger than max_basis raises.
+    Completion runs lowest-obstruction-first and keeps the basis
+    primitive over Z; the tails are interreduced once, after the loop,
+    and the basis is made monic at the end.  Obstructions above max_deg
+    truncate the run (status records the cutoff); a basis larger than
+    max_basis raises.  A complete run, and a homogeneous run truncated at
+    degree d, return the unique reduced basis (through degree d); the
+    basis of a truncated inhomogeneous run depends on the order in which
+    the elements were found.
     ``ngens`` is the alphabet size; it defaults to the generators' own
     and must be given when the list is empty, since the quotient of the
     free algebra on ngens letters by the zero ideal depends on it.
@@ -388,10 +394,10 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     if not gens:
         return GroebnerBasis(ngens, {})
 
-    # lead -> primitive integer terms.  Leads of an interreduced basis
-    # never divide one another, and a retired lead stays reducible, so it
-    # never comes back: a queued pair is live exactly when both of its
-    # leads are still keys.
+    # lead -> primitive integer terms.  An element whose lead contains a
+    # new lead is retired, so no lead divides another, and a retired lead
+    # stays reducible, so it never comes back: a queued pair is live
+    # exactly when both of its leads are still keys.
     basis = {}
     trans = _lead_automaton(basis, ngens)  # rebuilt only by insert
     pair_heap = []  # (common len, common word, u, v, k)
@@ -419,17 +425,6 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         trans = _lead_automaton(basis, ngens)
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
-        # tail-reduce every other element against the refreshed basis;
-        # assigning to a present key keeps its place in the dict
-        for ld, tm in basis.items():
-            if ld == lead:
-                continue
-            tail = {w: v for w, v in tm.items() if w != ld}
-            if not any(lead in w for w in tail):
-                continue
-            red, scale = _reduce_terms(tail, basis, trans)
-            red[ld] = scale * tm[ld]
-            basis[ld] = _primitive(red, ld)
         add_pairs(lead)
 
     while pending or pair_heap:
@@ -449,6 +444,13 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         if red:
             insert(red)
 
+    # the leads are final, so one pass leaves every tail in normal form;
+    # assigning to a present key keeps its place in the dict, and the
+    # lead goes first, as in the element that insert stored
+    for ld, tm in basis.items():
+        tail = {w: c for w, c in tm.items() if w != ld}
+        red, scale = _reduce_terms(tail, basis, trans)
+        basis[ld] = _primitive({ld: scale * tm[ld], **red}, ld)
     return GroebnerBasis(ngens, basis, truncated_at)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .freealg import FreePoly
 from . import braided, linalg
-from .exactnum import exact
+from .exactnum import exact, number_text
 
 
 class RelClass:
@@ -234,10 +234,10 @@ class ParamSpace:
                 {
                     "pair": list(c.base_pair),
                     "size": c.size,
-                    "eta": [str(e) for e in c.eta],
+                    "eta": [number_text(e) for e in c.eta],
                     "status": "zero" if zero else ("free" if root == i else "tied"),
                     "root_pair": list(classes[root].base_pair),
-                    "ratio_to_root": str(ratio),
+                    "ratio_to_root": number_text(ratio),
                 }
                 for i, (c, (root, ratio, zero)) in enumerate(zip(classes, self.solved))
             ],

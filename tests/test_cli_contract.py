@@ -21,6 +21,7 @@ import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -185,3 +186,35 @@ def test_argv_yields_one_document_and_a_documented_exit(tmp_path, case):
     assert report["ok"] is (code == 0)
     if unread:
         assert code == 2
+
+
+# exact numbers that the readers accept, or that a completion makes, with
+# more digits than str() writes: each is a budget, exit 3, one document
+TOO_LONG = {
+    "cocycle-constant": (["cocycle", "check", "--rack", "o24", "--cocycle",
+                          "const:1e-4300"], None),
+    "ideal-coefficient": (["gb", "run"], {"alphabet": ["a", "b"], "polys": [
+        [{"word": [0, 1], "coeff": "1e4300"}, {"word": [1], "coeff": 1}]]}),
+    "deform-point": (["deform", "verify"], {"family": "Eminus", "n": 3, "params": {
+        "alpha": {"(12)": "1e4300", "(13)": "1e4300", "(23)": "1e4300"}}}),
+    # b - 10^3000 a and aaa - bb complete to aaa - 10^6000 aa
+    "completed-basis": (["gb", "run"], {"alphabet": ["a", "b"], "polys": [
+        [{"word": [1], "coeff": 1}, {"word": [0], "coeff": "-1e3000"}],
+        [{"word": [0, 0, 0], "coeff": 1}, {"word": [1, 1], "coeff": -1}]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LONG))
+def test_a_number_too_long_to_print_is_a_budget(tmp_path, name):
+    argv, doc = TOO_LONG[name]
+    if doc is not None:
+        src = tmp_path / "doc.json"
+        src.write_text(json.dumps(doc))
+        argv = argv + ["--file", str(src)]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code == cli.EXIT_BUDGET
+    report = json.loads(out.getvalue())
+    assert report["ok"] is False
+    assert "more than 4300 digits" in report["report"]["error"]

@@ -6,7 +6,16 @@ import pytest
 from rackalg import deform, grouprealize
 from rackalg.catalog import builtin_cocycle, builtin_rack
 from rackalg.cocycle import Cocycle2, constant_cocycle, validate_cocycle
-from rackalg.exactnum import MAX_EXPONENT, BadNumber, exact, integer, rational
+from rackalg.exactnum import (
+    MAX_EXPONENT,
+    BadNumber,
+    BudgetExceeded,
+    NumberTooLong,
+    exact,
+    integer,
+    number_text,
+    rational,
+)
 from rackalg.quadrel import pointed_lambda_space
 
 
@@ -46,6 +55,18 @@ def test_integer_takes_only_ints():
     for value in (True, False, 1.0, 1.9, "0", None):
         with pytest.raises(BadNumber):
             integer(value)
+
+
+def test_number_text_treats_a_number_too_long_to_print_as_a_budget():
+    assert number_text(-7) == "-7"
+    assert number_text(Fraction(-3, 4)) == "-3/4"
+    assert issubclass(NumberTooLong, BudgetExceeded)
+    # rational accepts both; each has one digit more than str() writes
+    for value in ("1e%d" % MAX_EXPONENT, "1e-%d" % MAX_EXPONENT):
+        with pytest.raises(NumberTooLong, match="more than 4300 digits"):
+            number_text(rational(value))
+    with pytest.raises(NumberTooLong):
+        number_text(10 ** MAX_EXPONENT)
 
 
 def _o23():

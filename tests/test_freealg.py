@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
 from rackalg.cocycle import constant_cocycle
-from rackalg.deform import DeformParams, build_deformed_ideal, sample_params
+from rackalg.deform import (
+    DeformParams,
+    build_deformed_ideal,
+    pointed_lifting_generators,
+    sample_params,
+)
 from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
@@ -29,7 +34,7 @@ from rackalg.freealg import (
 )
 from rackalg.grouprealize import builtin_realization
 from rackalg.perm import compose
-from rackalg.quadrel import quadratic_ideal
+from rackalg.quadrel import pointed_lambda_space, quadratic_ideal
 
 F = Fraction
 
@@ -247,9 +252,9 @@ def test_interreduction_scales_the_kept_lead():
     y = FreePoly.gen(2, 1)
     f = 2 * x * y - x * x
     g = y * y - x * y
-    # g goes in first; then f's lead xy, with coefficient 2, rewrites the
-    # -xy of g's tail, so the tail comes back scaled by 2 and so must g's
-    # lead: yy - xy = yy - xx/2
+    # g goes in first and keeps the -xy of its tail through the loop; the
+    # final pass rewrites it with f's lead xy, of coefficient 2, so the
+    # tail comes back scaled by 2 and so must g's lead: yy - xy = yy - xx/2
     gb = groebner([f, g])
     half = F(1, 2)
     assert gb.elements == [
@@ -507,6 +512,87 @@ def test_deformed_reduced_bases_are_pinned(label):
 
 
 # ---------------------------------------------------------------------------
+# every basis groebner returns is reduced, complete or truncated
+
+
+def assert_reduced(gb):
+    """Each element is monic, no lead is a subword of another lead, and no
+    tail word contains a lead."""
+    leads = list(gb.leads())
+    for g, lead in zip(gb.elements, leads):
+        assert g.lead() == (lead, 1)
+        assert not any(ld in lead for ld in leads if ld != lead), lead
+        tail = [w for w in g.terms if w != lead]
+        assert not any(ld in w for w in tail for ld in leads), lead
+
+
+@st.composite
+def small_ideals(draw):
+    """One to three polynomials over two or three letters, with words of at
+    most three letters, all of one length when the ideal is homogeneous."""
+    ngens = draw(st.integers(min_value=2, max_value=3))
+    length = draw(st.none() | st.integers(min_value=1, max_value=3))
+    lengths = st.just(length) if length else st.integers(min_value=0, max_value=3)
+    word = lengths.flatmap(lambda m: st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), min_size=m, max_size=m
+    )).map(bytes)
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    poly = st.dictionaries(word, coeff, min_size=1, max_size=4)
+    return [FreePoly(ngens, t) for t in draw(st.lists(poly, min_size=1, max_size=3))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_ideals())
+# truncated at degree 4: xyx - yyy - y, whose basis keeps growing
+@example([FreePoly(2, {b"\x00\x01\x00": 1, b"\x01\x01\x01": -1, b"\x01": -1})])
+# yy - xy and 2xy - xx: the tail of yy holds the lead xy
+@example([FreePoly(2, {b"\x01\x01": 1, b"\x00\x01": -1}),
+          FreePoly(2, {b"\x00\x01": 2, b"\x00\x00": -1})])
+def test_every_basis_is_reduced(gens):
+    assert_reduced(groebner(gens, max_deg=4))
+
+
+def s4_quadratic_ideal(rack_name, spec, flavor):
+    rack, _ = builtin_rack(rack_name)
+    return quadratic_ideal(rack, builtin_cocycle(rack_name, spec), flavor)
+
+
+def deformed_point(template):
+    # the third seeded point is of the fully generic shape
+    return build_deformed_ideal(sample_params(template, 3, 11)[2])
+
+
+SHIPPED_IDEALS = {
+    **{
+        f"{rack_name}-{spec}-{flavor}":
+            functools.partial(s4_quadratic_ideal, rack_name, spec, flavor)
+        for rack_name, spec in [
+            ("o24", "const:-1"), ("o24", "chi"), ("o44", "const:-1")]
+        for flavor in "VW"
+    },
+    **{
+        f"{label}-deformed": functools.partial(deformed_point, template)
+        for label, (template, _) in DEFORMED_BASIS_DIGESTS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_IDEALS))
+def test_shipped_bases_are_reduced(name):
+    gb = groebner(SHIPPED_IDEALS[name]())
+    assert gb.complete
+    assert_reduced(gb)
+
+
+def test_s5_truncated_basis_is_reduced():
+    rack, _ = transposition_rack(5)
+    ideal = quadratic_ideal(rack, constant_cocycle(rack, F(-1)), "V")
+    gb = groebner(ideal, max_deg=6)
+    assert gb.status == "truncated-at-degree-6"
+    assert_reduced(gb)
+
+
+# ---------------------------------------------------------------------------
 # the lead automaton against the subword search and the suffix search it
 # replaced
 
@@ -589,23 +675,49 @@ def test_lead_automaton_matches_subword_and_suffix_search(name):
     assert _word_counts(gb._trans, 9) == _word_counts(reference, 9)
 
 
-def smash_presentation():
-    """T(V) # kS4 for o24/chi on 30 letters: the six rack letters, then
-    one letter per element of S4, with e - 1, g h - (gh) and
-    g x - chi_x(g) (g . x) g."""
-    r = builtin_realization("o24", "chi")
+def smash_relations(r, hopf_first):
+    """T(V) # kG over the rack letters and one letter per group element:
+    e - 1, g h - (gh) and g x - chi_x(g) (g . x) g.  The group letters
+    follow the rack letters, or come first when hopf_first.  Returns
+    (ngens, letter of each group element, letter of each rack element,
+    relations)."""
     n = r.rack.n
     group = sorted(r.group.elements)
     ngens = n + len(group)
-    letter = {g: n + i for i, g in enumerate(group)}
+    hopf_at, rack_at = (0, len(group)) if hopf_first else (n, 0)
+    letter = {g: hopf_at + i for i, g in enumerate(group)}
+    rack = [rack_at + x for x in range(n)]
     gens = [FreePoly.gen(ngens, letter[r.group.identity]) - FreePoly.one(ngens)]
     for g in group:
         for h in group:
             gens.append(FreePoly.word(ngens, [letter[g], letter[h]])
                         - FreePoly.word(ngens, [letter[compose(g, h)]]))
         for x in range(n):
-            gens.append(FreePoly.word(ngens, [letter[g], x]) - FreePoly.word(
-                ngens, [r.act(g, x), letter[g]], r.chi(x, g)))
+            gens.append(FreePoly.word(ngens, [letter[g], rack[x]]) - FreePoly.word(
+                ngens, [rack[r.act(g, x)], letter[g]], r.chi(x, g)))
+    return ngens, letter, rack, gens
+
+
+def smash_presentation():
+    """T(V) # kS4 for o24/chi on 30 letters: the six rack letters, then
+    one letter per element of S4."""
+    return smash_relations(builtin_realization("o24", "chi"), False)[3]
+
+
+def pointed_lifting_presentation(rack_name, spec):
+    """The pointed lifting T(V) # kG / (b_C - lambda_C (1 - g_C)) with
+    lambda = 1 on every free class, the Hopf letters below the rack
+    letters."""
+    r = builtin_realization(rack_name, spec)
+    ngens, letter, rack, gens = smash_relations(r, True)
+    space = pointed_lambda_space(r.rack, r.induced_cocycle())
+    lam_free = {c.base_pair: F(1) for c in space.free_classes()}
+    one = FreePoly.one(ngens)
+    for rec in pointed_lifting_generators(r, lam_free):
+        b = FreePoly(ngens, {bytes(rack[x] for x in w): c
+                             for w, c in rec["b"].terms.items()})
+        g_c = FreePoly.gen(ngens, letter[rec["g"]])
+        gens.append(b - (one - g_c) * rec["lam"])
     return gens
 
 
@@ -619,3 +731,26 @@ def test_smash_presentation_basis_is_pinned():
     assert digest == (
         "890cab90e8109e847dc8fc69be87924ca9815e770696a680a6f72ead8234c3dc"
     )
+
+
+# sha256 of basis_json, recorded before the final interreduction pass
+# replaced the tail reduction after every insert
+LIFTING_BASES = {
+    ("o23", "chi"): (
+        47, 72, "28387ee582095fa86599357a886dcf8977ff216f392a8d2fd4e3dbe84edc1470"),
+    ("o24", "chi"): (
+        696, 13824, "28f4553d4d841921952379dd71f88e35c7617ed1941ac44ba423e4995662d983"),
+}
+
+
+@pytest.mark.parametrize("rack_name,spec", sorted(LIFTING_BASES))
+def test_pointed_lifting_basis_is_pinned(rack_name, spec):
+    # the inhomogeneous completion that a lifting dimension runs:
+    # dim T(V) # kG / (b_C - lambda_C (1 - g_C)) = dim B(V) * |G|
+    size, dim, digest = LIFTING_BASES[rack_name, spec]
+    gb = groebner(pointed_lifting_presentation(rack_name, spec))
+    assert gb.complete and len(gb.elements) == size
+    assert quotient_dim(gb) == dim
+    assert audit_obstructions(gb)
+    assert_reduced(gb)
+    assert hashlib.sha256(json.dumps(basis_json(gb)).encode()).hexdigest() == digest
