@@ -122,10 +122,10 @@ def _load_cocycle(args, rack, rack_name):
         raise CliError("invalid cocycle: %s" % exc, EXIT_INVALID)
 
 
-def _complete_gb(polys, args, ngens):
+def _complete_gb(polys, max_deg, ngens):
     from .freealg import groebner
 
-    gb = groebner(polys, max_deg=args.max_deg or 16, ngens=ngens)
+    gb = groebner(polys, max_deg=max_deg or 16, ngens=ngens)
     if not gb.complete:
         raise CliError(
             "basis completion hit the degree budget (%s)" % gb.status,
@@ -185,7 +185,7 @@ def _cmd_nichols_dim(args):
 
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args, rack.n)
+    gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args.max_deg, rack.n)
     dim = quotient_dim(gb)
     payload = {
         "rack": name or "file",
@@ -221,7 +221,8 @@ def _cmd_nichols_hilbert(args):
 
     rack, name = _load_rack(args)
     q = _load_cocycle(args, rack, name)
-    gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), args, rack.n)
+    # --max-deg is the series' last degree here, not the completion's budget
+    gb = _complete_gb(quadratic_ideal(rack, q, args.flavor), max(args.max_deg, 16), rack.n)
     up_to = args.max_deg if args.max_deg else 8
     payload = {
         "rack": name or "file",
@@ -243,7 +244,7 @@ def _cmd_gb_run(args):
         names, polys = ideal_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError("invalid ideal document: %s" % exc, EXIT_INVALID)
-    gb = _complete_gb(polys, args, len(names))
+    gb = _complete_gb(polys, args.max_deg, len(names))
     confluent = audit_obstructions(gb)
     payload = {
         "alphabet": names,
@@ -347,6 +348,12 @@ def _realization_for(args):
         raise CliError(str(exc.args[0]), EXIT_INVALID)
 
 
+def _lambda_draws(seed):
+    """A seeded source of lambda values a/b, a in [-5, 5] and b in [1, 3]."""
+    rng = random.Random(seed)
+    return lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
 def _cmd_lift_pointed(args):
     from . import deform
     from .quadrel import pointed_lambda_space
@@ -354,10 +361,10 @@ def _cmd_lift_pointed(args):
     realization = _realization_for(args)
     q = realization.induced_cocycle()
     space = pointed_lambda_space(realization.rack, q)
-    rng = random.Random(args.seed)
+    draw = _lambda_draws(args.seed)
     lam = {}
     for c in space.free_classes():
-        lam[c.base_pair] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        lam[c.base_pair] = draw()
     try:
         records = deform.pointed_lifting_generators(realization, lam)
     except deform.ConditionViolated as exc:
@@ -391,10 +398,7 @@ def _cmd_lift_copointed(args):
             EXIT_INVALID,
         )
     family = names[args.rack, args.cocycle]
-    rng = random.Random(args.seed)
-    params = deform.copointed_lifting_point(
-        family, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    )
+    params = deform.copointed_lifting_point(family, _lambda_draws(args.seed))
     gens = deform.copointed_lifting_generators(params)
     rack = gens["rack"]
     payload = {
@@ -500,7 +504,8 @@ _FLAG_SPECS = {
     "--samples": dict(type=_count(1000), default=0,
                       help="seeded sample points, at most 1000 (default 0)"),
     "--max-deg": dict(type=_count(64), default=0,
-                      help="degree budget, at most 64 (0: the command's default)"),
+                      help="degree budget (nichols hilbert: the series' last degree), "
+                           "at most 64 (0: the command's default)"),
     "--family": dict(help="deformation family name"),
     "--n": dict(type=int, help="transposition rack size"),
     "--json-out": dict(help="also write the report here"),

@@ -13,20 +13,23 @@ quotient algebras with kG or with functions on G.
 Each group side is one record (:func:`group_side`) that holds the letter
 degrees: a letter of V has degree g_x over kG, a letter of W degree
 g_x^{-1} over functions on G, and a word multiplies its letters' degrees
-left to right (:func:`word_degree`).  Both braidings are read off the
-records by the Yetter-Drinfeld formula, and one comatrix audit covers
-both sides.
+left to right (:func:`word_degree`).  Each record is read once by the
+Yetter-Drinfeld formula (:func:`_side_braiding`); that one reading gives
+both braidings, the action evaluations of the comatrix audit, the
+identification of the theta characters and the copointed antipode's
+power 0, and one comatrix audit covers both sides.
 
 Everything here is exact and finite: groups are small symmetric groups
 of the one type :class:`rackalg.perm.Group`, and audits enumerate their
 whole domain rather than sampling.  Inside the module a group element is
-named by its index in the group's table (:func:`_group_table`, built on
-first use and kept per group): a realization stores chi and its action
-by index, elements of kG and of functions on G are sparse dicts keyed by
-index, and no audit or smash product calls ``perm.compose``,
-``perm.inverse`` or ``perm.conjugate``.  Permutations stay at the edges:
-``gmap``, ``chi()``, ``act()``, the letter degrees, :func:`word_degree`,
-:func:`quotient_grading`, the keys of a quotient action and witnesses.
+named by its index in the group, whose product and inverse tables
+(``Group.mul`` and ``Group.inv``) are built on first read and kept: a
+realization stores chi and its action by index, elements of kG and of
+functions on G are sparse dicts keyed by index, and no audit or smash
+product calls ``perm.compose``, ``perm.inverse`` or ``perm.conjugate``.
+Permutations stay at the edges: ``gmap``, ``chi()``, ``act()``, the
+letter degrees, :func:`word_degree`, :func:`quotient_grading`, the keys
+of a quotient action and witnesses.
 Every scalar here is the cocycle's exact scalar
 (:func:`rackalg.exactnum.scalar`), an int when it is integral and a
 Fraction otherwise: chi, the braidings the audits read, the structure
@@ -192,33 +195,9 @@ def builtin_realization(rack_name, cocycle_spec):
     return principal_realization(rack, class_perms, chi)
 
 
-class _Table:
-    """A group by element index: ``elements`` in the group's order,
-    ``index`` the position of each element, ``mul[i][j]`` the index of
-    elements[i] * elements[j] and ``inv[i]`` that of elements[i]^{-1}."""
-
-    __slots__ = ("elements", "index", "mul", "inv")
-
-    def __init__(self, group):
-        self.elements, self.index = group.elements, group.index
-        self.mul = tuple(
-            tuple(self.index[perm.compose(s, t)] for t in self.elements)
-            for s in self.elements
-        )
-        self.inv = tuple(self.index[perm.inverse(s)] for s in self.elements)
-
-
-@lru_cache(maxsize=None)
-def _group_table(group):
-    """The table of a group, built on its first audit and kept; every
-    group here is the one cached S_n of its degree, so this is one table
-    per degree."""
-    return _Table(group)
-
-
-def _cycle(tab, i):
+def _cycle(group, i):
     """Cycle notation of the element of index i, for witnesses."""
-    return perm.cycle_notation(tab.elements[i])
+    return perm.cycle_notation(group.elements[i])
 
 
 class _Audit:
@@ -266,11 +245,11 @@ def validate_principal(realization, cocycle=None):
     rack = r.rack
     n = rack.n
     labels = rack.labels
-    tab = _group_table(r.group)
+    group = r.group
     chi, act = r._chi, r._act
-    mul, inv = tab.mul, tab.inv
-    order = len(tab.elements)
-    gx = [tab.index[p] for p in r.gmap]
+    mul, inv = group.mul, group.inv
+    order = len(group)
+    gx = [group.index[p] for p in r.gmap]
     laws = ["left_action", "equivariance", "rack_match", "cocycle_rule",
             "values_nonzero"]
     if cocycle is not None:
@@ -278,7 +257,7 @@ def validate_principal(realization, cocycle=None):
     audit = _Audit(*laws)
 
     audit.count("left_action", n + order * order * n)
-    unit_row = act[tab.index[r.group.identity]]
+    unit_row = act[group.index[group.identity]]
     for x in range(n):
         if unit_row[x] != x:
             audit.fail("left_action", ("e", labels[x]))
@@ -288,7 +267,7 @@ def validate_principal(realization, cocycle=None):
             for x in range(n):
                 if st[x] != s_row[t_row[x]]:
                     audit.fail("left_action",
-                               (_cycle(tab, s), _cycle(tab, t), labels[x]))
+                               (_cycle(group, s), _cycle(group, t), labels[x]))
 
     # h g_x h^{-1} by index is mul[mul[h][g_x]][inv[h]]
     audit.count("equivariance", order * n)
@@ -296,7 +275,7 @@ def validate_principal(realization, cocycle=None):
         h_row, h_mul = act[h], mul[h]
         for x in range(n):
             if gx[h_row[x]] != mul[h_mul[gx[x]]][inv[h]]:
-                audit.fail("equivariance", (_cycle(tab, h), labels[x]))
+                audit.fail("equivariance", (_cycle(group, h), labels[x]))
 
     audit.count("rack_match", n * n)
     for x in range(n):
@@ -311,13 +290,13 @@ def validate_principal(realization, cocycle=None):
             for x in range(n):
                 if chi[x][ht] != chi[x][t] * chi[t_row[x]][h]:
                     audit.fail("cocycle_rule",
-                               (_cycle(tab, h), _cycle(tab, t), labels[x]))
+                               (_cycle(group, h), _cycle(group, t), labels[x]))
 
     audit.count("values_nonzero", n * order)
     for x in range(n):
         for t in range(order):
             if chi[x][t] == 0:
-                audit.fail("values_nonzero", (labels[x], _cycle(tab, t)))
+                audit.fail("values_nonzero", (labels[x], _cycle(group, t)))
 
     if cocycle is not None:
         audit.count("q_match", n * n)
@@ -333,9 +312,9 @@ def dual_braiding_check(realization):
     """Compare both braidings derived from the group data with the
     table-built ones.
 
-    Each side's coaction v_x -> sum_d e[x,d] (x) v_d and action mu give
-    c(v_x (x) v_y) = sum_{b,d} mu(y, b, e[x,d]) v_b (x) v_d, which must be
-    the V braiding over kG and the W braiding over functions on G.
+    Each side's coaction and action give a braiding
+    (:func:`_side_braiding`), which must be the V braiding over kG and the
+    W braiding over functions on G.
     """
     r = realization
     rack = r.rack
@@ -346,17 +325,10 @@ def dual_braiding_check(realization):
     for side in (_pointed_side(r), _copointed_side(r)):
         pairs = make_braiding(rack, q, side.flavor).pair_map
         audit.count(side.flavor, n * n)
-        for x in range(n):
-            row = [(d, side.e[(x, d)]) for d in range(n) if side.e[(x, d)]]
-            for y in range(n):
-                derived = {}
-                for d, exd in row:
-                    for b in range(n):
-                        if c := side.mu(y, b, exd):
-                            derived[(b, d)] = c
-                target, coeff = pairs[x, y]
-                if derived != {target: coeff}:
-                    audit.fail(side.flavor, (rack.labels[x], rack.labels[y]))
+        for (x, y), derived in _side_braiding(side, n).items():
+            target, coeff = pairs[x, y]
+            if derived != {target: coeff}:
+                audit.fail(side.flavor, (rack.labels[x], rack.labels[y]))
 
     return audit.report()
 
@@ -413,14 +385,14 @@ def _pointed_side(r):
     """kG: the V braiding, letter x of degree g_x, e[x,y] = [x == y] g_x,
     convolution, unit e and the sum of the coefficients as counit."""
     n = r.rack.n
-    tab = _group_table(r.group)
-    e = {(x, y): {tab.index[r.gmap[x]]: 1} if x == y else {}
+    group = r.group
+    e = {(x, y): {group.index[r.gmap[x]]: 1} if x == y else {}
          for x in range(n) for y in range(n)}
 
     def mu(x, y, elt):
         return sum(c * r._chi[x][t] for t, c in elt.items() if r._act[t][x] == y)
 
-    return _Side("V", partial(_conv_mul, tab.mul), {tab.index[r.group.identity]: 1},
+    return _Side("V", partial(_conv_mul, group.mul), {group.index[group.identity]: 1},
                  lambda f: sum(f.values()), r.gmap, e, mu)
 
 
@@ -430,10 +402,10 @@ def _copointed_side(r):
     unit the constant 1 and the value at e as counit; f acts on w_z by its
     value at deg[z]."""
     n = r.rack.n
-    tab = _group_table(r.group)
-    chi, act, inv = r._chi, r._act, tab.inv
-    identity = tab.index[r.group.identity]
-    pts = [inv[tab.index[p]] for p in r.gmap]
+    group = r.group
+    chi, act, inv = r._chi, r._act, group.inv
+    identity = group.index[group.identity]
+    pts = [inv[group.index[p]] for p in r.gmap]
     e = {(x, y): {} for x in range(n) for y in range(n)}
     for t, ti in enumerate(inv):
         for x in range(n):
@@ -445,7 +417,7 @@ def _copointed_side(r):
 
     return _Side("W", _pointwise_mul, dict.fromkeys(range(len(inv)), 1),
                  lambda f: f.get(identity, 0),
-                 tuple(tab.elements[p] for p in pts), e, mu)
+                 tuple(group.elements[p] for p in pts), e, mu)
 
 
 def group_side(realization, side):
@@ -480,6 +452,21 @@ def _products(side, n):
     return prods
 
 
+def _side_braiding(side, n):
+    """The braiding one side's coaction v_x -> sum_d e[x,d] (x) v_d and
+    action mu give, c(v_x (x) v_y) = sum_{b,d} mu(y, b, e[x,d]) v_b (x) v_d:
+    per (x, y), in that order, its nonzero coefficients keyed (b, d).  mu is
+    linear in its last argument, so a zero e[x,d] adds nothing."""
+    e, mu = side.e, side.mu
+    braiding = {}
+    for x in range(n):
+        row = [(d, e[(x, d)]) for d in range(n) if e[(x, d)]]
+        for y in range(n):
+            braiding[x, y] = {(b, d): c for d, exd in row for b in range(n)
+                              if (c := mu(y, b, exd))}
+    return braiding
+
+
 def comatrix_action_audit(realization, side, cocycle=None):
     """Exhaustive audit of the comatrix coefficients on one side.
 
@@ -503,20 +490,20 @@ def comatrix_action_audit(realization, side, cocycle=None):
         cocycle = r.induced_cocycle()
     pairs = make_braiding(rack, cocycle, h.flavor).pair_map
     q = cocycle.q
-    tab = _group_table(r.group)
+    group = r.group
     chi, act = r._chi, r._act
-    order = len(tab.elements)
-    gmul = tab.mul
-    gx = [tab.index[p] for p in r.gmap]
+    order = len(group)
+    gmul = group.mul
+    gx = [group.index[p] for p in r.gmap]
     e, mul, mu = h.e, h.mul, h.mu
+    derived = _side_braiding(h, n)
     audit = _Audit("action_eval", "exchange", "yd_compat", "coproduct",
                    "counit", "antipode")
 
-    # mu is linear in its last argument, so a zero e[c,d] acts by zero
+    # mu(a, b, e[c,d]) is the coefficient of (b, d) in the derived c(c, a)
     audit.count("action_eval", n ** 4)
     for a, b, c, d in itertools.product(range(n), repeat=4):
-        ecd = e[(c, d)]
-        if (mu(a, b, ecd) if ecd else 0) != _action_value(pairs, a, b, c, d):
+        if derived[c, a].get((b, d), 0) != _action_value(pairs, a, b, c, d):
             audit.fail("action_eval", (a, b, c, d))
 
     # with c(s, x) = qa (a, b) and c(t, y) = qb (c, d), the coaction
@@ -547,7 +534,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
                     if (act[g][x] == z and chi[x][g]
                             and gmul[gx[z]][g] != gmul[g][gx[x]]):
                         audit.fail("yd_compat",
-                                   (labels[x], labels[z], _cycle(tab, g)))
+                                   (labels[x], labels[z], _cycle(group, g)))
         # Delta(g) = g (x) g, compared as one element of kG (x) kG per (x, y)
         audit.count("coproduct", n * n)
         for x in range(n):
@@ -576,7 +563,7 @@ def comatrix_action_audit(realization, side, cocycle=None):
                     lk, rk = left[g], gmul[g][gz]
                     if lk != rk and (exz[lk] or exz[rk]):
                         audit.fail("yd_compat",
-                                   (labels[x], labels[z], _cycle(tab, g)))
+                                   (labels[x], labels[z], _cycle(group, g)))
         # one check per value (a, b) of the coproduct; e[x,u] is supported
         # where a^{-1} . x == u, so the sum over u has the one term there,
         # and all b of one a are compared as one row
@@ -585,15 +572,15 @@ def comatrix_action_audit(realization, side, cocycle=None):
             for y in range(n):
                 exy = val[x, y]
                 for a in range(order):
-                    u = act[tab.inv[a]][x]
+                    u = act[group.inv[a]][x]
                     exa = val[x, u][a]
                     lhs = [exy[ab] for ab in gmul[a]]
                     rhs = [exa * v for v in val[u, y]]
                     if lhs != rhs:
                         for b in range(order):
                             if lhs[b] != rhs[b]:
-                                audit.fail("coproduct", (x, y, _cycle(tab, a),
-                                                         _cycle(tab, b)))
+                                audit.fail("coproduct", (x, y, _cycle(group, a),
+                                                         _cycle(group, b)))
 
     audit.count("counit", n * n)
     for x in range(n):
@@ -602,22 +589,23 @@ def comatrix_action_audit(realization, side, cocycle=None):
                 audit.fail("counit", (x, y))
 
     audit.count("antipode", n * n if pointed else n * n * (n + 2))
-    s_e = {k: _antipode(tab.inv, f) for k, f in e.items()}
+    s_e = {k: _antipode(group.inv, f) for k, f in e.items()}
     for x in range(n):
         for y in range(n):
             if not pointed:
                 # functions on G also check powers 0 and 1, evaluation at
                 # g_z^{-1} and at g_z, and S^2 = id on every coefficient, so
                 # their axiom witnesses carry a tag; on kG S(g) = g^{-1} and
-                # S^2 = id, and the axiom decides every power
-                exy = e[(x, y)]
+                # S^2 = id, and the axiom decides every power.  Power 0,
+                # mu(z, z, e[x,y]), is the (z, y) entry of the derived c(x, z)
                 s_exy = s_e[x, y]
                 for z in range(n):
                     want0 = q[z][x] if rack.act(z, x) == y else 0
                     want1 = Fraction(1) / q[z][y] if rack.act(z, y) == x else 0
-                    if mu(z, z, exy) != want0 or mu(z, z, s_exy) != want1:
+                    if (derived[x, z].get((z, y), 0) != want0
+                            or mu(z, z, s_exy) != want1):
                         audit.fail("antipode", (x, y, z))
-                if _antipode(tab.inv, s_exy) != exy:
+                if _antipode(group.inv, s_exy) != e[(x, y)]:
                     audit.fail("antipode", ("square", x, y))
             left = {}
             right = {}
@@ -657,8 +645,8 @@ def theta_characters(realization):
     n = rack.n
     labels = rack.labels
     side = _copointed_side(r)
-    tab = _group_table(r.group)
-    e, p = side.e, [tab.index[a] for a in side.deg]  # p[z]: index of p_z
+    group = r.group
+    p = [group.index[a] for a in side.deg]  # p[z]: index of p_z
     pairs = make_braiding(rack, r.induced_cocycle(), side.flavor).pair_map
     # vals[z] is theta_z as the n x n matrix of its values on e[x,y]
     vals = [
@@ -668,9 +656,11 @@ def theta_characters(realization):
     audit = _Audit("identified", "algebra_map", "exchange_convolution",
                    "exchange_comatrix")
 
+    # mu(z, z, e[x,y]) is the (z, y) entry of the derived c(x, z)
+    derived = _side_braiding(side, n)
     audit.count("identified", n)
     for z in range(n):
-        if any(side.mu(z, z, e[(x, y)]) != vals[z][x][y]
+        if any(derived[x, z].get((z, y), 0) != vals[z][x][y]
                for x, y in itertools.product(range(n), repeat=2)):
             audit.fail("identified", labels[z])
 
@@ -695,7 +685,7 @@ def theta_characters(realization):
     for z in range(n):
         for t in range(n):
             tz = rack.act(t, z)
-            if tab.mul[p[z]][p[t]] != tab.mul[p[t]][p[tz]]:
+            if group.mul[p[z]][p[t]] != group.mul[p[t]][p[tz]]:
                 audit.fail("exchange_convolution", (labels[z], labels[t]))
             if theta2[z][t] != theta2[t][tz]:
                 audit.fail("exchange_comatrix", (labels[z], labels[t]))
@@ -815,7 +805,7 @@ def algebra_from_quotient(quotient):
         row = []
         for v in words:
             prod = quotient.mul_words(u, v)
-            row.append({index[w]: c for w, c in prod.items() if c != 0})
+            row.append({index[w]: scalar(c) for w, c in prod.items() if c != 0})
         table.append(row)
     labels = tuple("*".join(map(str, w)) if w else "1" for w in words)
     return FiniteDimAlgebra(dim, table, {index[b""]: 1}, labels=labels)
@@ -826,7 +816,8 @@ def quotient_group_action(realization, quotient):
 
     Acts letterwise on normal words and reduces back to normal form.
     Returns a dict group element -> list of sparse images, one per basis
-    word.  Whether this respects the multiplication is a separate audit.
+    word, each coefficient an exact scalar.  Whether this respects the
+    multiplication is a separate audit.
     """
     r = realization
     index = quotient.index
@@ -837,7 +828,7 @@ def quotient_group_action(realization, quotient):
         for w in quotient.words:
             coeff = math.prod(chi_g[a] for a in w)
             reduced = quotient.nf_terms({bytes(act_g[a] for a in w): coeff})
-            images.append({index[u]: c for u, c in reduced.items() if c != 0})
+            images.append({index[u]: scalar(c) for u, c in reduced.items() if c != 0})
         act[g] = images
     return act
 
@@ -850,18 +841,13 @@ def _combine(coeffs, rows):
     return _strip(out)
 
 
-def _images(action, g):
-    """The images g . a_j of the basis, with scalar coefficients."""
-    return [{m: scalar(c) for m, c in img.items() if c} for img in action[g]]
-
-
 def _module_algebra_pass(algebra, group, action, audit):
     """The module-algebra audit, run into ``audit``; yields per element g,
     in the group's order, the products right[j][m] = a_m (g . a_j) formed."""
     d, table, unit = algebra.dim, algebra.table, algebra.unit
     audit.count("module_algebra", len(group) * (1 + d * d))
     for g in group.elements:
-        images = _images(action, g)
+        images = action[g]
         if _combine(unit, images) != unit:
             audit.fail("module_algebra", ("unit", perm.cycle_notation(g)))
         # (g . a_i)(g . a_j) = sum_m gi[m] right[j][m]
@@ -881,12 +867,12 @@ def module_algebra_audit_group(algebra, group, action):
     return audit.laws["module_algebra"]
 
 
-def _smash_labels(algebra, tab, label):
+def _smash_labels(algebra, group, label):
     """The labels of the basis a_i (x) g, indexed i * |G| + index(g), as
     ``label`` % (label of a_i, cycle notation of g); None without labels."""
     if algebra.labels:
         return tuple(label % (a, perm.cycle_notation(g))
-                     for a in algebra.labels for g in tab.elements)
+                     for a in algebra.labels for g in group.elements)
 
 
 def smash_with_group(algebra, group, action):
@@ -896,13 +882,12 @@ def smash_with_group(algebra, group, action):
     (a (x) g)(b (x) h) = a (g.b) (x) gh.  Raises NotModuleAlgebra with the
     first witness when the action does not respect the multiplication.
     """
-    tab = _group_table(group)
-    order = len(tab.elements)
+    order = len(group)
     table = [None] * (algebra.dim * order)
     audit = _Audit("module_algebra")
     law = audit.laws["module_algebra"]
     passes = _module_algebra_pass(algebra, group, action, audit)
-    for g, (g_row, right) in enumerate(zip(tab.mul, passes)):
+    for g, (g_row, right) in enumerate(zip(group.mul, passes)):
         if not law["ok"]:
             raise NotModuleAlgebra(law["witnesses"][0])
         for i in range(algebra.dim):
@@ -912,10 +897,10 @@ def smash_with_group(algebra, group, action):
                 row += [{m * order + gh: c for m, c in r_j[i].items()}
                         for gh in g_row]
             table[i * order + g] = row
-    e = tab.index[group.identity]
+    e = group.index[group.identity]
     unit = {i * order + e: c for i, c in algebra.unit.items()}
     return FiniteDimAlgebra(len(table), table, unit,
-                            labels=_smash_labels(algebra, tab, "%s#%s"))
+                            labels=_smash_labels(algebra, group, "%s#%s"))
 
 
 def quotient_grading(realization, quotient):
@@ -923,12 +908,12 @@ def quotient_grading(realization, quotient):
     :func:`word_degree` over the copointed record: the words are prefix-closed
     and listed shortest first, so each is one table step from its prefix."""
     r = realization
-    tab = _group_table(r.group)
-    inv_gx = [tab.inv[tab.index[p]] for p in r.gmap]
-    deg = {b"": tab.index[r.group.identity]}
+    group = r.group
+    inv_gx = [group.inv[group.index[p]] for p in r.gmap]
+    deg = {b"": group.index[group.identity]}
     for w in quotient.words[1:]:
-        deg[w] = tab.mul[deg[w[:-1]]][inv_gx[w[-1]]]
-    return tuple(tab.elements[deg[w]] for w in quotient.words)
+        deg[w] = group.mul[deg[w[:-1]]][inv_gx[w[-1]]]
+    return tuple(group.elements[deg[w]] for w in quotient.words)
 
 
 def module_algebra_audit_grading(algebra, group, degrees):
@@ -938,15 +923,14 @@ def module_algebra_audit_grading(algebra, group, degrees):
     homogeneous, of the product degree, and the unit must sit in the
     identity component.
     """
-    tab = _group_table(group)
-    deg = [tab.index[p] for p in degrees]
+    deg = [group.index[p] for p in degrees]
     audit = _Audit("grading")
     audit.count("grading", len(algebra.unit) + algebra.dim ** 2)
     for i in algebra.unit:
         if degrees[i] != group.identity:
             audit.fail("grading", ("unit", algebra.label(i)))
     for i, row in enumerate(algebra.table):
-        deg_row = tab.mul[deg[i]]
+        deg_row = group.mul[deg[i]]
         for j, cell in enumerate(row):
             want = deg_row[deg[j]]
             for m in cell:
@@ -969,9 +953,8 @@ def smash_with_dual(algebra, group, degrees):
     audit = module_algebra_audit_grading(algebra, group, degrees)
     if not audit["ok"]:
         raise NotModuleAlgebra(audit["witnesses"][0])
-    tab = _group_table(group)
-    order = len(tab.elements)
-    deg_rows = [tab.mul[tab.index[p]] for p in degrees]
+    order = len(group)
+    deg_rows = [group.mul[group.index[p]] for p in degrees]
     table = []
     for a_i in algebra.table:
         for g in range(order):
@@ -982,4 +965,4 @@ def smash_with_dual(algebra, group, degrees):
             table.append(row)
     unit = {i * order + g: c for i, c in algebra.unit.items() for g in range(order)}
     return FiniteDimAlgebra(len(table), table, unit,
-                            labels=_smash_labels(algebra, tab, "%s#d(%s)"))
+                            labels=_smash_labels(algebra, group, "%s#d(%s)"))

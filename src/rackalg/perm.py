@@ -5,9 +5,12 @@ A permutation of degree n is a tuple p of length n with p[i] = image of i
 all the group machinery here needs.  Products and inverses are
 :func:`compose` and :func:`inverse`.  A :class:`Group` trusts its
 elements, as a rack trusts its table: every group here is S_n, built by
-``catalog.symmetric_permgroup``, so it is closed by construction.
+``catalog.symmetric_permgroup``, so it is closed by construction.  A
+group also carries its product and inverse tables by element index, each
+built on first read and kept.
 """
 
+from functools import cached_property
 from itertools import permutations as _all_perms
 
 
@@ -93,14 +96,25 @@ class Group:
     Elements are image tuples, sorted lexicographically, so indexing,
     iteration and serialization are deterministic.  The elements are
     trusted to form a group of the given degree; nothing is checked here.
+    The tables name an element by its index: ``mul[i][j]`` is the index of
+    elements[i] * elements[j] and ``inv[i]`` that of elements[i]^{-1}.
+    Each is built on first read and kept, so a group whose products are
+    never read (S5 in the Groebner runs) never pays for them.
     """
-
-    __slots__ = ("degree", "elements", "index")
 
     def __init__(self, degree, elements):
         self.degree = degree
         self.elements = tuple(sorted(set(elements)))
         self.index = {p: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def mul(self):
+        return tuple(tuple(self.index[compose(s, t)] for t in self.elements)
+                     for s in self.elements)
+
+    @cached_property
+    def inv(self):
+        return tuple(self.index[inverse(s)] for s in self.elements)
 
     @property
     def identity(self):

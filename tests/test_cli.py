@@ -141,6 +141,26 @@ def test_budget_exit(capsys):
     assert not payload(out)["ok"]
 
 
+def test_hilbert_max_deg_sets_the_series_length_only(capsys):
+    def hilbert(*argv):
+        code, out, _ = run(capsys, "nichols", "hilbert", *argv)
+        assert code == 0
+        return payload(out)["report"]
+
+    o24 = ("--rack", "o24", "--cocycle", "chi")
+    default = hilbert(*o24)
+    assert len(default["series"]) == 9
+    assert hilbert(*o24, "--max-deg", "8") == default
+    assert default["dim"] == 576
+    longer = hilbert(*o24, "--max-deg", "20")
+    assert len(longer["series"]) == 21
+    assert longer["series"][:9] == default["series"]
+    assert longer["dim"] == 576
+    short = hilbert("--rack", "o23", "--cocycle", "const:-1", "--max-deg", "2")
+    assert short["series"] == [1, 3, 4]
+    assert short["dim"] == 12
+
+
 def test_deform_verify(capsys):
     code, out, _ = run(capsys, "deform", "verify", "--family", "Echi",
                        "--n", "3", "--samples", "2", "--seed", "7")

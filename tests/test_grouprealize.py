@@ -20,7 +20,6 @@ from rackalg.grouprealize import (
     NotModuleAlgebra,
     PrincipalRealization,
     RealizationError,
-    _group_table,
     algebra_from_quotient,
     builtin_realization,
     comatrix_action_audit,
@@ -338,7 +337,7 @@ def test_index_tables_match_the_permutation_keyed_formulas():
             for t in group:
                 assert real.chi(x, t) == rows[x][t], (data, x, t)
                 assert real.act(t, x) == act[t][x], (data, x, t)
-        elements = _group_table(group).elements
+        elements = group.elements
         pointed = group_side(real, "pointed")
         copointed = group_side(real, "copointed")
         assert {elements[i]: c for i, c in pointed.unit.items()} == {group.identity: 1}
@@ -358,24 +357,27 @@ def test_index_tables_match_the_permutation_keyed_formulas():
 def test_group_table_matches_perm():
     for n in (3, 4):
         group = symmetric_permgroup(n)
-        table = _group_table(group)
-        assert table.elements == group.elements
-        for i, s in enumerate(table.elements):
-            assert table.elements[table.inv[i]] == perm.inverse(s)
-            for j, t in enumerate(table.elements):
-                assert table.elements[table.mul[i][j]] == perm.compose(s, t)
+        elements = group.elements
+        for i, s in enumerate(elements):
+            assert elements[group.inv[i]] == perm.inverse(s)
+            for j, t in enumerate(elements):
+                assert elements[group.mul[i][j]] == perm.compose(s, t)
 
 
 def test_import_builds_no_group_table():
-    # a table is built on a group's first audit, never at import
+    # a table is built on a group's first audit, never at import nor when
+    # a rack is built from the group
     src = os.path.dirname(os.path.dirname(os.path.abspath(rackalg.__file__)))
-    code = ("import rackalg.grouprealize as g; "
-            "print(g._group_table.cache_info().currsize)")
+    code = ("import rackalg.grouprealize; "
+            "from rackalg.catalog import symmetric_permgroup, transposition_rack; "
+            "transposition_rack(5); "
+            "print([k for n in (3, 4, 5) for k in ('mul', 'inv') "
+            "if k in vars(symmetric_permgroup(n))])")
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "0\n"
+    assert out.stdout == "[]\n"
 
 
 def test_letter_degrees_on_four_cycles():
@@ -585,6 +587,22 @@ def test_smash_tables_match_per_cell_reference():
     assert all(type(c) is int or c.denominator != 1 for c in cells)
 
 
+def test_fraction_action_gives_the_same_audit_and_smash_table():
+    # the action is built in exact scalars, and the module-algebra pass
+    # reads the images it is given as they are
+    real, alg_v, action, _, _ = _o23_smash_inputs()
+    assert all(type(c) is int
+               for images in action.values() for img in images for c in img.values())
+    as_fractions = {g: [{m: F(c) for m, c in img.items()} for img in images]
+                    for g, images in action.items()}
+    assert (module_algebra_audit_group(alg_v, real.group, as_fractions)
+            == module_algebra_audit_group(alg_v, real.group, action))
+    smash = smash_with_group(alg_v, real.group, as_fractions)
+    assert smash.table == smash_with_group(alg_v, real.group, action).table
+    assert all(type(c) is int
+               for row in smash.table for cell in row for c in cell.values())
+
+
 def test_smash_products_read_the_group_table(monkeypatch):
     real, alg_v, action, alg_w, degrees = _o23_smash_inputs()
     quo_v = fk3_quotient("V")
@@ -592,7 +610,7 @@ def test_smash_products_read_the_group_table(monkeypatch):
     # construction conjugates along gmap; both happen before the patch
     reals = [builtin_realization(*spec) for spec in SPECS] + [_twisted(TWIST)]
     for r in reals:
-        _group_table(r.group)
+        r.group.mul, r.group.inv
 
     def refuse(*args):
         raise AssertionError("group product outside the indexed table")
