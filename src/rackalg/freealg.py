@@ -18,10 +18,17 @@ as Fractions, once.
 The completion is Buchberger-style for two-sided ideals: the obstruction
 queue holds proper overlaps of leading words (lowest common degree first),
 and once the queue is done every tail is reduced in a single pass, so a
-completed run yields the unique reduced Groebner basis for the order.
+completed run yields the unique reduced Groebner basis for the order.  A
+new lead's overlaps are looked up in two maps, from each proper prefix and
+each proper suffix of a lead to the leads that have it; the post-hoc
+confluence audit finds them by scanning every pair of leads instead.
+Reduction rewrites with one record per basis element, built once: its
+lead coefficient and its tail terms.  It keeps the words it has still to
+read in one heap per length and drains the longest length first.
 One Aho-Corasick automaton over the leads (Aho & Corasick 1975) serves
 reduction, which walks a word to its first lead, and counting and listing
-the normal words, which are the walks that meet no lead.
+the normal words, which are the walks that meet no lead; the quotient is
+infinite exactly when those walks can loop.
 """
 
 import heapq
@@ -52,11 +59,6 @@ _NEG = bytes(255 - i for i in range(256))
 
 def deglex_key(word):
     return (len(word), word)
-
-
-def _negkey(word):
-    """Key under which a min-heap pops the deglex-LARGEST word first."""
-    return (-len(word), word.translate(_NEG))
 
 
 def _lead_word(terms):
@@ -208,69 +210,82 @@ def _primitive(terms, lead):
     return {w: c // g for w, c in terms.items()}
 
 
-def _reduce_terms(terms, basis, trans):
+def _record(lead, terms):
+    """(a, tail) for the basis element ``terms`` with lead ``lead``: the
+    lead coefficient a and the tail items (u, d, len(u) - len(lead)), the
+    form the reduction rewrites with."""
+    m = len(lead)
+    return terms[lead], tuple(
+        (u, d, len(u) - m) for u, d in terms.items() if u != lead)
+
+
+def _reduce_terms(terms, records, trans):
     """Fraction-free normal form of an integer term dict against a basis,
-    a dict from lead to primitive integer terms, whose lead automaton is
-    ``trans``.
+    given as a dict from lead to record (see ``_record``), whose lead
+    automaton is ``trans``.
 
     Returns (out, scale): out is the normal form of scale * terms, with
     integer coefficients.  Pops the deglex-largest live word and rewrites
     the lead occurrence that ends first, which is also the leftmost, since
     no lead contains another; every replacement word is strictly smaller,
-    so each word is handled once and irreducible words are final.  When
-    the reducer's lead coefficient a does not divide the coefficient c
-    being cancelled, the whole word being reduced is multiplied by
-    a // gcd(a, c) first.  The empty lead of a trivial quotient reduces
-    every word to zero.
+    so each word is handled once and irreducible words are final.  The
+    words wait in one min-heap per length, keyed by their letters negated,
+    and the longest length is drained first: a replacement word is never
+    longer than the word it replaces.  When the reducer's lead coefficient
+    a does not divide the coefficient c being cancelled, the whole word
+    being reduced is multiplied by a // gcd(a, c) first.  The empty lead of
+    a trivial quotient reduces every word to zero.
     """
-    if b"" in basis:
+    if b"" in records:
         return {}, 1
     work = dict(terms)
     out = {}
     scale = 1
-    heap = [(_negkey(w), w) for w in work]
-    heapq.heapify(heap)
+    heaps = [[] for _ in range(max(map(len, work), default=0) + 1)]
+    for w in work:
+        heaps[len(w)].append(w.translate(_NEG))
+    for heap in heaps:
+        heapq.heapify(heap)
+    pop = heapq.heappop
     push = heapq.heappush
-    while heap:
-        _, w = heapq.heappop(heap)
-        c = work.pop(w, 0)
-        if not c:
-            continue
-        state = 0
-        for end, letter in enumerate(w, 1):
-            state = trans[state][letter]
-            if state < 0:
-                break
-        else:
-            out[w] = c
-            continue
-        k = end + state  # a lead of length m ends at -m
-        lead = w[k:end]
-        left = w[:k]
-        right = w[end:]
-        poly = basis[lead]
-        a = poly[lead]
-        if a != 1:
-            g = gcd(a, c)
-            m = a // g
-            if m != 1:
-                scale *= m
-                for u in work:
-                    work[u] *= m
-                for u in out:
-                    out[u] *= m
-            c //= g
-        for u, d in poly.items():
-            if u == lead:
+    for n in range(len(heaps) - 1, -1, -1):
+        heap = heaps[n]
+        while heap:
+            w = pop(heap).translate(_NEG)
+            c = work.pop(w, 0)
+            if not c:
                 continue
-            nw = left + u + right
-            acc = work.get(nw, 0) - c * d
-            if acc == 0:
-                work.pop(nw, None)
+            state = 0
+            for end, letter in enumerate(w, 1):
+                state = trans[state][letter]
+                if state < 0:
+                    break
             else:
-                if nw not in work:
-                    push(heap, (_negkey(nw), nw))
-                work[nw] = acc
+                out[w] = c
+                continue
+            k = end + state  # a lead of length m ends at -m
+            left = w[:k]
+            right = w[end:]
+            a, tail = records[w[k:end]]
+            if a != 1:
+                g = gcd(a, c)
+                m = a // g
+                if m != 1:
+                    scale *= m
+                    for u in work:
+                        work[u] *= m
+                    for u in out:
+                        out[u] *= m
+                c //= g
+            for u, d, dlen in tail:
+                nw = left + u + right
+                acc = work.get(nw, 0) - c * d
+                if acc == 0:
+                    work.pop(nw, None)
+                else:
+                    if nw not in work:
+                        push(heaps[n + dlen], nw.translate(_NEG))
+                    work[nw] = acc
     return out, scale
 
 
@@ -284,7 +299,7 @@ def _reduce_fractions(terms, gb):
     GroebnerBasis: cleared of denominators once, reduced, and divided by
     den * scale once."""
     ints, den = _integral(terms)
-    out, scale = _reduce_terms(ints, gb._items, gb._trans)
+    out, scale = _reduce_terms(ints, gb._records, gb._trans)
     return _fractions(out, den * scale)
 
 
@@ -292,12 +307,14 @@ class GroebnerBasis:
     """Monic interreduced basis plus completion status.
 
     Built from ``items``, which map each lead to its element as primitive
-    integer terms, the form the engine reduces with.  ``_items`` keeps
+    integer terms, the form the engine completes with.  ``_items`` keeps
     them in deglex order of the leads, ``elements`` are the same elements
-    made monic, as FreePolys, and ``_trans`` is the lead automaton.
+    made monic, as FreePolys, ``_records`` their reduction records (see
+    ``_record``) and ``_trans`` is the lead automaton.
     """
 
-    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_trans")
+    __slots__ = ("ngens", "elements", "truncated_at", "_items", "_records",
+                 "_trans")
 
     def __init__(self, ngens, items, truncated_at=None):
         self.ngens = ngens
@@ -306,6 +323,7 @@ class GroebnerBasis:
         self.elements = [
             FreePoly(ngens, _fractions(tm, tm[ld])) for ld, tm in self._items.items()
         ]
+        self._records = {ld: _record(ld, tm) for ld, tm in self._items.items()}
         self._trans = _lead_automaton(self._items, ngens)
 
     @property
@@ -339,26 +357,20 @@ def _proper_overlaps(u, v):
     return out
 
 
-def _s_element(u, fu, v, fv, k):
+def _s_element(u, ru, v, rv, k):
     """b * fu * v[k:] - a * u[:-k] * fv for leads u, v overlapping in k
-    letters, where a and b are the lead coefficients of fu and fv, each
-    divided by their gcd."""
-    a = fu[u]
-    b = fv[v]
+    letters, from their records ru and rv, where a and b are the lead
+    coefficients of fu and fv, each divided by their gcd.  The two lead
+    words are the same word and cancel, so only the tails are formed."""
+    a, tail_u = ru
+    b, tail_v = rv
     g = gcd(a, b)
     a //= g
     b //= g
     right = v[k:]
     left = u[:-k]
-    s = {}
-    for word, c in fu.items():
-        nw = word + right
-        acc = s.get(nw, 0) + b * c
-        if acc == 0:
-            s.pop(nw, None)
-        else:
-            s[nw] = acc
-    for word, c in fv.items():
+    s = {word + right: b * c for word, c, _ in tail_u}
+    for word, c, _ in tail_v:
         nw = left + word
         acc = s.get(nw, 0) - a * c
         if acc == 0:
@@ -366,6 +378,41 @@ def _s_element(u, fu, v, fv, k):
         else:
             s[nw] = acc
     return s
+
+
+class _Overlaps:
+    """The leads by their proper prefixes and by their proper suffixes, so
+    that the overlaps of a new lead are looked up, not searched for among
+    every lead: v starts with the suffix u[-k:] of u exactly when u and v
+    overlap in k letters."""
+
+    __slots__ = ("by_prefix", "by_suffix")
+
+    def __init__(self):
+        self.by_prefix = defaultdict(set)  # proper prefix -> leads
+        self.by_suffix = defaultdict(set)  # proper suffix -> leads
+
+    def add(self, lead):
+        for k in range(1, len(lead)):
+            self.by_prefix[lead[:k]].add(lead)
+            self.by_suffix[lead[-k:]].add(lead)
+
+    def remove(self, lead):
+        for k in range(1, len(lead)):
+            self.by_prefix[lead[:k]].remove(lead)
+            self.by_suffix[lead[-k:]].remove(lead)
+
+    def of(self, u):
+        """The overlaps of the added lead u with every added lead, u
+        itself included: each (x, y, k), with u as x or as y, where a
+        proper suffix of x of length k is a proper prefix of y.  These
+        are the pairs that ``_proper_overlaps`` finds, each once."""
+        for k in range(1, len(u)):
+            for v in self.by_prefix.get(u[-k:], ()):
+                yield u, v, k
+            for v in self.by_suffix.get(u[:k], ()):
+                if v != u:
+                    yield v, u, k
 
 
 def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
@@ -394,25 +441,16 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     if not gens:
         return GroebnerBasis(ngens, {})
 
-    # lead -> primitive integer terms.  An element whose lead contains a
-    # new lead is retired, so no lead divides another, and a retired lead
+    # lead -> record (see _record).  An element whose lead contains a new
+    # lead is retired, so no lead divides another, and a retired lead
     # stays reducible, so it never comes back: a queued pair is live
     # exactly when both of its leads are still keys.
     basis = {}
+    overlaps = _Overlaps()  # of the leads of basis
     trans = _lead_automaton(basis, ngens)  # rebuilt only by insert
     pair_heap = []  # (common len, common word, u, v, k)
     pending = [_integral(g.terms)[0] for g in gens]
     truncated_at = None
-
-    def add_pairs(u):
-        for v in list(basis):
-            for k in _proper_overlaps(u, v):
-                w = u + v[k:]
-                heapq.heappush(pair_heap, (len(w), w, u, v, k))
-            if v != u:
-                for k in _proper_overlaps(v, u):
-                    w = v + u[k:]
-                    heapq.heappush(pair_heap, (len(w), w, v, u, k))
 
     def insert(terms):
         nonlocal trans
@@ -420,12 +458,17 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
         terms = _primitive(terms, lead)
         # retire basis elements whose lead contains the new lead
         for ld in [ld for ld in basis if lead in ld]:
-            pending.append(basis.pop(ld))
-        basis[lead] = terms
+            a, tail = basis.pop(ld)
+            overlaps.remove(ld)
+            pending.append({ld: a, **{u: d for u, d, _ in tail}})
+        basis[lead] = _record(lead, terms)
+        overlaps.add(lead)
         trans = _lead_automaton(basis, ngens)
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
-        add_pairs(lead)
+        for u, v, k in overlaps.of(lead):
+            w = u + v[k:]
+            heapq.heappush(pair_heap, (len(w), w, u, v, k))
 
     while pending or pair_heap:
         if pending:
@@ -445,22 +488,26 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             insert(red)
 
     # the leads are final, so one pass leaves every tail in normal form;
-    # assigning to a present key keeps its place in the dict, and the
-    # lead goes first, as in the element that insert stored
-    for ld, tm in basis.items():
-        tail = {w: c for w, c in tm.items() if w != ld}
-        red, scale = _reduce_terms(tail, basis, trans)
-        basis[ld] = _primitive({ld: scale * tm[ld], **red}, ld)
-    return GroebnerBasis(ngens, basis, truncated_at)
+    # each reduced element replaces its record at once, so the tails after
+    # it are reduced with it
+    items = {}
+    for ld, (a, tail) in basis.items():
+        red, scale = _reduce_terms({u: d for u, d, _ in tail}, basis, trans)
+        items[ld] = _primitive({ld: scale * a, **red}, ld)
+        basis[ld] = _record(ld, items[ld])
+    return GroebnerBasis(ngens, items, truncated_at)
 
 
 def audit_obstructions(gb):
-    """Post-hoc confluence audit: every overlap S-element reduces to zero."""
-    items = gb._items
-    for u, fu in items.items():
-        for v, fv in items.items():
+    """Post-hoc confluence audit: every overlap S-element reduces to zero.
+    It finds the overlaps by the scan over every pair of leads on purpose,
+    not by the lookup that the completion uses, so the two stay
+    independent routes."""
+    records = gb._records
+    for u, ru in records.items():
+        for v, rv in records.items():
             for k in _proper_overlaps(u, v):
-                if _reduce_terms(_s_element(u, fu, v, fv, k), items, gb._trans)[0]:
+                if _reduce_terms(_s_element(u, ru, v, rv, k), records, gb._trans)[0]:
                     return False
     return True
 
@@ -522,16 +569,41 @@ def _word_counts(trans, up_to):
     return counts + [0] * (up_to + 1 - len(counts))
 
 
+def _has_cycle(trans):
+    """True when the walks of the automaton from state 0 that meet no lead
+    can return to a state they left: an iterative depth-first search over
+    the non-negative transitions."""
+    colour = [0] * len(trans)  # 0 unseen, 1 on the path, 2 done
+    colour[0] = 1
+    path = [(0, iter(trans[0]))]
+    while path:
+        s, nexts = path[-1]
+        for t in nexts:
+            if t < 0 or colour[t] == 2:
+                continue
+            if colour[t] == 1:
+                return True
+            colour[t] = 1
+            path.append((t, iter(trans[t])))
+            break
+        else:
+            colour[s] = 2
+            path.pop()
+    return False
+
+
 def quotient_dim(gb):
     """Dimension of the quotient algebra: int, "infinite", or "unknown"."""
     if is_trivial_quotient(gb):
         return 0
     if not gb.complete:
         return "unknown"
-    # a normal word with as many letters as there are states revisits a
-    # state: the walk can loop there, so the normal words never run out
-    counts = _word_counts(gb._trans, len(gb._trans))
-    return "infinite" if counts[-1] else sum(counts)
+    # every state is a proper prefix of a lead, so it is reached by a
+    # normal word and accepts: the normal words run out exactly when no
+    # walk can loop, and then none is as long as the automaton has states
+    if _has_cycle(gb._trans):
+        return "infinite"
+    return sum(_word_counts(gb._trans, len(gb._trans)))
 
 
 def hilbert_series(gb, up_to):

@@ -7,9 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from rackalg import freealg
 from rackalg.catalog import builtin_cocycle, builtin_rack, transposition_rack
 from rackalg.cocycle import constant_cocycle
 from rackalg.deform import (
@@ -21,7 +22,10 @@ from rackalg.deform import (
 from rackalg.exactnum import BadNumber
 from rackalg.freealg import (
     FreePoly,
+    GroebnerBasis,
     QuotientAlgebra,
+    _Overlaps,
+    _proper_overlaps,
     _word_counts,
     audit_obstructions,
     groebner,
@@ -754,3 +758,131 @@ def test_pointed_lifting_basis_is_pinned(rack_name, spec):
     assert audit_obstructions(gb)
     assert_reduced(gb)
     assert hashlib.sha256(json.dumps(basis_json(gb)).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the pair queue: overlaps looked up in the prefix and suffix maps give the
+# pairs the scan over every lead gave, in the same order
+
+
+def scan_overlaps(u, leads):
+    """The pairs of a new lead u with the leads, u among them, as the scan
+    over every lead found them."""
+    pairs = set()
+    for v in leads:
+        pairs.update((u, v, k) for k in _proper_overlaps(u, v))
+        if v != u:
+            pairs.update((v, u, k) for k in _proper_overlaps(v, u))
+    return pairs
+
+
+@st.composite
+def lead_histories(draw):
+    """Insert and retire steps over words of at most five letters on two or
+    three letters; a retire step names a live lead by its rank."""
+    ngens = draw(st.integers(min_value=2, max_value=3))
+    word = st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), max_size=5).map(bytes)
+    step = st.one_of(
+        word.map(lambda w: ("insert", w)),
+        st.integers(min_value=0, max_value=20).map(lambda i: ("retire", i)))
+    return draw(st.lists(step, min_size=1, max_size=30))
+
+
+@seed(7)
+@settings(max_examples=150, deadline=None)
+@given(lead_histories())
+def test_overlap_maps_match_the_scan(history):
+    index = _Overlaps()
+    leads = set()
+    for op, arg in history:
+        if op == "insert" and arg not in leads:
+            leads.add(arg)
+            index.add(arg)
+        elif op == "retire" and leads:
+            gone = sorted(leads)[arg % len(leads)]
+            leads.remove(gone)
+            index.remove(gone)
+        for u in leads:
+            found = list(index.of(u))
+            assert len(found) == len(set(found))
+            assert set(found) == scan_overlaps(u, leads)
+
+
+# sha256 of json.dumps([[u.hex(), v.hex(), k], ...]) over the S-elements a
+# completion forms, in order; recorded with the scan over every lead
+S_ELEMENT_LOGS = {
+    "S5-degree-7": (
+        s5_degree7_basis, 1056,
+        "83c6eeebc74a47a5ad93283035af0a680b9278194a342130e678c83e0e4e92c0"),
+    "Eminus-4-deformed": (
+        lambda: groebner(deformed_eminus4()), 133,
+        "9ce0b606d931fdc171162d6aeb160d6647e65451886a8922a7d6449af4db6719"),
+    "pointed-o24-chi": (
+        lambda: groebner(pointed_lifting_presentation("o24", "chi")), 16118,
+        "d76efe972799e1ae6031f2177bac55558ef33f4cdf14d45f4e432fc4b3e2472b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(S_ELEMENT_LOGS))
+def test_completion_forms_the_same_pairs_in_the_same_order(name, monkeypatch):
+    complete, calls, digest = S_ELEMENT_LOGS[name]
+    log = []
+    s_element = freealg._s_element
+
+    def logged(u, ru, v, rv, k):
+        log.append([u.hex(), v.hex(), k])
+        return s_element(u, ru, v, rv, k)
+
+    monkeypatch.setattr(freealg, "_s_element", logged)
+    complete()
+    assert len(log) == calls
+    assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == digest
+
+
+def test_audit_rejects_an_uncompleted_basis():
+    # the five quadratic relations of o23/const:-1 are not closed: their
+    # completion adds a sixth element, so some overlap does not reduce
+    items = {}
+    for p in fk3_ideal():
+        lead, c = p.lead()
+        items[lead] = {w: int(d / c) for w, d in p.terms.items()}
+    assert len(items) == 5 and len(groebner(fk3_ideal()).elements) == 6
+    assert not audit_obstructions(GroebnerBasis(3, items))
+
+
+# ---------------------------------------------------------------------------
+# quotient_dim decides "infinite" by a cycle of the automaton, not by
+# counting as many degrees as it has states
+
+
+def counted_dim(gb):
+    """quotient_dim of a complete, nontrivial basis by the count alone: a
+    normal word with as many letters as there are states loops."""
+    counts = _word_counts(gb._trans, len(gb._trans))
+    return "infinite" if counts[-1] else sum(counts)
+
+
+def length14_monomials(count):
+    """A basis of count distinct random words of 14 letters over 2 letters,
+    each its own element: no lead contains another."""
+    rng = random.Random(7)
+    words = set()
+    while len(words) < count:
+        words.add(bytes(rng.randrange(2) for _ in range(14)))
+    return GroebnerBasis(2, {w: {w: 1} for w in words})
+
+
+QUOTIENT_DIM_BASES = {
+    **{name: (lambda f=f: groebner(f())) for name, f in SHIPPED_IDEALS.items()},
+    "fk3": lambda: groebner(fk3_ideal()),
+    "ab-ba": lambda: groebner([FreePoly.word(2, [0, 1]) - FreePoly.word(2, [1, 0])]),
+    "monomials": lambda: length14_monomials(60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_DIM_BASES))
+def test_quotient_dim_cycle_rule_matches_the_count(name):
+    gb = QUOTIENT_DIM_BASES[name]()
+    assert quotient_dim(gb) == counted_dim(gb)
+    assert (quotient_dim(gb) == "infinite") == (name in ("ab-ba", "monomials"))
