@@ -24,14 +24,19 @@ each proper suffix of a lead to the leads that have it; the post-hoc
 confluence audit finds them by scanning every pair of leads instead.
 Reduction rewrites with one record per basis element, built once: its
 lead coefficient and its tail terms.  It keeps the words it has still to
-read in one heap per length and drains the longest length first.
+read in one list per length, sorted when its turn comes, and drains the
+longest length first.
 One Aho-Corasick automaton over the leads (Aho & Corasick 1975) serves
 reduction, which walks a word to its first lead, and counting and listing
 the normal words, which are the walks that meet no lead; the quotient is
-infinite exactly when those walks can loop.
+infinite exactly when those walks can loop.  The completion updates its
+automaton in place as leads come and go (``_LeadAutomaton``), rewriting
+only the rows whose failure chain reaches a changed state, and finds the
+leads that contain a new lead in the same failure tree.
 """
 
 import heapq
+from bisect import insort
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,9 +58,6 @@ __all__ = [
     "ideal_to_json",
     "ideal_from_json",
 ]
-
-_NEG = bytes(255 - i for i in range(256))
-
 
 def deglex_key(word):
     return (len(word), word)
@@ -229,29 +231,31 @@ def _reduce_terms(terms, records, trans):
     the lead occurrence that ends first, which is also the leftmost, since
     no lead contains another; every replacement word is strictly smaller,
     so each word is handled once and irreducible words are final.  The
-    words wait in one min-heap per length, keyed by their letters negated,
-    and the longest length is drained first: a replacement word is never
-    longer than the word it replaces.  When the reducer's lead coefficient
-    a does not divide the coefficient c being cancelled, the whole word
-    being reduced is multiplied by a // gcd(a, c) first.  The empty lead of
-    a trivial quotient reduces every word to zero.
+    words wait in one plain list per length, and the longest length is
+    drained first: a replacement word is never longer than the word it
+    replaces.  A length's list is sorted once, when the drain reaches it,
+    and then gives up its largest word with ``pop``; a replacement word of
+    the length being drained is put in its place with ``insort``, a shorter
+    one appended to its length's list.  A word whose coefficient cancels is
+    dropped from ``work``, and its entry is skipped when popped.  When the
+    reducer's lead coefficient a does not divide the coefficient c being
+    cancelled, the whole word being reduced is multiplied by a // gcd(a, c)
+    first.  The empty lead of a trivial quotient reduces every word to
+    zero.
     """
     if b"" in records:
         return {}, 1
     work = dict(terms)
     out = {}
     scale = 1
-    heaps = [[] for _ in range(max(map(len, work), default=0) + 1)]
+    lists = [[] for _ in range(max(map(len, work), default=0) + 1)]
     for w in work:
-        heaps[len(w)].append(w.translate(_NEG))
-    for heap in heaps:
-        heapq.heapify(heap)
-    pop = heapq.heappop
-    push = heapq.heappush
-    for n in range(len(heaps) - 1, -1, -1):
-        heap = heaps[n]
-        while heap:
-            w = pop(heap).translate(_NEG)
+        lists[len(w)].append(w)
+    for n in range(len(lists) - 1, -1, -1):
+        words = lists[n]
+        words.sort()
+        while words:
+            w = words.pop()
             c = work.pop(w, 0)
             if not c:
                 continue
@@ -284,7 +288,10 @@ def _reduce_terms(terms, records, trans):
                     work.pop(nw, None)
                 else:
                     if nw not in work:
-                        push(heaps[n + dlen], nw.translate(_NEG))
+                        if dlen:
+                            lists[n + dlen].append(nw)
+                        else:
+                            insort(words, nw)
                     work[nw] = acc
     return out, scale
 
@@ -420,9 +427,11 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
 
     Completion runs lowest-obstruction-first and keeps the basis
     primitive over Z; the tails are interreduced once, after the loop,
-    and the basis is made monic at the end.  Obstructions above max_deg
-    truncate the run (status records the cutoff); a basis larger than
-    max_basis raises.  A complete run, and a homogeneous run truncated at
+    and the basis is made monic at the end.  Each insert retires the
+    elements whose lead contains the new lead, read off the lead
+    automaton, and updates the automaton in place.  Obstructions above
+    max_deg truncate the run (status records the cutoff); a basis larger
+    than max_basis raises.  A complete run, and a homogeneous run truncated at
     degree d, return the unique reduced basis (through degree d); the
     basis of a truncated inhomogeneous run depends on the order in which
     the elements were found.
@@ -446,24 +455,29 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     # stays reducible, so it never comes back: a queued pair is live
     # exactly when both of its leads are still keys.
     basis = {}
+    rank = {}  # lead -> the number of leads inserted before it
     overlaps = _Overlaps()  # of the leads of basis
-    trans = _lead_automaton(basis, ngens)  # rebuilt only by insert
+    automaton = _LeadAutomaton(ngens)  # of the leads of basis
+    trans = automaton.trans  # updated in place by insert
     pair_heap = []  # (common len, common word, u, v, k)
     pending = [_integral(g.terms)[0] for g in gens]
     truncated_at = None
 
     def insert(terms):
-        nonlocal trans
         lead = _lead_word(terms)
         terms = _primitive(terms, lead)
-        # retire basis elements whose lead contains the new lead
-        for ld in [ld for ld in basis if lead in ld]:
+        # retire basis elements whose lead contains the new lead, in the
+        # order they were inserted
+        for ld in sorted(automaton.containing(lead), key=rank.__getitem__):
             a, tail = basis.pop(ld)
             overlaps.remove(ld)
+            automaton.remove(ld)
             pending.append({ld: a, **{u: d for u, d, _ in tail}})
         basis[lead] = _record(lead, terms)
+        rank[lead] = len(rank)
         overlaps.add(lead)
-        trans = _lead_automaton(basis, ngens)
+        automaton.add(lead)
+        automaton.settle()
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
         for u, v, k in overlaps.of(lead):
@@ -517,6 +531,19 @@ def is_trivial_quotient(gb):
     return b"" in gb.leads()
 
 
+def _ac_row(trans, fail, s, own, ngens):
+    """The Aho-Corasick row of state s: its failure state's row, all zeros
+    for the root, with its own edges ``own`` (letter -> next state, or -m
+    for a lead of length m) written over it.  A child that an own edge
+    reaches gets as failure state the entry that its edge writes over."""
+    row = list(trans[fail[s]]) if s else [0] * ngens
+    for a, t in own.items():
+        if t > 0:
+            fail[t] = row[a]
+        row[a] = t
+    return row
+
+
 def _lead_automaton(leads, ngens):
     """Aho-Corasick automaton of a set of leads, no one of which contains
     another, as one row of next states per state.
@@ -525,26 +552,164 @@ def _lead_automaton(leads, ngens):
     0 is the empty word.  A letter goes to the longest suffix of the
     extended word that is a state, or to -m when the extended word ends in
     a lead of length m.  So each row is its failure state's row with the
-    letters that extend the prefix or complete a lead written over it.
+    letters that extend the prefix or complete a lead written over it
+    (``_ac_row``); shortest first, each row comes after its failure row.
     """
-    edges = defaultdict(dict)  # state -> {letter: next state, or -m}
+    own = defaultdict(dict)  # state -> {letter: next state, or -m}
     for ld in leads:
         if ld:
-            edges[ld[:-1]][ld[-1]] = -len(ld)
-    states = sorted({st[:k] for st in edges for k in range(len(st) + 1)} | {b""},
+            own[ld[:-1]][ld[-1]] = -len(ld)
+    states = sorted({st[:k] for st in own for k in range(len(st) + 1)} | {b""},
                     key=deglex_key)
     for i, st in enumerate(states[1:], 1):
-        edges[st[:-1]][st[-1]] = i
+        own[st[:-1]][st[-1]] = i
     fail = [0] * len(states)
     trans = []
     for i, st in enumerate(states):
-        row = list(trans[fail[i]]) if i else [0] * ngens
-        for a, t in edges[st].items():
-            if t > 0:
-                fail[t] = row[a]
-            row[a] = t
-        trans.append(row)
+        trans.append(_ac_row(trans, fail, i, own[st], ngens))
     return trans
+
+
+class _LeadAutomaton:
+    """The lead automaton of a changing set of leads, updated in place.
+
+    ``trans`` has the rows that ``_lead_automaton`` builds for the same
+    leads, under other state numbers: a new state takes the next number,
+    and a removed state leaves an empty slot, out of reach from state 0.
+    No number is used twice, so a row that named a removed state differs
+    from its rewrite, and the change reaches the rows that inherit it.
+    Each state also keeps its word, its own edges, its failure state and
+    its failure children, the states whose failure state it is.  A change
+    of leads marks the states whose own edges changed, the new states,
+    and the failure children of a removed state, which move to its
+    failure state.  ``settle`` then rewrites the marked rows, shortest
+    state first, each with ``_ac_row``; a row that changed marks its
+    failure children, and a child whose failure state changed is marked
+    and moved.  So only the states whose failure chain reaches a changed
+    state are rewritten.  The empty lead has no state and is left out.
+    """
+
+    __slots__ = ("ngens", "trans", "fail", "kids", "own", "word", "state",
+                 "todo")
+
+    def __init__(self, ngens):
+        self.ngens = ngens
+        self.trans = [[0] * ngens]
+        self.fail = [0]
+        self.kids = [set()]  # failure children
+        self.own = [{}]  # letter -> next state, or -m for a lead of length m
+        self.word = [b""]
+        self.state = {b"": 0}  # word -> state
+        self.todo = defaultdict(set)  # length -> states to rewrite
+
+    def _new_state(self, w):
+        s = len(self.word)
+        self.trans.append(None)
+        self.fail.append(0)
+        self.kids[0].add(s)
+        self.kids.append(set())
+        self.own.append({})
+        self.word.append(w)
+        self.state[w] = s
+        self.todo[len(w)].add(s)
+        return s
+
+    def _drop_state(self, s):
+        w = self.word[s]
+        f = self.fail[s]
+        self.kids[f].discard(s)
+        for x in self.kids[s]:
+            self.fail[x] = f
+            self.kids[f].add(x)
+            self.todo[len(self.word[x])].add(x)
+        if len(w) in self.todo:
+            self.todo[len(w)].discard(s)
+        del self.state[w]
+        self.trans[s] = self.kids[s] = self.own[s] = self.word[s] = None
+
+    def add(self, lead):
+        """Add a lead that contains no lead and is contained in none."""
+        if not lead:
+            return
+        s = 0
+        for k in range(1, len(lead)):
+            t = self.own[s].get(lead[k - 1])
+            if t is None:
+                t = self.own[s][lead[k - 1]] = self._new_state(lead[:k])
+                self.todo[k - 1].add(s)
+            s = t
+        self.own[s][lead[-1]] = -len(lead)
+        self.todo[len(lead) - 1].add(s)
+
+    def remove(self, lead):
+        """Remove a lead, and the states that were prefixes of it alone."""
+        if not lead:
+            return
+        s = self.state[lead[:-1]]
+        del self.own[s][lead[-1]]
+        while s and not self.own[s]:
+            w = self.word[s]
+            parent = self.state[w[:-1]]
+            del self.own[parent][w[-1]]
+            self._drop_state(s)
+            s = parent
+        self.todo[len(self.word[s])].add(s)
+
+    def settle(self):
+        """Rewrite the marked rows and the rows that change with them."""
+        trans, fail, kids, own, word = (
+            self.trans, self.fail, self.kids, self.own, self.word)
+        todo = self.todo
+        while todo:
+            for s in todo.pop(min(todo)):
+                children = [(t, fail[t]) for t in own[s].values() if t > 0]
+                row = _ac_row(trans, fail, s, own[s], self.ngens)
+                if row != trans[s]:
+                    trans[s] = row
+                    for x in kids[s]:
+                        todo[len(word[x])].add(x)
+                for t, before in children:
+                    if fail[t] != before:
+                        kids[before].discard(t)
+                        kids[fail[t]].add(t)
+                        todo[len(word[t])].add(t)
+
+    def _leads_through(self, s, a):
+        """The leads that start with the word of state s and then letter a."""
+        out = []
+        stack = [(s, a)]
+        while stack:
+            s, a = stack.pop()
+            t = self.own[s][a]
+            if t < 0:
+                out.append(self.word[s] + bytes([a]))
+            else:
+                stack.extend((t, b) for b in self.own[t])
+        return out
+
+    def containing(self, lead):
+        """The set of leads that contain ``lead``, a word that contains no
+        lead, on a settled automaton.  With lead = q + a, they are the
+        leads through letter a after a state whose word ends with q.  The
+        failure chain of such a state passes through r, the state that
+        reading q ends in, the longest suffix of q that is a state; so
+        those states are r's failure subtree when r is q, and otherwise the
+        failure subtrees of r's failure children whose words end with q."""
+        if not lead:
+            return {ld for a in self.own[0] for ld in self._leads_through(0, a)}
+        q, a = lead[:-1], lead[-1]
+        r = 0
+        for letter in q:
+            r = self.trans[r][letter]
+        stack = [r] if self.word[r] == q else [
+            s for s in self.kids[r] if self.word[s].endswith(q)]
+        found = set()
+        while stack:
+            s = stack.pop()
+            if a in self.own[s]:
+                found.update(self._leads_through(s, a))
+            stack.extend(self.kids[s])
+        return found
 
 
 def _word_counts(trans, up_to):
@@ -665,8 +830,9 @@ def ideal_to_json(names, polys, status=None):
 
 
 def ideal_from_json(doc):
-    """(names, polys) of an ideal document; a key it does not read raises
-    ValueError, and an alphabet that is not a list of strings TypeError.
+    """(names, polys) of an ideal document; a key it does not read or a
+    letter named twice raises ValueError, and an alphabet that is not a
+    list of strings TypeError.
     ``status`` is let through, since a completed basis is written as an
     ideal document with its status."""
     refuse_unread(doc, ("alphabet", "polys", "status"))
@@ -674,6 +840,8 @@ def ideal_from_json(doc):
     if type(names) is not list or not all(type(x) is str for x in names):
         raise TypeError("alphabet must be a list of strings")
     ngens = len(names)
+    if len(set(names)) != ngens:
+        raise ValueError("a letter of the alphabet is named twice")
     if ngens > 256:
         raise ValueError("an alphabet of more than 256 letters (words are bytes)")
     polys = []

@@ -34,7 +34,8 @@ class Rack:
     """Immutable rack on {0..n-1} with optional display labels.
 
     Use validate_rack / conjugacy_rack to construct; the constructor itself
-    assumes the axioms and checks only the number of labels.
+    assumes the axioms and checks only that the labels are n distinct
+    names.
     """
 
     __slots__ = ("n", "table", "labels")
@@ -47,6 +48,8 @@ class Rack:
         if len(labels) != self.n:
             raise ValueError("need %d labels, got %d" % (self.n, len(labels)))
         self.labels = tuple(str(l) for l in labels)
+        if len(set(self.labels)) != self.n:
+            raise ValueError("a label is named twice")
 
     def act(self, x, y):
         """x |> y."""

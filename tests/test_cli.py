@@ -563,12 +563,15 @@ O44_BETA = dict.fromkeys(
     (("gb", "run"), {**IDEAL2, "alphabet": "ab"}),
     (("gb", "run"), {**IDEAL2, "alphabet": [{"x": 1}, 7]}),
     (("cocycle", "check"), {**RACK2, "q": [["1", "1"], "11"]}),
+    (("gb", "run"), {**IDEAL2, "alphabet": ["a", "a"]}),
+    (("rack", "check"), {**RACK2, "labels": ["a", "a"]}),
 ], ids=["float-q", "bool-table", "float-word", "bool-word", "huge-exponent",
         "float-alpha", "float-n", "ragged-table", "short-labels", "short-q",
         "misspelt-mu", "extra-key", "etilde-n3", "generic-n", "string-labels",
         "empty-labels", "rack-extra-key", "cocycle-extra-key",
         "ideal-extra-key", "term-extra-key", "alphabet-over-256",
-        "string-alphabet", "non-string-letters", "string-q-row"])
+        "string-alphabet", "non-string-letters", "string-q-row",
+        "repeated-letter", "repeated-label"])
 def test_inexact_json_values_are_invalid_usage(capsys, tmp_path, argv, doc):
     """An inexact value, a document of the wrong shape, or a key the
     document's reader does not read: exit 2 with one document."""

@@ -24,8 +24,12 @@ from rackalg.freealg import (
     FreePoly,
     GroebnerBasis,
     QuotientAlgebra,
+    _LeadAutomaton,
     _Overlaps,
+    _lead_automaton,
     _proper_overlaps,
+    _record,
+    _reduce_terms,
     _word_counts,
     audit_obstructions,
     groebner,
@@ -461,6 +465,66 @@ def test_normal_form_matches_fraction_reference(name, data):
     assert_fraction_coefficients([nf])
 
 
+def first_ending_rewrite(terms, elements):
+    """Normal form over Q against elements given as integer term dicts by
+    lead, no lead a subword of another and none of them monic or a
+    Groebner basis: rewrite the deglex-largest reducible word at the lead
+    occurrence that ends first until no reducible word is left."""
+    p = {w: F(c) for w, c in terms.items() if c}
+    while True:
+        reducible = [w for w in p if any(ld in w for ld in elements)]
+        if not reducible:
+            return p
+        w = max(reducible, key=lambda w: (len(w), w))
+        end, lead = min((w.find(ld) + len(ld), ld) for ld in elements if ld in w)
+        c = p.pop(w) / elements[lead][lead]
+        for u, d in elements[lead].items():
+            if u == lead:
+                continue
+            nw = w[:end - len(lead)] + u + w[end:]
+            acc = p.get(nw, 0) - c * d
+            if acc:
+                p[nw] = acc
+            else:
+                p.pop(nw, None)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A word antichain of leads over two or three letters, each with a
+    lead coefficient of 1 to 4 and a tail of deglex-smaller words of any
+    length, and a term dict to reduce: the scaled and inhomogeneous paths
+    of the reduction, which no basis the completion returns exercises."""
+    ngens = draw(st.integers(min_value=2, max_value=3))
+    word = st.lists(
+        st.integers(min_value=0, max_value=ngens - 1), max_size=4).map(bytes)
+    coeff = st.integers(min_value=-4, max_value=4).filter(bool)
+    elements = {}
+    for lead in draw(st.lists(word.filter(bool), min_size=1, max_size=5)):
+        if any(ld in lead or lead in ld for ld in elements):
+            continue
+        tail = draw(st.lists(word.filter(
+            lambda w: (len(w), w) < (len(lead), lead)), max_size=4))
+        elements[lead] = {
+            **{u: draw(coeff) for u in tail},
+            lead: draw(st.integers(min_value=1, max_value=4))}
+    terms = draw(st.dictionaries(
+        st.lists(st.integers(min_value=0, max_value=ngens - 1),
+                 max_size=6).map(bytes), coeff, min_size=1, max_size=5))
+    return ngens, elements, terms
+
+
+@seed(3)
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs())
+def test_reduction_kernel_matches_a_fraction_rewrite(case):
+    ngens, elements, terms = case
+    records = {ld: _record(ld, tm) for ld, tm in elements.items()}
+    out, scale = _reduce_terms(terms, records, _lead_automaton(elements, ngens))
+    assert {w: F(c, scale) for w, c in out.items()} == first_ending_rewrite(
+        terms, elements)
+
+
 def test_deformed_point_keeps_the_engine_invariant():
     gb = reference_basis("Eminus-4-deformed")
     assert_fraction_coefficients(gb.elements)
@@ -807,6 +871,68 @@ def test_overlap_maps_match_the_scan(history):
             found = list(index.of(u))
             assert len(found) == len(set(found))
             assert set(found) == scan_overlaps(u, leads)
+
+
+@st.composite
+def insert_histories(draw):
+    """Mostly insert steps, of words of at most six letters on two letters,
+    so that an insert often retires leads and drops states that other
+    states fail to; a retire step names a live lead by its rank."""
+    insert = st.lists(st.integers(min_value=0, max_value=1), max_size=6).map(
+        lambda w: ("insert", bytes(w)))
+    retire = st.integers(min_value=0, max_value=20).map(lambda i: ("retire", i))
+    step = st.one_of(insert, insert, insert, retire)
+    return draw(st.lists(step, min_size=5, max_size=40))
+
+
+def fresh_rows_by_word(trans, leads):
+    """The rows of ``_lead_automaton`` keyed by state word, with each next
+    state given by its word: states are the proper prefixes of the leads,
+    shortest first."""
+    states = sorted({b""} | {ld[:k] for ld in leads for k in range(len(ld))},
+                    key=lambda w: (len(w), w))
+    return {w: [states[t] if t >= 0 else t for t in row]
+            for w, row in zip(states, trans)}
+
+
+@seed(11)
+@settings(max_examples=400, deadline=None)
+@given(insert_histories())
+# inserting bb retires bbaa, which drops the state b that aba's state ab
+# fails to, and creates a new state b in the same step
+@example([("insert", b"\x01\x01\x00\x00"), ("insert", b"\x00\x01\x00"),
+          ("insert", b"\x01\x01")])
+def test_lead_automaton_updated_in_place_matches_a_fresh_build(history):
+    ngens = 2
+    automaton = _LeadAutomaton(ngens)
+    leads = set()
+    rng = random.Random(len(history))
+    for op, arg in history:
+        if op == "insert":
+            # an inserted lead contains no lead and retires the ones that
+            # contain it, as in the completion
+            if any(ld in arg for ld in leads):
+                continue
+            retired = automaton.containing(arg)
+            assert retired == {ld for ld in leads if arg in ld}
+            for ld in retired:
+                automaton.remove(ld)
+            leads -= retired
+            leads.add(arg)
+            automaton.add(arg)
+        elif leads:
+            gone = sorted(leads)[arg % len(leads)]
+            leads.remove(gone)
+            automaton.remove(gone)
+        automaton.settle()
+        fresh = _lead_automaton(leads, ngens)
+        live = {w: [automaton.word[t] if t >= 0 else t for t in automaton.trans[s]]
+                for w, s in automaton.state.items()}
+        assert live == fresh_rows_by_word(fresh, leads)
+        for _ in range(20):
+            w = bytes(rng.randrange(ngens) for _ in range(rng.randint(0, 7)))
+            assert (walk_first_lead(automaton.trans, leads, w)
+                    == walk_first_lead(fresh, leads, w))
 
 
 # sha256 of json.dumps([[u.hex(), v.hex(), k], ...]) over the S-elements a
