@@ -29,10 +29,11 @@ longest length first.
 One Aho-Corasick automaton over the leads (Aho & Corasick 1975) serves
 reduction, which walks a word to its first lead, and counting and listing
 the normal words, which are the walks that meet no lead; the quotient is
-infinite exactly when those walks can loop.  The completion updates its
-automaton in place as leads come and go (``_LeadAutomaton``), rewriting
-only the rows whose failure chain reaches a changed state, and finds the
-leads that contain a new lead in the same failure tree.
+infinite exactly when those walks can loop.  The automaton only grows
+(``_LeadAutomaton``): the completion adds each new lead in place,
+rewriting only the rows whose failure chain reaches a changed state, and
+finds the leads that contain a new lead in the same failure tree; an
+insert that retires leads builds it anew from the leads that stay.
 """
 
 import heapq
@@ -331,7 +332,7 @@ class GroebnerBasis:
             FreePoly(ngens, _fractions(tm, tm[ld])) for ld, tm in self._items.items()
         ]
         self._records = {ld: _record(ld, tm) for ld, tm in self._items.items()}
-        self._trans = _lead_automaton(self._items, ngens)
+        self._trans = _LeadAutomaton(ngens, self._items).trans
 
     @property
     def complete(self):
@@ -429,7 +430,8 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     primitive over Z; the tails are interreduced once, after the loop,
     and the basis is made monic at the end.  Each insert retires the
     elements whose lead contains the new lead, read off the lead
-    automaton, and updates the automaton in place.  Obstructions above
+    automaton; it adds the new lead to the automaton in place, or builds
+    the automaton anew when it retired any.  Obstructions above
     max_deg truncate the run (status records the cutoff); a basis larger
     than max_basis raises.  A complete run, and a homogeneous run truncated at
     degree d, return the unique reduced basis (through degree d); the
@@ -458,26 +460,29 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     rank = {}  # lead -> the number of leads inserted before it
     overlaps = _Overlaps()  # of the leads of basis
     automaton = _LeadAutomaton(ngens)  # of the leads of basis
-    trans = automaton.trans  # updated in place by insert
     pair_heap = []  # (common len, common word, u, v, k)
     pending = [_integral(g.terms)[0] for g in gens]
     truncated_at = None
 
     def insert(terms):
+        nonlocal automaton
         lead = _lead_word(terms)
         terms = _primitive(terms, lead)
         # retire basis elements whose lead contains the new lead, in the
         # order they were inserted
-        for ld in sorted(automaton.containing(lead), key=rank.__getitem__):
+        retired = automaton.containing(lead)
+        for ld in sorted(retired, key=rank.__getitem__):
             a, tail = basis.pop(ld)
             overlaps.remove(ld)
-            automaton.remove(ld)
             pending.append({ld: a, **{u: d for u, d, _ in tail}})
         basis[lead] = _record(lead, terms)
         rank[lead] = len(rank)
         overlaps.add(lead)
-        automaton.add(lead)
-        automaton.settle()
+        if retired:
+            automaton = _LeadAutomaton(ngens, basis)
+        else:
+            automaton.add(lead)
+            automaton.settle()
         if len(basis) > max_basis:
             raise ResourceBudgetExceeded(f"basis exceeded {max_basis}")
         for u, v, k in overlaps.of(lead):
@@ -486,7 +491,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
 
     while pending or pair_heap:
         if pending:
-            red, _ = _reduce_terms(pending.pop(), basis, trans)
+            red, _ = _reduce_terms(pending.pop(), basis, automaton.trans)
             if red:
                 insert(red)
             continue
@@ -497,7 +502,7 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
             truncated_at = max_deg
             break
         s = _s_element(u, basis[u], v, basis[v], k)
-        red, _ = _reduce_terms(s, basis, trans)
+        red, _ = _reduce_terms(s, basis, automaton.trans)
         if red:
             insert(red)
 
@@ -506,7 +511,8 @@ def groebner(generators, max_deg=16, max_basis=20000, ngens=None):
     # it are reduced with it
     items = {}
     for ld, (a, tail) in basis.items():
-        red, scale = _reduce_terms({u: d for u, d, _ in tail}, basis, trans)
+        red, scale = _reduce_terms(
+            {u: d for u, d, _ in tail}, basis, automaton.trans)
         items[ld] = _primitive({ld: scale * a, **red}, ld)
         basis[ld] = _record(ld, items[ld])
     return GroebnerBasis(ngens, items, truncated_at)
@@ -544,63 +550,41 @@ def _ac_row(trans, fail, s, own, ngens):
     return row
 
 
-def _lead_automaton(leads, ngens):
-    """Aho-Corasick automaton of a set of leads, no one of which contains
-    another, as one row of next states per state.
-
-    States are the proper prefixes of the leads, shortest first, so state
-    0 is the empty word.  A letter goes to the longest suffix of the
-    extended word that is a state, or to -m when the extended word ends in
-    a lead of length m.  So each row is its failure state's row with the
-    letters that extend the prefix or complete a lead written over it
-    (``_ac_row``); shortest first, each row comes after its failure row.
-    """
-    own = defaultdict(dict)  # state -> {letter: next state, or -m}
-    for ld in leads:
-        if ld:
-            own[ld[:-1]][ld[-1]] = -len(ld)
-    states = sorted({st[:k] for st in own for k in range(len(st) + 1)} | {b""},
-                    key=deglex_key)
-    for i, st in enumerate(states[1:], 1):
-        own[st[:-1]][st[-1]] = i
-    fail = [0] * len(states)
-    trans = []
-    for i, st in enumerate(states):
-        trans.append(_ac_row(trans, fail, i, own[st], ngens))
-    return trans
-
-
 class _LeadAutomaton:
-    """The lead automaton of a changing set of leads, updated in place.
+    """The Aho-Corasick automaton of a growing set of leads, no one of
+    which contains another, as one row of next states per state in
+    ``trans``.
 
-    ``trans`` has the rows that ``_lead_automaton`` builds for the same
-    leads, under other state numbers: a new state takes the next number,
-    and a removed state leaves an empty slot, out of reach from state 0.
-    No number is used twice, so a row that named a removed state differs
-    from its rewrite, and the change reaches the rows that inherit it.
-    Each state also keeps its word, its own edges, its failure state and
-    its failure children, the states whose failure state it is.  A change
-    of leads marks the states whose own edges changed, the new states,
-    and the failure children of a removed state, which move to its
-    failure state.  ``settle`` then rewrites the marked rows, shortest
-    state first, each with ``_ac_row``; a row that changed marks its
-    failure children, and a child whose failure state changed is marked
-    and moved.  So only the states whose failure chain reaches a changed
-    state are rewritten.  The empty lead has no state and is left out.
+    States are the proper prefixes of the leads, numbered in the order
+    they are made, so state 0 is the empty word.  A letter goes to the
+    longest suffix of the extended word that is a state, or to -m when the
+    extended word ends in a lead of length m.  So each row is its failure
+    state's row with the letters that extend the prefix or complete a lead
+    written over it (``_ac_row``).  Each state also keeps its word, its
+    own edges, its failure state and its failure children, the states
+    whose failure state it is.  ``add`` marks the states whose own edges
+    changed and the new states; ``settle`` then rewrites the marked rows,
+    shortest state first, so each row comes after its failure row; a row
+    that changed marks its failure children, and a child whose failure
+    state changed is marked and moved.  So only the states whose failure
+    chain reaches a changed state are rewritten.  A set of leads that
+    loses a lead is built anew.  The empty lead has no state and is left
+    out.
     """
 
-    __slots__ = ("ngens", "trans", "fail", "kids", "own", "word", "state",
-                 "todo")
+    __slots__ = ("ngens", "trans", "fail", "kids", "own", "word", "todo")
 
-    def __init__(self, ngens):
+    def __init__(self, ngens, leads=()):
         self.ngens = ngens
         self.trans = [[0] * ngens]
         self.fail = [0]
         self.kids = [set()]  # failure children
         self.own = [{}]  # letter -> next state, or -m for a lead of length m
         self.word = [b""]
-        self.state = {b"": 0}  # word -> state
         self.todo = defaultdict(set)  # length -> states to rewrite
+        for ld in leads:
+            self.add(ld)
+        self.settle()
 
     def _new_state(self, w):
         s = len(self.word)
@@ -610,22 +594,8 @@ class _LeadAutomaton:
         self.kids.append(set())
         self.own.append({})
         self.word.append(w)
-        self.state[w] = s
         self.todo[len(w)].add(s)
         return s
-
-    def _drop_state(self, s):
-        w = self.word[s]
-        f = self.fail[s]
-        self.kids[f].discard(s)
-        for x in self.kids[s]:
-            self.fail[x] = f
-            self.kids[f].add(x)
-            self.todo[len(self.word[x])].add(x)
-        if len(w) in self.todo:
-            self.todo[len(w)].discard(s)
-        del self.state[w]
-        self.trans[s] = self.kids[s] = self.own[s] = self.word[s] = None
 
     def add(self, lead):
         """Add a lead that contains no lead and is contained in none."""
@@ -640,20 +610,6 @@ class _LeadAutomaton:
             s = t
         self.own[s][lead[-1]] = -len(lead)
         self.todo[len(lead) - 1].add(s)
-
-    def remove(self, lead):
-        """Remove a lead, and the states that were prefixes of it alone."""
-        if not lead:
-            return
-        s = self.state[lead[:-1]]
-        del self.own[s][lead[-1]]
-        while s and not self.own[s]:
-            w = self.word[s]
-            parent = self.state[w[:-1]]
-            del self.own[parent][w[-1]]
-            self._drop_state(s)
-            s = parent
-        self.todo[len(self.word[s])].add(s)
 
     def settle(self):
         """Rewrite the marked rows and the rows that change with them."""

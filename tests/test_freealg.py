@@ -26,7 +26,6 @@ from rackalg.freealg import (
     QuotientAlgebra,
     _LeadAutomaton,
     _Overlaps,
-    _lead_automaton,
     _proper_overlaps,
     _record,
     _reduce_terms,
@@ -520,7 +519,8 @@ def kernel_inputs(draw):
 def test_reduction_kernel_matches_a_fraction_rewrite(case):
     ngens, elements, terms = case
     records = {ld: _record(ld, tm) for ld, tm in elements.items()}
-    out, scale = _reduce_terms(terms, records, _lead_automaton(elements, ngens))
+    out, scale = _reduce_terms(
+        terms, records, _LeadAutomaton(ngens, elements).trans)
     assert {w: F(c, scale) for w, c in out.items()} == first_ending_rewrite(
         terms, elements)
 
@@ -699,6 +699,23 @@ def suffix_search_automaton(leads, ngens):
     return trans
 
 
+def rows_by_word(trans):
+    """The rows keyed by state word, each next state given by its word and
+    a lead transition by -1.  A state's word is the shortest word whose
+    walk from state 0 ends there, so a breadth-first walk reads it; every
+    state must be reached."""
+    words = {0: b""}
+    queue = [0]
+    for s in queue:
+        for a, t in enumerate(trans[s]):
+            if t >= 0 and t not in words:
+                words[t] = words[s] + bytes([a])
+                queue.append(t)
+    assert len(words) == len(trans)
+    return {words[s]: [words[t] if t >= 0 else -1 for t in trans[s]]
+            for s in queue}
+
+
 def walk_first_lead(trans, leads, w):
     """(start, lead) where the walk of w first takes a negative transition,
     the way the reduction reads it; the empty lead matches at 0."""
@@ -739,7 +756,7 @@ def test_lead_automaton_matches_subword_and_suffix_search(name):
             w = w[:cut] + rng.choice(planted) + w[cut:]
         assert walk_first_lead(gb._trans, leads, w) == subword_first_lead(w, leads)
     reference = suffix_search_automaton(leads, gb.ngens)
-    assert [[max(t, -1) for t in row] for row in gb._trans] == reference
+    assert rows_by_word(gb._trans) == rows_by_word(reference)
     assert _word_counts(gb._trans, 9) == _word_counts(reference, 9)
 
 
@@ -876,8 +893,8 @@ def test_overlap_maps_match_the_scan(history):
 @st.composite
 def insert_histories(draw):
     """Mostly insert steps, of words of at most six letters on two letters,
-    so that an insert often retires leads and drops states that other
-    states fail to; a retire step names a live lead by its rank."""
+    so that an insert often retires leads; a retire step names a live lead
+    by its rank."""
     insert = st.lists(st.integers(min_value=0, max_value=1), max_size=6).map(
         lambda w: ("insert", bytes(w)))
     retire = st.integers(min_value=0, max_value=20).map(lambda i: ("retire", i))
@@ -885,24 +902,14 @@ def insert_histories(draw):
     return draw(st.lists(step, min_size=5, max_size=40))
 
 
-def fresh_rows_by_word(trans, leads):
-    """The rows of ``_lead_automaton`` keyed by state word, with each next
-    state given by its word: states are the proper prefixes of the leads,
-    shortest first."""
-    states = sorted({b""} | {ld[:k] for ld in leads for k in range(len(ld))},
-                    key=lambda w: (len(w), w))
-    return {w: [states[t] if t >= 0 else t for t in row]
-            for w, row in zip(states, trans)}
-
-
 @seed(11)
 @settings(max_examples=400, deadline=None)
 @given(insert_histories())
-# inserting bb retires bbaa, which drops the state b that aba's state ab
-# fails to, and creates a new state b in the same step
+# inserting bb retires bbaa, so the automaton is built anew from aba and
+# bb, with a state b that aba's state ab fails to
 @example([("insert", b"\x01\x01\x00\x00"), ("insert", b"\x00\x01\x00"),
           ("insert", b"\x01\x01")])
-def test_lead_automaton_updated_in_place_matches_a_fresh_build(history):
+def test_lead_automaton_grown_in_place_matches_the_suffix_search(history):
     ngens = 2
     automaton = _LeadAutomaton(ngens)
     leads = set()
@@ -915,24 +922,31 @@ def test_lead_automaton_updated_in_place_matches_a_fresh_build(history):
                 continue
             retired = automaton.containing(arg)
             assert retired == {ld for ld in leads if arg in ld}
-            for ld in retired:
-                automaton.remove(ld)
             leads -= retired
             leads.add(arg)
-            automaton.add(arg)
+            if retired:
+                automaton = _LeadAutomaton(ngens, leads)
+            else:
+                automaton.add(arg)
+                automaton.settle()
         elif leads:
-            gone = sorted(leads)[arg % len(leads)]
-            leads.remove(gone)
-            automaton.remove(gone)
-        automaton.settle()
-        fresh = _lead_automaton(leads, ngens)
-        live = {w: [automaton.word[t] if t >= 0 else t for t in automaton.trans[s]]
-                for w, s in automaton.state.items()}
-        assert live == fresh_rows_by_word(fresh, leads)
+            leads.remove(sorted(leads)[arg % len(leads)])
+            automaton = _LeadAutomaton(ngens, leads)
+        assert rows_by_word(automaton.trans) == rows_by_word(
+            suffix_search_automaton(leads, ngens))
         for _ in range(20):
             w = bytes(rng.randrange(ngens) for _ in range(rng.randint(0, 7)))
             assert (walk_first_lead(automaton.trans, leads, w)
-                    == walk_first_lead(fresh, leads, w))
+                    == subword_first_lead(w, leads))
+
+
+def test_completion_that_retires_a_lead():
+    # aab goes in first; b - 1 then retires it, and aab reduces to aa
+    a, b = FreePoly.gen(2, 0), FreePoly.gen(2, 1)
+    gb = groebner([b - FreePoly.one(2), a * a * b])
+    assert gb.elements == [b - FreePoly.one(2), a * a]
+    assert quotient_dim(gb) == 2
+    assert audit_obstructions(gb)
 
 
 # sha256 of json.dumps([[u.hex(), v.hex(), k], ...]) over the S-elements a
