@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import rackalg
-from rackalg import perm
+from rackalg import grouprealize, perm
 from rackalg.catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
 from rackalg.cocycle import Cocycle2, chi_character_value
 from rackalg.braided import make_braiding, quantum_symmetrizer
@@ -766,6 +766,66 @@ def test_associativity_audit_witness_order_and_cap_inside_one_pair():
     want = _reference_associativity(alg)
     assert want["witnesses"] == [("0", "0", str(k)) for k in range(1, 6)]
     assert alg.associativity_audit() == want
+
+
+def test_associativity_audit_evaluates_only_the_generators_slices(monkeypatch):
+    # a single product a_m a_s = c a_n reaches a_n from a_m and a generator
+    # a_s; on the o23 tables the unit and the letters reach everything
+    real, alg_v, action, alg_w, degrees = _o23_smash_inputs()
+    by_group = smash_with_group(alg_v, real.group, action)
+    by_dual = smash_with_dual(alg_w, real.group, degrees)
+    cases = [
+        (alg_v, [0, 1, 2, 3]),
+        (alg_w, [0, 1, 2, 3]),
+        (by_group, [0, 1, 2, 6]),
+        (by_dual, list(range(24))),
+    ]
+    assert [by_group.label(i) for i in (0, 1, 2, 6)] == ["1#e", "1#(23)", "1#(12)", "0#e"]
+    middle_slice = grouprealize._middle_slice
+    slices = []
+
+    def counted(rows, cols, j, d):
+        slices.append(j)
+        return middle_slice(rows, cols, j, d)
+
+    monkeypatch.setattr(grouprealize, "_middle_slice", counted)
+    for alg, gens in cases:
+        assert alg.generating_indices() == gens
+        slices.clear()
+        assert alg.associativity_audit() == {"ok": True, "checked": alg.dim ** 3,
+                                             "witnesses": []}
+        assert len(slices) == alg.dim * len(gens)
+        assert sorted(set(slices)) == gens
+
+
+def test_generating_indices_read_single_products_only():
+    # a_0 a_0 = a_2 + a_1 reaches neither a_1 nor a_2 alone; once its a_1
+    # term is an explicit zero it is single and reaches a_2
+    def square_of_a0(cell):
+        table = [[{} for _ in range(3)] for _ in range(3)]
+        table[0][0] = cell
+        return FiniteDimAlgebra(3, table, {0: 1})
+
+    assert square_of_a0({2: F(1), 1: F(1)}).generating_indices() == [0, 1, 2]
+    assert square_of_a0({2: F(1), 1: F(0)}).generating_indices() == [0, 1]
+    assert square_of_a0({}).generating_indices() == [0, 1, 2]
+    assert FiniteDimAlgebra(0, [], {}).generating_indices() == []
+
+
+@pytest.mark.parametrize("i, j", [(1, 5), (4, 7), (11, 4), (2, 9)])
+def test_associativity_audit_finds_a_break_off_the_generators(i, j):
+    # a_i a_j gains a third of the unit: pass 1 must see the failure in a
+    # generator's slice, and pass 2 then collects the reference witnesses
+    _, alg_v, _, _, _ = _o23_smash_inputs()
+    table = [[dict(cell) for cell in row] for row in alg_v.table]
+    for n, c in alg_v.unit.items():
+        table[i][j][n] = table[i][j].get(n, 0) + F(c, 3)
+    broken = FiniteDimAlgebra(alg_v.dim, table, alg_v.unit, labels=alg_v.labels)
+    assert j not in alg_v.generating_indices()
+    assert j not in broken.generating_indices()
+    want = _reference_associativity(broken)
+    assert not want["ok"]
+    assert broken.associativity_audit() == want
 
 
 # ---------------------------------------------------------------------------
