@@ -344,7 +344,7 @@ def _realization_for(args):
         raise CliError("need --rack and --cocycle", EXIT_INVALID)
     try:
         return grouprealize.builtin_realization(args.rack, args.cocycle)
-    except (KeyError, grouprealize.RealizationError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(str(exc.args[0]), EXIT_INVALID)
 
 

@@ -47,9 +47,9 @@ from functools import lru_cache, partial, reduce
 
 from . import perm
 from .braided import make_braiding
-from .catalog import builtin_rack, symmetric_permgroup
-from .cocycle import chi_character_value, validate_cocycle
-from .exactnum import scalar
+from .catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
+from .cocycle import validate_cocycle
+from .exactnum import number_text, scalar
 
 
 class RealizationError(ValueError):
@@ -142,57 +142,56 @@ def _conjugation_action(group, gmap):
     return table
 
 
-def _chi_rows(group, gmap, chi):
-    """Expand a chi specification into one dict per rack element."""
-    if chi == "sgn":
-        return [{t: perm.sign(t) for t in group.elements} for _ in gmap]
-    if chi == "ms-chi":
-        rows = []
-        for p in gmap:
-            support = tuple(i for i in range(len(p)) if p[i] != i)
-            if len(support) != 2:
-                raise RealizationError(
-                    "ms-chi needs transpositions, got %s" % perm.cycle_notation(p)
-                )
-            rows.append(
-                {t: chi_character_value(t, support) for t in group.elements}
-            )
-        return rows
-    return chi
+def _forced_chi(rack, gmap, q):
+    """The chi rows q forces on conjugation along gmap.  q(x, y) = chi_y(g_x)
+    and chi_i(ht) = chi_i(t) chi_{t.i}(h) (Andruskiewitsch and Grana 2003)
+    give chi_i(g_y t) = chi_i(t) q(y, t.i), where (g_y t).i = y |> (t.i)
+    comes from the rack table.  A breadth first walk from chi(e) = 1 takes
+    the g_y in gmap order; an element reached again with other values
+    raises RealizationError."""
+    group = symmetric_permgroup(len(gmap[0]))
+    gens = [group.mul[group.index[g]] for g in gmap]
+    e = group.index[group.identity]
+    seen = {e: ((1,) * rack.n, range(rack.n))}
+    queue = deque([e])
+    while queue:
+        t = queue.popleft()
+        chi_t, act_t = seen[t]
+        for y, g_mul in enumerate(gens):
+            h = g_mul[t]
+            row = tuple(c * q(y, j) for c, j in zip(chi_t, act_t))
+            if h not in seen:
+                seen[h] = row, [rack.table[y][j] for j in act_t]
+                queue.append(h)
+            elif (old := seen[h][0]) != row:
+                i = next(i for i, c in enumerate(row) if c != old[i])
+                raise RealizationError("chi_%s(%s) is forced to %s and to %s" % (
+                    rack.labels[i], _cycle(group, h),
+                    number_text(old[i]), number_text(row[i])))
+    return [{group.elements[t]: row[i] for t, (row, _) in seen.items()}
+            for i in range(rack.n)]
 
 
-def principal_realization(rack, gmap, chi="sgn"):
-    """Build a realization over S_n whose action is conjugation along gmap.
-
-    ``chi`` is "sgn", "ms-chi" (the order character on transpositions),
-    or an explicit list of dicts mapping group elements to scalars.
+def principal_realization(rack, gmap, chi):
+    """Build a realization over S_n whose action is conjugation along gmap;
+    ``chi`` maps every group element to chi_x(t), one dict per rack element.
     """
     gmap = tuple(tuple(p) for p in gmap)
     if not gmap:
         raise RealizationError("empty gmap")
     group = symmetric_permgroup(len(gmap[0]))
     act = _conjugation_action(group, gmap)
-    return PrincipalRealization(group, rack, gmap, _chi_rows(group, gmap, chi), act)
+    return PrincipalRealization(group, rack, gmap, chi, act)
 
 
 @lru_cache(maxsize=None)
 def builtin_realization(rack_name, cocycle_spec):
-    """The natural datum for a builtin rack and cocycle.
-
-    The constant -1 cocycle is realized by the sign character, the chi
-    cocycle by the order character.  Other constants have no builtin
-    datum here.  Each datum is built once and shared: do not mutate it.
-    """
+    """Conjugation along a builtin rack's class, with the chi the cocycle
+    forces (:func:`_forced_chi`); the cocycle's own errors propagate.
+    Each datum is built once and shared: do not mutate it."""
     rack, class_perms = builtin_rack(rack_name)
-    if cocycle_spec == "chi":
-        chi = "ms-chi"
-    elif cocycle_spec == "const:-1":
-        chi = "sgn"
-    else:
-        raise RealizationError(
-            "no builtin realization for cocycle %r" % cocycle_spec
-        )
-    return principal_realization(rack, class_perms, chi)
+    q = builtin_cocycle(rack_name, cocycle_spec)
+    return principal_realization(rack, class_perms, _forced_chi(rack, class_perms, q))
 
 
 def _cycle(group, i):

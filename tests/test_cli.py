@@ -222,6 +222,31 @@ def test_realize_check_and_theta(capsys):
         assert doc["report"]["distinct"] is True
 
 
+def test_realize_solves_chi_from_the_cocycle(capsys):
+    code, out, _ = run(capsys, "realize", "check", "--rack", "o44",
+                       "--cocycle", "const:1")
+    assert code == 0
+    assert payload(out)["ok"] is True
+    for command in (("realize", "check"), ("lift", "pointed")):
+        code, out, _ = run(capsys, *command, "--rack", "o24",
+                           "--cocycle", "const:2")
+        assert code == 2
+        assert payload(out)["report"]["error"] == (
+            "chi_(34)(e) is forced to 1 and to 4")
+    code, out, _ = run(capsys, "realize", "check", "--rack", "o24",
+                       "--cocycle", "const:x")
+    assert code == 2
+    assert payload(out)["report"]["error"] == "not an exact rational: 'x'"
+
+
+def test_forced_chi_too_long_to_write_is_a_budget(capsys):
+    # const:1e3000 forces chi_(34)(e) = 10^6000, past the digit limit
+    code, out, _ = run(capsys, "realize", "check", "--rack", "o24",
+                       "--cocycle", "const:1e3000")
+    assert code == 3
+    assert not payload(out)["ok"]
+
+
 def test_realize_dual(capsys):
     code, out, _ = run(capsys, "realize", "dual", "--rack", "o23",
                        "--cocycle", "chi")

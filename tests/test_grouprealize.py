@@ -12,7 +12,7 @@ import pytest
 import rackalg
 from rackalg import grouprealize, perm
 from rackalg.catalog import builtin_cocycle, builtin_rack, symmetric_permgroup
-from rackalg.cocycle import Cocycle2, chi_character_value
+from rackalg.cocycle import Cocycle2, WrongRackForChi, chi_character_value
 from rackalg.braided import make_braiding, quantum_symmetrizer
 from rackalg.freealg import QuotientAlgebra, groebner
 from rackalg.grouprealize import (
@@ -58,17 +58,17 @@ def fk3_quotient(flavor="V"):
 
 def test_realization_input_guards():
     rack, class_perms = builtin_rack("o24")
+    group = symmetric_permgroup(4)
+    rows = [{t: 1 for t in group} for _ in class_perms]
     with pytest.raises(RealizationError):
         # a repeated group image breaks conjugation faithfulness
-        principal_realization(rack, (class_perms[0],) * 6)
-    with pytest.raises(RealizationError):
-        # the order character needs transpositions
+        principal_realization(rack, (class_perms[0],) * 6, rows)
+    with pytest.raises(WrongRackForChi):
+        # the chi cocycle lives on transposition racks only
         builtin_realization("o44", "chi")
     with pytest.raises(RealizationError):
         builtin_realization("o24", "const:2")
     # explicit chi rows are keyed by exactly the elements of S4
-    group = symmetric_permgroup(4)
-    rows = [{t: 1 for t in group} for _ in class_perms]
     assert principal_realization(rack, class_perms, rows).chi(0, group.identity) == 1
     missing = {t: 1 for t in group if t != group.identity}
     for row in (missing, {**missing, (0, 1, 2): 1}):
@@ -417,7 +417,8 @@ def test_theta_collisions_on_commuting_class():
         perm.from_cycles(4, [(1, 4), (2, 3)]),
     )
     rack = trivial_rack(3)
-    real = principal_realization(rack, perms, chi="sgn")
+    sign = {t: perm.sign(t) for t in symmetric_permgroup(4)}
+    real = principal_realization(rack, perms, [sign] * 3)
     report = theta_characters(real)
     assert report["ok"]
     assert not report["distinct"]
@@ -429,6 +430,34 @@ def test_builtin_realization_is_built_once():
     for _ in range(2):
         with pytest.raises(RealizationError):
             builtin_realization("o24", "const:2")
+
+
+def test_realizable_constants_are_solved_from_the_cocycle():
+    # const:1 forces the trivial chi, and const:-1/1 is const:-1 spelt
+    # otherwise, so it forces the same chi
+    cases = [(rack_name, "const:1") for rack_name in ("o23", "o24", "o44")]
+    cases.append(("o24", "const:-1/1"))
+    sign = builtin_realization("o24", "const:-1")
+    for rack_name, spec in cases:
+        real = builtin_realization(rack_name, spec)
+        for x in range(real.rack.n):
+            for t in real.group:
+                want = 1 if spec == "const:1" else sign.chi(x, t)
+                assert real.chi(x, t) == want, (rack_name, spec, x, t)
+        report = validate_principal(real, cocycle=builtin_cocycle(rack_name, spec))
+        assert report["ok"], (rack_name, spec, report)
+        assert dual_braiding_check(real)["ok"], (rack_name, spec)
+
+
+def test_unrealizable_constants_are_refused_with_the_forced_contradiction():
+    for rack_name, spec in [("o23", "const:2"), ("o24", "const:2"),
+                            ("o44", "const:-1/2")]:
+        with pytest.raises(RealizationError):
+            builtin_realization(rack_name, spec)
+    # label 0 of o24 is (34); g_(34)^2 = e forces chi_(34)(e) = 2 * 2
+    with pytest.raises(RealizationError) as exc:
+        builtin_realization("o24", "const:2")
+    assert str(exc.value) == "chi_(34)(e) is forced to 1 and to 4"
 
 
 def test_scalar_algebra_smash_is_group_algebra():
@@ -948,7 +977,8 @@ def audit_reports():
         perm.from_cycles(4, [(1, 3), (2, 4)]),
         perm.from_cycles(4, [(1, 4), (2, 3)]),
     )
-    real = principal_realization(trivial_rack(3), perms, chi="sgn")
+    sign = {t: perm.sign(t) for t in symmetric_permgroup(4)}
+    real = principal_realization(trivial_rack(3), perms, [sign] * 3)
     out["double transpositions"] = {"theta_characters": theta_characters(real)}
     no_unit = FiniteDimAlgebra(1, [[{0: F(0)}]], {0: F(1)})
     skew = FiniteDimAlgebra(
